@@ -6,8 +6,10 @@
 // distribution, including the raw CCDF points (paper Fig. 3) and the
 // fault miss map (paper Fig. 1.a) for one mechanism.
 #include <cstdio>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -37,14 +39,15 @@ int main() {
   const FaultModel faults(1e-4);
 
   // --- 3. Analyze -----------------------------------------------------
-  const PwcetAnalyzer analyzer(program, config);
+  const PwcetPipeline pipeline(program,
+                               {std::make_shared<IcacheDomain>(config)});
   std::printf("task %s: %llu bytes of code, fault-free WCET %lld cycles\n\n",
               program.name().c_str(),
               static_cast<unsigned long long>(program.code_size_bytes()),
-              static_cast<long long>(analyzer.fault_free_wcet()));
+              static_cast<long long>(pipeline.fault_free_wcet()));
 
   const PwcetResult result =
-      analyzer.analyze(faults, Mechanism::kSharedReliableBuffer);
+      pipeline.analyze(faults, Mechanism::kSharedReliableBuffer);
 
   // pWCET at certification-relevant exceedance levels.
   TextTable levels({"exceedance", "pWCET (cycles)", "over fault-free"});

@@ -7,8 +7,10 @@
 // WCET (cache analysis + IPET) -> FMM -> per-set penalty distributions ->
 // convolution -> pWCET quantile.
 #include <cstdio>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "workloads/malardalen.hpp"
 
 int main() {
@@ -24,10 +26,12 @@ int main() {
               program.name().c_str(), program.cfg().block_count(),
               static_cast<unsigned long long>(program.code_size_bytes()));
 
-  // Analyzer: shared work (classification, IPET, FMM) happens here once.
-  const PwcetAnalyzer analyzer(program, config);
+  // Pipeline over one instruction-cache domain: shared work
+  // (classification, IPET, FMM) happens here once.
+  const PwcetPipeline pipeline(program,
+                               {std::make_shared<IcacheDomain>(config)});
   std::printf("fault-free WCET: %lld cycles\n\n",
-              static_cast<long long>(analyzer.fault_free_wcet()));
+              static_cast<long long>(pipeline.fault_free_wcet()));
 
   // pfail = 1e-4 (the paper's §IV-A cell failure probability) and the
   // aerospace exceedance target 1e-15 per activation.
@@ -36,7 +40,7 @@ int main() {
 
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
                             Mechanism::kSharedReliableBuffer}) {
-    const PwcetResult result = analyzer.analyze(faults, m);
+    const PwcetResult result = pipeline.analyze(faults, m);
     std::printf("%-5s pWCET@1e-15 = %10lld cycles  (penalty %lld)\n",
                 mechanism_name(m).c_str(),
                 static_cast<long long>(result.pwcet(target)),

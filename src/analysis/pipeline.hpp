@@ -21,16 +21,16 @@
 ///
 /// One domain gives the paper's instruction-cache analysis; [icache,
 /// dcache] gives the combined I+D extension; any further domain composes
-/// the same way. The legacy analyzer classes (core/pwcet_analyzer.hpp,
-/// dcache/dcache_analysis.hpp) are thin facades over this pipeline.
+/// the same way. This is the only SPTA entry point: the campaign runner,
+/// the benches, the examples and the tests all construct it directly.
 ///
 /// Store-key compatibility contract: the pipeline core key of a
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
 /// recipe (pwcet_core_key), that of the [IcacheDomain, DcacheDomain] pair
 /// is the historical "pwcet-dcore-v1" recipe, and the per-result /
-/// per-set-penalty / per-row keys reproduce the pre-pipeline analyzers'
-/// keys bit for bit — so memo and artifact stores written before this
-/// refactor keep hitting after it (pinned by
+/// per-set-penalty / per-row keys reproduce the keys of the original
+/// single-cache and I+D analyzers bit for bit — so memo and artifact stores
+/// written by earlier versions keep hitting (pinned by
 /// tests/analysis_pipeline_test.cpp).
 #pragma once
 
@@ -105,19 +105,6 @@ struct PwcetResult {
   /// The CCDF as explicit points (one per penalty support atom).
   std::vector<CcdfPoint> ccdf() const;
 };
-
-/// Per-set penalty-distribution pipeline shared by every domain: builds
-/// one distribution per set (atom value = miss_penalty * ceil(FMM[s][f]),
-/// probability pwf[f]) and combines the independent sets with the
-/// fixed-shape pairwise convolution tree. With a store, each set's
-/// distribution is memoized under a content key (FMM row, pwf, miss
-/// penalty) so identical rows share across sets, mechanisms, domains and
-/// even tasks. Deterministic: identical bits at any thread count, store
-/// on or off.
-DiscreteDistribution build_penalty_distribution(
-    const FaultMissMap& fmm, const CacheConfig& config,
-    const std::vector<Probability>& pwf, std::size_t max_points,
-    ThreadPool* pool, AnalysisStore* store);
 
 /// Pipeline bound to one (program, domain list) pair. The expensive
 /// shared work (reference extraction, fault-free classification, the

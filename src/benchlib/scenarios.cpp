@@ -11,7 +11,6 @@
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/tlb_domain.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "engine/shard.hpp"
@@ -250,16 +249,19 @@ std::vector<Scenario> builtin_scenarios() {
     auto fixture = std::make_shared<AdpcmFixture>();
     scenarios.push_back(
         {"pipeline.full",
-         "fresh analyzer + all three mechanisms on adpcm (3 iterations); "
+         "fresh icache pipeline + all three mechanisms on adpcm "
+         "(3 iterations); "
          "samples carry the phase.* breakdown",
          {},
          [fixture](Recorder&, const ScenarioOptions&) {
            const FaultModel faults(1e-4);
            for (int i = 0; i < 3; ++i) {
-             const PwcetAnalyzer analyzer(fixture->program, fixture->config);
-             keep(analyzer.analyze(faults, Mechanism::kNone));
-             keep(analyzer.analyze(faults, Mechanism::kReliableWay));
-             keep(analyzer.analyze(faults, Mechanism::kSharedReliableBuffer));
+             const PwcetPipeline pipeline(
+                 fixture->program,
+                 {std::make_shared<IcacheDomain>(fixture->config)});
+             keep(pipeline.analyze(faults, Mechanism::kNone));
+             keep(pipeline.analyze(faults, Mechanism::kReliableWay));
+             keep(pipeline.analyze(faults, Mechanism::kSharedReliableBuffer));
            }
          }});
   }

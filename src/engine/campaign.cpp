@@ -92,9 +92,13 @@ void CampaignSpec::validate() const {
   }
   for (const AnalysisKind kind : kinds) {
     if (kind == AnalysisKind::kMbpta) {
-      PWCET_EXPECTS(mbpta.chips >= 2 * mbpta.block_size);
+      // Division form: 2 * block_size wraps for huge block sizes.
+      PWCET_EXPECTS(mbpta.block_size <= mbpta.chips / 2);
       for (const std::size_t n : sample_counts)
-        PWCET_EXPECTS(n == 0 || n >= 2 * mbpta.block_size);
+        PWCET_EXPECTS(n == 0 || mbpta.block_size <= n / 2);
+      // The Gumbel quantile is defined for exceedances strictly below 1.
+      PWCET_EXPECTS(target_exceedance < 1.0);
+      for (const Probability p : ccdf_exceedances) PWCET_EXPECTS(p < 1.0);
     }
     if (kind == AnalysisKind::kSimulation)
       PWCET_EXPECTS(simulation_chips > 0);

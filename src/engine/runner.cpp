@@ -20,8 +20,6 @@
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
 #include "cache/references.hpp"
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/report.hpp"
 #include "engine/shard.hpp"
 #include "engine/thread_pool.hpp"
@@ -31,8 +29,8 @@
 #include "obs/phase.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
+#include "sim/population.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "wcet/cost_model.hpp"
 #include "wcet/tree_engine.hpp"
@@ -41,55 +39,11 @@
 namespace pwcet {
 namespace {
 
-/// Maps a finished SPTA analysis into a job row — shared by the
-/// single-cache and combined I+D paths so the two can never drift in how
-/// a PwcetResult becomes report columns.
-JobResult fill_spta_result(const CampaignJob& job, const PwcetResult& res,
-                           Cycles fault_free_wcet,
-                           const CampaignSpec& spec) {
-  JobResult r;
-  r.job = job;
-  r.fault_free_wcet = fault_free_wcet;
-  r.pwcet = static_cast<double>(res.pwcet(spec.target_exceedance));
-  r.penalty_mean = res.penalty.mean();
-  r.penalty_points = res.penalty.size();
-  r.curve.reserve(spec.ccdf_exceedances.size());
-  for (const Probability p : spec.ccdf_exceedances)
-    r.curve.push_back(static_cast<double>(res.pwcet(p)));
-  return r;
-}
-
-JobResult run_spta(const CampaignJob& job, const PwcetAnalyzer& analyzer,
-                   const CampaignSpec& spec) {
-  return fill_spta_result(
-      job, analyzer.analyze(FaultModel(job.pfail), job.mechanism),
-      analyzer.fault_free_wcet(), spec);
-}
-
-JobResult run_combined_spta(const CampaignJob& job,
-                            const CombinedPwcetAnalyzer& analyzer,
-                            const CampaignSpec& spec) {
-  return fill_spta_result(
-      job,
-      analyzer.analyze_mixed(FaultModel(job.pfail), job.mechanism,
-                             job.resolved_dmech()),
-      analyzer.fault_free_wcet(), spec);
-}
-
-/// True when the cell's composition goes beyond the two legacy analyzer
-/// facades — a write-back data cache, a TLB or a shared L2 — and must run
-/// on the generic PwcetPipeline. The legacy icache-only and write-through
-/// I+D shapes keep their facades (and thus their historic store keys).
-bool needs_pipeline(const CampaignJob& job) {
-  return job.tlb.enabled || job.l2.enabled ||
-         (job.dcache.enabled &&
-          job.dcache.policy == WritePolicy::kWriteBack);
-}
-
-/// Domain list of a generic-pipeline cell, in composition order:
-/// icache, then the data cache (write-through or write-back), then the
-/// TLB, then the shared L2. The order is part of the "pwcet-ncore-v1"
-/// store-key recipe (the pipeline chains domain names), so it must never
+/// Domain list of an SPTA cell, in composition order: icache, then the
+/// data cache (write-through or write-back), then the TLB, then the shared
+/// L2. The pipeline maps [icache] and [icache, dcache] onto the historical
+/// "pwcet-core-v1" / "pwcet-dcore-v1" store-key recipes; every other shape
+/// chains the domain names into "pwcet-ncore-v1", so the order must never
 /// change once results are persisted.
 std::vector<std::shared_ptr<const CacheDomain>> pipeline_domains(
     const CampaignJob& job) {
@@ -109,9 +63,8 @@ std::vector<std::shared_ptr<const CacheDomain>> pipeline_domains(
   return domains;
 }
 
-JobResult run_pipeline_spta(const CampaignJob& job,
-                            const PwcetPipeline& pipeline,
-                            const CampaignSpec& spec) {
+JobResult run_spta(const CampaignJob& job, const PwcetPipeline& pipeline,
+                   const CampaignSpec& spec) {
   std::vector<Mechanism> mechanisms;
   mechanisms.reserve(pipeline.domain_count());
   mechanisms.push_back(job.mechanism);
@@ -120,9 +73,18 @@ JobResult run_pipeline_spta(const CampaignJob& job,
   // they have no pairing axis of their own.
   if (job.tlb.enabled) mechanisms.push_back(job.mechanism);
   if (job.l2.enabled) mechanisms.push_back(job.mechanism);
-  return fill_spta_result(
-      job, pipeline.analyze(FaultModel(job.pfail), mechanisms),
-      pipeline.fault_free_wcet(), spec);
+  const PwcetResult res = pipeline.analyze(FaultModel(job.pfail), mechanisms);
+
+  JobResult r;
+  r.job = job;
+  r.fault_free_wcet = pipeline.fault_free_wcet();
+  r.pwcet = static_cast<double>(res.pwcet(spec.target_exceedance));
+  r.penalty_mean = res.penalty.mean();
+  r.penalty_points = res.penalty.size();
+  r.curve.reserve(spec.ccdf_exceedances.size());
+  for (const Probability p : spec.ccdf_exceedances)
+    r.curve.push_back(static_cast<double>(res.pwcet(p)));
+  return r;
 }
 
 JobResult run_mbpta_job(const CampaignJob& job, const Program& program,
@@ -151,22 +113,9 @@ JobResult run_simulation_job(const CampaignJob& job, const Program& program,
   // maximum — the point of this kind is cross-validating the static bound.
   JobResult r;
   r.job = job;
-  const FaultModel faults(job.pfail);
-  const Probability pbf = faults.block_failure_probability(job.geometry);
-  const std::vector<Address> trace =
-      fetch_trace(program.cfg(), heavy_walk(program));
-  const std::size_t chips =
-      job.samples != 0 ? job.samples : spec.simulation_chips;
-
-  Rng rng(job.seed);
-  std::vector<double> times;
-  times.reserve(chips);
-  for (std::size_t chip = 0; chip < chips; ++chip) {
-    const FaultMap map = FaultMap::sample(job.geometry, pbf, rng);
-    const SimStats stats = simulate_trace(job.geometry, map, job.mechanism,
-                                          trace);
-    times.push_back(static_cast<double>(stats.cycles));
-  }
+  const std::vector<double> times = simulate_chip_population(
+      program, job.geometry, FaultModel(job.pfail), job.mechanism,
+      job.samples != 0 ? job.samples : spec.simulation_chips, job.seed);
   r.observed_max = *std::max_element(times.begin(), times.end());
   r.pwcet = empirical_quantile(times, 1.0 - spec.target_exceedance);
   r.curve.reserve(spec.ccdf_exceedances.size());
@@ -439,12 +388,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       const CampaignJob& first = jobs[members->front()];
       const Program program = workloads::build(first.task);
 
-      // Built on the group's first SPTA cell; SRB/RW/pfail cells reuse it
-      // (the FMM bundle covers all mechanisms, per core/pwcet_analyzer.hpp).
-      // Groups with the data cache enabled build the combined analyzer
-      // instead — the dcache geometry is part of the group key.
-      std::optional<PwcetAnalyzer> analyzer;
-      std::optional<CombinedPwcetAnalyzer> combined;
+      // Built on the group's first SPTA cell; mechanism and pfail cells
+      // reuse it (the FMM bundles cover all mechanisms). The group key
+      // fixes one domain composition per group, so the first cell's
+      // domain list serves every SPTA cell of the group.
       std::optional<PwcetPipeline> pipeline;
       PwcetOptions popts;
       popts.engine = first.engine;
@@ -464,21 +411,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         }
         switch (job.kind) {
           case AnalysisKind::kSpta:
-            if (needs_pipeline(job)) {
-              if (!pipeline)
-                pipeline.emplace(program, pipeline_domains(job), popts);
-              campaign.results[index] = run_pipeline_spta(job, *pipeline,
-                                                          spec);
-            } else if (job.dcache.enabled) {
-              if (!combined)
-                combined.emplace(program, job.geometry, job.dcache.geometry,
-                                 popts);
-              campaign.results[index] = run_combined_spta(job, *combined,
-                                                          spec);
-            } else {
-              if (!analyzer) analyzer.emplace(program, job.geometry, popts);
-              campaign.results[index] = run_spta(job, *analyzer, spec);
-            }
+            if (!pipeline)
+              pipeline.emplace(program, pipeline_domains(job), popts);
+            campaign.results[index] = run_spta(job, *pipeline, spec);
             break;
           case AnalysisKind::kMbpta:
             campaign.results[index] = run_mbpta_job(job, program, spec);

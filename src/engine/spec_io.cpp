@@ -208,18 +208,31 @@ class SpecReader {
              spec.kinds.end();
     };
     if (wants(AnalysisKind::kMbpta)) {
-      if (spec.mbpta.chips < 2 * spec.mbpta.block_size)
+      // Division form: 2 * block_size wraps for huge block sizes.
+      if (spec.mbpta.block_size > spec.mbpta.chips / 2)
         fail(source_, root.line,
              "mbpta.chips must be at least 2 * mbpta.block_size when "
              "\"kinds\" includes \"mbpta\"",
              "mbpta.chips");
       for (std::size_t i = 0; i < spec.sample_counts.size(); ++i)
         if (spec.sample_counts[i] != 0 &&
-            spec.sample_counts[i] < 2 * spec.mbpta.block_size)
+            spec.mbpta.block_size > spec.sample_counts[i] / 2)
           fail(source_, root.line,
                "sample_counts entries must be at least 2 * mbpta.block_size "
                "(or 0 for the default) when \"kinds\" includes \"mbpta\"",
                "sample_counts[" + std::to_string(i) + "]");
+      // The Gumbel quantile is defined for exceedances strictly below 1.
+      if (spec.target_exceedance >= 1.0)
+        fail(source_, root.line,
+             "target_exceedance must be below 1 when \"kinds\" includes "
+             "\"mbpta\"",
+             "target_exceedance");
+      for (std::size_t i = 0; i < spec.ccdf_exceedances.size(); ++i)
+        if (spec.ccdf_exceedances[i] >= 1.0)
+          fail(source_, root.line,
+               "ccdf_exceedances entries must be below 1 when \"kinds\" "
+               "includes \"mbpta\"",
+               "ccdf_exceedances[" + std::to_string(i) + "]");
     }
     bool any_dcache = false;
     for (const DcacheAxis& d : spec.dcaches) any_dcache |= d.enabled;

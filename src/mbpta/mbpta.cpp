@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/cache_sim.hpp"
-#include "sim/path.hpp"
+#include "sim/population.hpp"
 #include "support/contracts.hpp"
 
 namespace pwcet {
@@ -11,22 +10,14 @@ namespace pwcet {
 MbptaResult run_mbpta(const Program& program, const CacheConfig& config,
                       const FaultModel& faults, Mechanism mechanism,
                       const MbptaOptions& options) {
-  PWCET_EXPECTS(options.chips >= 2 * options.block_size);
-  const Probability pbf = faults.block_failure_probability(config);
+  // Division form: 2 * block_size would wrap for huge block sizes.
+  PWCET_EXPECTS(options.block_size <= options.chips / 2);
 
   // One fixed input path (the heavy structural path): MBPTA observes timing
   // variation across the chip population, not across inputs.
-  const std::vector<Address> trace =
-      fetch_trace(program.cfg(), heavy_walk(program));
-
-  Rng rng(options.seed);
   MbptaResult result;
-  result.times.reserve(options.chips);
-  for (std::size_t chip = 0; chip < options.chips; ++chip) {
-    const FaultMap map = FaultMap::sample(config, pbf, rng);
-    const SimStats stats = simulate_trace(config, map, mechanism, trace);
-    result.times.push_back(static_cast<double>(stats.cycles));
-  }
+  result.times = simulate_chip_population(program, config, faults, mechanism,
+                                          options.chips, options.seed);
   result.observed_max =
       *std::max_element(result.times.begin(), result.times.end());
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "engine/thread_pool.hpp"
@@ -15,15 +13,6 @@
 
 namespace pwcet {
 namespace {
-
-/// Escape hatch: PWCET_FMM_DEDUP=0 disables the signature dedup below
-/// (A/B debugging, and the reference-equivalence test that pins dedup and
-/// non-dedup bundles bitwise). Read per call, not cached, so in-process
-/// tests can flip it with setenv.
-bool fmm_dedup_enabled() {
-  const char* env = std::getenv("PWCET_FMM_DEDUP");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 double maximize_delta(const Program& program, const CostModel& model,
                       WcetEngine engine, IpetCalculator* ipet) {
@@ -204,14 +193,13 @@ FmmBundle compute_fmm_bundle(const Program& program,
   // and perturb LP round-off — with the replay, the call sequence and its
   // bit-identical inputs match the non-dedup run exactly, so the bundle
   // does too.
-  const bool dedup = fmm_dedup_enabled();
   std::vector<SetIndex> representative(config.sets);
   std::vector<std::uint8_t> has_duplicate(config.sets, 0);
   {
     std::map<SetSignature, SetIndex> first_with;
     for (SetIndex s = 0; s < config.sets; ++s) {
       representative[s] = s;
-      if (!dedup || signatures[size_t(s)].empty()) continue;
+      if (signatures[size_t(s)].empty()) continue;
       const auto [it, inserted] = first_with.emplace(signatures[size_t(s)], s);
       representative[s] = it->second;
       if (!inserted) has_duplicate[size_t(it->second)] = 1;
@@ -299,14 +287,6 @@ FmmBundle compute_fmm_bundle(const Program& program,
     bundle.srb.misses.push_back(std::move(r.srb));
   }
   return bundle;
-}
-
-FaultMissMap compute_fmm(const Program& program, const CacheConfig& config,
-                         const ReferenceMap& refs, Mechanism mechanism,
-                         WcetEngine engine, IpetCalculator* ipet,
-                         ThreadPool* pool) {
-  return compute_fmm_bundle(program, config, refs, engine, ipet, pool)
-      .of(mechanism);
 }
 
 }  // namespace pwcet

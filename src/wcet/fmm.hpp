@@ -43,35 +43,6 @@ struct FaultMissMap {
   }
 };
 
-/// Computes the FMM for one mechanism.
-///
-/// The `ipet` calculator must belong to `program`; it is reused across all
-/// (set, f) objectives (one phase-1 total). Pass nullptr with
-/// `engine == kTree`.
-///
-/// With a `pool` and `engine == kTree`, the per-set rows (independent by
-/// construction) are fanned out across the pool; results are identical to
-/// the serial computation. The ILP engine always runs serially even with a
-/// pool: its warm-started shared simplex is stateful, and fresh per-set
-/// calculators would perturb LP round-off and break the byte-identity
-/// guarantee between 1-thread and N-thread campaign runs.
-///
-/// With a `store` (store/analysis_store.hpp) and `engine == kTree`, each
-/// used set's three rows are memoized under `row_key_prefix` (which must
-/// cover program + config) chained with the set index — a recovery tier
-/// for bundle recomputation (concurrent same-core constructions, shard
-/// evictions of the bundle entry); a bundle-level memo hit never reaches
-/// it. The ILP engine is *not* row-memoized on purpose: skipping some
-/// maximize() calls would change the shared simplex's warm-start sequence
-/// for the remaining ones and perturb LP round-off; ILP results are
-/// instead cached all-or-nothing at the analyzer-core layer
-/// (core/pwcet_analyzer.cpp), which preserves the exact call sequence on
-/// every miss.
-FaultMissMap compute_fmm(const Program& program, const CacheConfig& config,
-                         const ReferenceMap& refs, Mechanism mechanism,
-                         WcetEngine engine, IpetCalculator* ipet,
-                         ThreadPool* pool = nullptr);
-
 /// FMMs of all three mechanisms. The f < W columns are mechanism-
 /// independent and computed once; only the f == W column differs
 /// (none: per-fetch misses; SRB: SRB-analysis-filtered; RW: unreachable).
@@ -93,6 +64,34 @@ struct FmmBundle {
   }
 };
 
+/// Computes the FMMs of all three mechanisms.
+///
+/// The `ipet` calculator must belong to `program`; it is reused across all
+/// (set, f) objectives (one phase-1 total). Pass nullptr with
+/// `engine == kTree`.
+///
+/// Sets whose canonical reference signatures coincide share one row
+/// computation (see fmm.cpp); the bundle is bit-identical to computing
+/// every used set on its own (pinned by tests/wcet_test.cpp).
+///
+/// With a `pool` and `engine == kTree`, the per-set rows (independent by
+/// construction) are fanned out across the pool; results are identical to
+/// the serial computation. The ILP engine always runs serially even with a
+/// pool: its warm-started shared simplex is stateful, and fresh per-set
+/// calculators would perturb LP round-off and break the byte-identity
+/// guarantee between 1-thread and N-thread campaign runs.
+///
+/// With a `store` (store/analysis_store.hpp) and `engine == kTree`, each
+/// used set's three rows are memoized under `row_key_prefix` (which must
+/// cover program + config) chained with the set index — a recovery tier
+/// for bundle recomputation (concurrent same-core constructions, shard
+/// evictions of the bundle entry); a bundle-level memo hit never reaches
+/// it. The ILP engine is *not* row-memoized on purpose: skipping some
+/// maximize() calls would change the shared simplex's warm-start sequence
+/// for the remaining ones and perturb LP round-off; ILP results are
+/// instead cached all-or-nothing at the pipeline-core layer
+/// (analysis/pipeline.cpp), which preserves the exact call sequence on
+/// every miss.
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
                              const ReferenceMap& refs, WcetEngine engine,

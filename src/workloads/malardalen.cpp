@@ -461,7 +461,7 @@ Program build_ud() {
 // Extension kernels — not part of the 25-benchmark paper suite; campaign
 // tasks for the data-cache study (§VI future work). Unlike the suite
 // above, their blocks record *data* load addresses, which the combined
-// I+D analyzer (dcache/dcache_analysis.hpp) consumes.
+// I+D pipeline (analysis/dcache_domain.hpp) consumes.
 // ---------------------------------------------------------------------------
 
 /// Interpolation kernel: scalar state + a walked coefficient table.

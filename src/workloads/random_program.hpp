@@ -28,7 +28,7 @@ struct RandomProgramParams {
   /// and RNG streams are then identical to earlier releases). Non-zero
   /// makes every chunk draw up to this many loads from a small address
   /// pool, exercising the data-cache analysis path
-  /// (dcache/dcache_analysis.hpp) in property tests.
+  /// (analysis/dcache_domain.hpp) in property tests.
   std::uint32_t max_data_loads = 0;
   /// Size of the data address pool, in 4-byte words; small pools force
   /// line sharing and set conflicts in tiny data caches.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -16,8 +17,6 @@
 #include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/thread_pool.hpp"
 #include "store/analysis_store.hpp"
 #include "store/artifact_store.hpp"
@@ -35,11 +34,24 @@ CacheConfig small_dcache() {
   return dc;
 }
 
+/// The two historical compositions: the paper's instruction cache alone,
+/// and the combined I+D extension.
+std::vector<std::shared_ptr<const CacheDomain>> icache_only(
+    const CacheConfig& ic) {
+  return {std::make_shared<const IcacheDomain>(ic)};
+}
+
+std::vector<std::shared_ptr<const CacheDomain>> icache_dcache(
+    const CacheConfig& ic, const CacheConfig& dc) {
+  return {std::make_shared<const IcacheDomain>(ic),
+          std::make_shared<const DcacheDomain>(dc)};
+}
+
 // ---- pre-refactor golden keys ----------------------------------------------
 
-// Hex values captured from the pre-pipeline PwcetAnalyzer /
-// CombinedPwcetAnalyzer on this exact input (fibcall, the paper-default
-// icache, the 8x2 dcache above). If one of these fails, the refactored
+// Hex values captured from the original single-cache and combined I+D
+// analyzers on this exact input (fibcall, the paper-default icache, the
+// 8x2 dcache above). If one of these fails, the refactored
 // key chain drifted from the historical recipes and every store written
 // before the change silently turns into misses — revert the drift (or,
 // for an *intentional* semantic change, bump the recipe version tags and
@@ -53,11 +65,11 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
   EXPECT_EQ(pwcet_core_key(p, ic, WcetEngine::kTree).hex(),
             "e7bdbda527acf914ba3e580b6a9cee7a");
 
-  // The facades' core keys are the pipeline keys of the two shipped
-  // compositions — both must reproduce the historical recipes.
-  const PwcetAnalyzer single(p, ic);
+  // The pipeline keys of the two shipped compositions must reproduce the
+  // historical recipes.
+  const PwcetPipeline single(p, icache_only(ic));
   EXPECT_EQ(single.core_key().hex(), "cc02c7097bbec7aac3765c1f0b70271e");
-  const CombinedPwcetAnalyzer combined(p, ic, small_dcache());
+  const PwcetPipeline combined(p, icache_dcache(ic, small_dcache()));
   EXPECT_EQ(combined.core_key().hex(), "9fb50b765ec8ffff8199eff92bcfb640");
 
   // Row-prefix sub-domains: the icache domain shares the single-cache
@@ -72,7 +84,7 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
             "7b8a4afc2cfa84fd06e74c06e57244f1");
 
   // Per-set penalty layer: content-addressed on (miss penalty, pwf, FMM
-  // row) — the recipe build_penalty_distribution keys the memo with.
+  // row) — the recipe the per-row penalty memo is keyed with.
   EXPECT_EQ(KeyHasher("set-penalty-v1")
                 .mix_i64(10)
                 .mix_doubles({0.5, 0.25, 0.25})
@@ -100,16 +112,18 @@ TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
   // The per-result disk artifacts are addressed by the live result keys;
   // their file names therefore pin the exact key bytes analyze() chains
   // (core key x mechanisms x pfail x coalescing budget).
-  const PwcetAnalyzer single(p, CacheConfig::paper_default(), options);
+  const PwcetPipeline single(p, icache_only(CacheConfig::paper_default()),
+                             options);
   single.analyze(faults, Mechanism::kSharedReliableBuffer);
   EXPECT_TRUE(fs::exists(
       fs::path(dir) / "distribution" /
       "8942d3694dac48474a8407b5414c1cb9.jsonl"));
 
-  const CombinedPwcetAnalyzer combined(p, CacheConfig::paper_default(),
-                                       small_dcache(), options);
-  combined.analyze_mixed(faults, Mechanism::kReliableWay,
-                         Mechanism::kSharedReliableBuffer);
+  const PwcetPipeline combined(
+      p, icache_dcache(CacheConfig::paper_default(), small_dcache()),
+      options);
+  combined.analyze(faults,
+                   {Mechanism::kReliableWay, Mechanism::kSharedReliableBuffer});
   EXPECT_TRUE(fs::exists(
       fs::path(dir) / "distribution" /
       "7e58309b965fdef2b11b38445e742623.jsonl"));
@@ -121,18 +135,18 @@ TEST(PipelineGoldenKeys, NumericResultsMatchPreRefactorValues) {
   const Program p = workloads::build("fibcall");
   const FaultModel faults(1e-4);
 
-  const PwcetAnalyzer single(p, CacheConfig::paper_default());
+  const PwcetPipeline single(p, icache_only(CacheConfig::paper_default()));
   EXPECT_EQ(single.fault_free_wcet(), 8188u);
   EXPECT_EQ(
       single.analyze(faults, Mechanism::kSharedReliableBuffer).pwcet(1e-15),
       14088u);
 
-  const CombinedPwcetAnalyzer combined(p, CacheConfig::paper_default(),
-                                       small_dcache());
+  const PwcetPipeline combined(
+      p, icache_dcache(CacheConfig::paper_default(), small_dcache()));
   EXPECT_EQ(combined.fault_free_wcet(), 8188u);
   EXPECT_EQ(combined
-                .analyze_mixed(faults, Mechanism::kReliableWay,
-                               Mechanism::kSharedReliableBuffer)
+                .analyze(faults, {Mechanism::kReliableWay,
+                                  Mechanism::kSharedReliableBuffer})
                 .pwcet(1e-15),
             8188u);
 }
@@ -205,8 +219,8 @@ TEST(ThirdDomain, ComposesWithTheShippedTwo) {
   const FaultModel faults(1e-3);
 
   const PwcetPipeline three(p, three_domains());
-  const CombinedPwcetAnalyzer two(p, CacheConfig::paper_default(),
-                                  small_dcache());
+  const PwcetPipeline two(
+      p, icache_dcache(CacheConfig::paper_default(), small_dcache()));
 
   // The TLB charges no fault-free cycles, so the single summed
   // maximization reproduces the two-domain WCET...
@@ -216,7 +230,7 @@ TEST(ThirdDomain, ComposesWithTheShippedTwo) {
   // ...and its faulty behaviour convolves into the penalty tail.
   const PwcetResult with_tlb = three.analyze(faults, kMixedMechanisms);
   const PwcetResult without =
-      two.analyze_mixed(faults, kMixedMechanisms[0], kMixedMechanisms[1]);
+      two.analyze(faults, {kMixedMechanisms[0], kMixedMechanisms[1]});
   EXPECT_GT(with_tlb.penalty.max_value(), without.penalty.max_value());
   EXPECT_GE(with_tlb.pwcet(1e-15), without.pwcet(1e-15));
   EXPECT_NEAR(with_tlb.penalty.total_mass(), 1.0, 1e-9);
@@ -319,8 +333,7 @@ TEST(Reweight, SweptCellsAreByteIdenticalToFreshPipelines) {
   for (const char* task : {"adpcm", "fibcall", "matmult", "crc", "fft",
                            "ud"}) {
     const Program p = workloads::build(task);
-    const auto domains = std::vector<std::shared_ptr<const CacheDomain>>{
-        std::make_shared<IcacheDomain>(CacheConfig::paper_default())};
+    const auto domains = icache_only(CacheConfig::paper_default());
     AnalysisStore store;
     PwcetOptions stored_options;
     stored_options.store = &store;
@@ -355,21 +368,43 @@ TEST(Reweight, SweptCellsAreByteIdenticalToFreshPipelines) {
   }
 }
 
+/// From-scratch reference for the re-weighted penalty: one distribution
+/// per cache set straight from its raw FMM row (atom value = miss_penalty
+/// * ceil(FMM[s][f]), probability pwf[f]; paper Fig. 1.b), combined by the
+/// fixed-shape pairwise convolution tree over every set — no bundle, no
+/// row dedup, no memo.
+DiscreteDistribution build_penalty_distribution(
+    const FaultMissMap& fmm, const CacheConfig& config,
+    const std::vector<Probability>& pwf, std::size_t max_points) {
+  std::vector<DiscreteDistribution> per_set;
+  per_set.reserve(config.sets);
+  for (SetIndex s = 0; s < config.sets; ++s) {
+    std::vector<ProbabilityAtom> atoms;
+    atoms.reserve(pwf.size());
+    for (std::size_t f = 0; f < pwf.size(); ++f) {
+      const double misses = fmm.at(s, static_cast<std::uint32_t>(f));
+      atoms.push_back({static_cast<Cycles>(
+                           std::ceil(misses - 1e-6) *
+                           static_cast<double>(config.miss_penalty)),
+                       pwf[f]});
+    }
+    per_set.push_back(DiscreteDistribution::from_atoms(std::move(atoms)));
+  }
+  return convolve_all_tree(per_set, max_points);
+}
+
 TEST(Reweight, MatchesTheFromScratchPenaltyComposition) {
-  // The re-weighted analyze() against the exported from-scratch builder
-  // (build_penalty_distribution reads the raw FMM per cell): bit-equality
-  // here proves the bundle path changes nothing, independent of the
-  // PWCET_REWEIGHT escape hatch and of which path analyze() took.
+  // The re-weighted analyze() against the from-scratch builder above,
+  // which reads the raw FMM per cell: bit-equality over every mechanism
+  // and the whole pfail ladder proves the bundle path changes nothing.
   const Program p = workloads::build("fibcall");
-  const PwcetPipeline pipeline(
-      p, {std::make_shared<IcacheDomain>(CacheConfig::paper_default())});
+  const PwcetPipeline pipeline(p, icache_only(CacheConfig::paper_default()));
   for (const Mechanism mechanism : kAllMechanisms) {
     for (const Probability pfail : kSweepPfails) {
       const FaultModel faults(pfail);
       const DiscreteDistribution from_scratch = build_penalty_distribution(
           pipeline.fmm(0).of(mechanism), pipeline.domain(0).config(),
-          pipeline.domain(0).pwf(faults, mechanism), 2048, nullptr,
-          nullptr);
+          pipeline.domain(0).pwf(faults, mechanism), 2048);
       ASSERT_EQ(pipeline.analyze(faults, mechanism).penalty, from_scratch);
     }
   }
@@ -379,9 +414,8 @@ TEST(Reweight, MultiDomainSweepMatchesFreshPipelines) {
   // The bundle carries one scaffold per domain; the cross-domain fold
   // must stay byte-identical under re-weighting too.
   const Program p = workloads::build("fibcall");
-  const auto domains = std::vector<std::shared_ptr<const CacheDomain>>{
-      std::make_shared<IcacheDomain>(CacheConfig::paper_default()),
-      std::make_shared<DcacheDomain>(small_dcache())};
+  const auto domains =
+      icache_dcache(CacheConfig::paper_default(), small_dcache());
   const PwcetPipeline swept(p, domains);
   for (const Probability pfail : kSweepPfails) {
     const FaultModel faults(pfail);

@@ -7,6 +7,7 @@
 #include "cfg/program.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
+#include "sim/population.hpp"
 #include "support/rng.hpp"
 #include "workloads/malardalen.hpp"
 
@@ -245,6 +246,36 @@ TEST(Path, LoopBoundsRespected) {
       for (BlockId blk : path) header_count += (blk == loop.header);
       EXPECT_LE(header_count, loop.bound + 1);
     }
+  }
+}
+
+TEST(Population, MatchesHandRolledChipLoop) {
+  // The shared chip loop of MBPTA and simulation jobs against the loop
+  // spelled out: one Rng(seed) stream samples every chip's fault map, and
+  // each chip runs the heavy-walk trace cold.
+  for (const char* task : {"bs", "fibcall", "cnt"}) {
+    const Program p = workloads::build(task);
+    const std::vector<Address> trace = fetch_trace(p.cfg(), heavy_walk(p));
+    for (const CacheConfig& c : {CacheConfig::paper_default(), small_config()})
+      for (const Probability pfail : {1e-3, 1e-2})
+        for (const Mechanism mech :
+             {Mechanism::kNone, Mechanism::kReliableWay,
+              Mechanism::kSharedReliableBuffer}) {
+          const FaultModel faults(pfail);
+          const Probability pbf = faults.block_failure_probability(c);
+          const std::uint64_t seed = 0xc41b + static_cast<std::uint64_t>(mech);
+          Rng rng(seed);
+          std::vector<double> expected;
+          for (int chip = 0; chip < 40; ++chip) {
+            const FaultMap map = FaultMap::sample(c, pbf, rng);
+            expected.push_back(static_cast<double>(
+                simulate_trace(c, map, mech, trace).cycles));
+          }
+          EXPECT_EQ(simulate_chip_population(p, c, faults, mech, 40, seed),
+                    expected)
+              << task << " " << c.sets << "x" << c.ways << " pfail=" << pfail
+              << " " << mechanism_name(mech);
+        }
   }
 }
 

@@ -199,6 +199,25 @@ TEST_F(CliTest, MalformedSpecFailsNonZeroNamingTheField) {
   EXPECT_NE(result.err.find(":5"), std::string::npos) << result.err;
 }
 
+TEST_F(CliTest, MbptaSpecWithExceedanceOneFailsInsteadOfAborting) {
+  // The shipped mbpta_vs_spta spec with target_exceedance 1: the Gumbel
+  // quantile is undefined there, so the spec must fail at load, exit 1.
+  const std::string bad = write_file("mbpta_one.json", R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none", "RW", "SRB"],
+    "kinds": ["spta", "mbpta"],
+    "target_exceedance": 1,
+    "mbpta": {"chips": 400, "block_size": 20}
+  })");
+  const CliResult result = run_cli({"run", bad});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_NE(result.err.find("target_exceedance must be below 1"),
+            std::string::npos)
+      << result.err;
+}
+
 TEST_F(CliTest, MissingSpecFileFailsNonZero) {
   const CliResult result = run_cli({"run", dir_ + "/nope.json"});
   EXPECT_EQ(result.code, 1);

@@ -10,16 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/l2_domain.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "support/rng.hpp"
@@ -54,8 +54,10 @@ TEST_P(CrossEngineRandomTest, SingleCachePwcetAgrees) {
   PwcetOptions ilp_options, tree_options;
   ilp_options.engine = WcetEngine::kIlp;
   tree_options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer via_ilp(p, c, ilp_options);
-  const PwcetAnalyzer via_tree(p, c, tree_options);
+  const PwcetPipeline via_ilp(p, {std::make_shared<IcacheDomain>(c)},
+                              ilp_options);
+  const PwcetPipeline via_tree(p, {std::make_shared<IcacheDomain>(c)},
+                               tree_options);
   expect_cycle_equal(static_cast<double>(via_ilp.fault_free_wcet()),
                      static_cast<double>(via_tree.fault_free_wcet()),
                      "fault-free WCET");
@@ -80,8 +82,14 @@ TEST_P(CrossEngineRandomTest, CombinedDcachePwcetAgrees) {
   PwcetOptions ilp_options, tree_options;
   ilp_options.engine = WcetEngine::kIlp;
   tree_options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer via_ilp(p, ic, dc, ilp_options);
-  const CombinedPwcetAnalyzer via_tree(p, ic, dc, tree_options);
+  const PwcetPipeline via_ilp(p,
+                              {std::make_shared<IcacheDomain>(ic),
+                               std::make_shared<DcacheDomain>(dc)},
+                              ilp_options);
+  const PwcetPipeline via_tree(p,
+                               {std::make_shared<IcacheDomain>(ic),
+                                std::make_shared<DcacheDomain>(dc)},
+                               tree_options);
   expect_cycle_equal(static_cast<double>(via_ilp.fault_free_wcet()),
                      static_cast<double>(via_tree.fault_free_wcet()),
                      "combined fault-free WCET");
@@ -94,8 +102,8 @@ TEST_P(CrossEngineRandomTest, CombinedDcachePwcetAgrees) {
       {Mechanism::kReliableWay, Mechanism::kReliableWay},
   };
   for (const auto& [imech, dmech] : deployments) {
-    const auto ilp = via_ilp.analyze_mixed(faults, imech, dmech);
-    const auto tree = via_tree.analyze_mixed(faults, imech, dmech);
+    const auto ilp = via_ilp.analyze(faults, {imech, dmech});
+    const auto tree = via_tree.analyze(faults, {imech, dmech});
     expect_cycle_equal(static_cast<double>(ilp.pwcet(1e-15)),
                        static_cast<double>(tree.pwcet(1e-15)),
                        mechanism_name(imech) + "/" + mechanism_name(dmech));

@@ -2,8 +2,11 @@
 // simulator-backed soundness of the data-side FMM.
 #include <gtest/gtest.h>
 
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
+#include <memory>
+
+#include "analysis/dcache_domain.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -27,6 +30,17 @@ Program data_program() {
                      b.code_with_loads(4, {0x1000}),
                  }));
   return b.build(0);
+}
+
+/// The combined I+D composition: domain 0 is the instruction cache,
+/// domain 1 the data cache.
+PwcetPipeline combined_pipeline(const Program& p, const CacheConfig& icache,
+                                const CacheConfig& dcache,
+                                const PwcetOptions& options) {
+  return PwcetPipeline(p,
+                       {std::make_shared<IcacheDomain>(icache),
+                        std::make_shared<DcacheDomain>(dcache)},
+                       options);
 }
 
 TEST(DataRefs, ExtractionMergesSameLine) {
@@ -54,8 +68,9 @@ TEST(Combined, FaultFreeWcetExceedsInstructionOnly) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer ionly(p, cache, options);
-  const CombinedPwcetAnalyzer combined(p, cache, cache, options);
+  const PwcetPipeline ionly(p, {std::make_shared<IcacheDomain>(cache)},
+                            options);
+  const PwcetPipeline combined = combined_pipeline(p, cache, cache, options);
   // Data misses only add time.
   EXPECT_GT(combined.fault_free_wcet(), ionly.fault_free_wcet());
 }
@@ -65,7 +80,7 @@ TEST(Combined, InvariantsMatchSingleCacheAnalysis) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, cache, cache, options);
+  const PwcetPipeline a = combined_pipeline(p, cache, cache, options);
   const FaultModel faults(1e-4);
   const auto none = a.analyze(faults, Mechanism::kNone);
   const auto rw = a.analyze(faults, Mechanism::kReliableWay);
@@ -87,15 +102,15 @@ TEST(Combined, MixedDeploymentBracketsUniformOnes) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, cache, cache, options);
+  const PwcetPipeline a = combined_pipeline(p, cache, cache, options);
   const FaultModel faults(1e-4);
   const Cycles rw_rw =
       a.analyze(faults, Mechanism::kReliableWay).pwcet(1e-15);
   const Cycles srb_srb =
       a.analyze(faults, Mechanism::kSharedReliableBuffer).pwcet(1e-15);
   const Cycles rw_srb =
-      a.analyze_mixed(faults, Mechanism::kReliableWay,
-                      Mechanism::kSharedReliableBuffer)
+      a.analyze(faults,
+                {Mechanism::kReliableWay, Mechanism::kSharedReliableBuffer})
           .pwcet(1e-15);
   EXPECT_LE(rw_rw, rw_srb);
   EXPECT_LE(rw_srb, srb_srb);
@@ -111,7 +126,8 @@ TEST(Combined, DataFmmSoundVsSimulation) {
   d.ways = 2;
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, CacheConfig::paper_default(), d, options);
+  const PwcetPipeline a =
+      combined_pipeline(p, CacheConfig::paper_default(), d, options);
 
   Rng rng(0xdcac);
   const auto drefs = extract_data_references(p.cfg(), d);
@@ -128,7 +144,7 @@ TEST(Combined, DataFmmSoundVsSimulation) {
       for (Address addr : p.cfg().block(blk).data_addresses) ff.fetch(addr);
     double fmm_misses = 0.0;
     for (SetIndex s = 0; s < d.sets; ++s)
-      fmm_misses += a.dcache_fmm().none.at(s, map.faulty_count(s));
+      fmm_misses += a.fmm(1).none.at(s, map.faulty_count(s));
     EXPECT_LE(static_cast<double>(sim.stats().misses),
               static_cast<double>(ff.stats().misses) + fmm_misses + 1e-6)
         << trial;
@@ -144,7 +160,7 @@ TEST(Combined, SeparateGeometriesSupported) {
   dcache.line_bytes = 32;
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, icache, dcache, options);
+  const PwcetPipeline a = combined_pipeline(p, icache, dcache, options);
   const auto r = a.analyze(FaultModel(1e-4), Mechanism::kNone);
   EXPECT_GE(r.pwcet(1e-15), a.fault_free_wcet());
   EXPECT_NEAR(r.penalty.total_mass(), 1.0, 1e-6);
@@ -157,8 +173,8 @@ TEST(Combined, IlpAndTreeEnginesAgree) {
   tree_opts.engine = WcetEngine::kTree;
   PwcetOptions ilp_opts;
   ilp_opts.engine = WcetEngine::kIlp;
-  const CombinedPwcetAnalyzer via_tree(p, cache, cache, tree_opts);
-  const CombinedPwcetAnalyzer via_ilp(p, cache, cache, ilp_opts);
+  const PwcetPipeline via_tree = combined_pipeline(p, cache, cache, tree_opts);
+  const PwcetPipeline via_ilp = combined_pipeline(p, cache, cache, ilp_opts);
   EXPECT_EQ(via_tree.fault_free_wcet(), via_ilp.fault_free_wcet());
   const FaultModel faults(1e-4);
   EXPECT_EQ(via_tree.analyze(faults, Mechanism::kNone).pwcet(1e-15),

@@ -27,8 +27,6 @@
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
 #include "cache/references.hpp"
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "store/analysis_store.hpp"
@@ -203,7 +201,7 @@ TEST(ExhaustiveOracle, ExactPenaltyDistributionDominated) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 8;  // force visible coalescing
-  const PwcetAnalyzer a(p, c, options);
+  const PwcetPipeline a(p, {std::make_shared<IcacheDomain>(c)}, options);
   const double pfail = 0.01;
   const FaultModel faults(pfail);
   const auto result = a.analyze(faults, Mechanism::kNone);
@@ -218,7 +216,7 @@ TEST(ExhaustiveOracle, ExactPenaltyDistributionDominated) {
            std::pow(1 - pbf, c.sets * c.ways - faulty);
     double misses = 0.0;
     for (SetIndex s = 0; s < c.sets; ++s)
-      misses += a.fmm_bundle().none.at(s, map.faulty_count(s));
+      misses += a.fmm(0).none.at(s, map.faulty_count(s));
     atoms.push_back(
         {static_cast<Cycles>(misses) * c.miss_penalty, prob});
   }
@@ -341,7 +339,8 @@ TEST_P(RandomOracleTest, IcachePwcetDominatesExhaustiveDistribution) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 64;  // visible coalescing
-  const PwcetAnalyzer analyzer(p, c, options);
+  const PwcetPipeline analyzer(p, {std::make_shared<IcacheDomain>(c)},
+                               options);
 
   std::vector<std::vector<Address>> traces;
   traces.reserve(paths.size());
@@ -464,7 +463,10 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 64;
-  const CombinedPwcetAnalyzer analyzer(p, ic, dc, options);
+  const PwcetPipeline analyzer(p,
+                               {std::make_shared<IcacheDomain>(ic),
+                                std::make_shared<DcacheDomain>(dc)},
+                               options);
 
   // Per-path traces: instruction fetches and data loads.
   std::vector<std::vector<Address>> itraces;
@@ -500,7 +502,7 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
     // Precompute per (path, map) pieces, then combine: the exact time of a
     // chip on a path is icache cycles + dcache misses * miss penalty
     // (loads execute inside already-charged instruction fetches; only
-    // their miss penalties add — dcache/dcache_analysis.hpp).
+    // their miss penalties add — analysis/dcache_domain.hpp).
     std::vector<std::vector<double>> icycles(
         paths.size(), std::vector<double>(imaps.size(), 0.0));
     std::vector<std::vector<double>> dpenalty(
@@ -543,7 +545,7 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
     }
     const DiscreteDistribution exact = DiscreteDistribution::from_atoms(atoms);
 
-    const PwcetResult result = analyzer.analyze_mixed(faults, imech, dmech);
+    const PwcetResult result = analyzer.analyze(faults, {imech, dmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
     EXPECT_TRUE(analytic.dominates(exact, 1e-9))

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "fault/fault_map.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -13,6 +15,12 @@
 
 namespace pwcet {
 namespace {
+
+/// The paper's analysis: a pipeline over one instruction-cache domain.
+PwcetPipeline icache_pipeline(const Program& p, const CacheConfig& c,
+                              const PwcetOptions& options) {
+  return PwcetPipeline(p, {std::make_shared<IcacheDomain>(c)}, options);
+}
 
 TEST(FaultModel, Equation1BlockFailure) {
   const CacheConfig c = CacheConfig::paper_default();  // 16 B = 128 bits
@@ -54,18 +62,21 @@ TEST(FaultModel, ZeroPfailIsFaultFree) {
 
 class AnalyzerInvariantsTest : public ::testing::TestWithParam<std::string> {
  protected:
-  static const PwcetAnalyzer& analyzer(const std::string& name) {
-    // Cache analyzers across test cases (program construction + FMM is the
+  static const PwcetPipeline& analyzer(const std::string& name) {
+    // Cache pipelines across test cases (program construction + FMM is the
     // expensive part).
-    static std::map<std::string, std::unique_ptr<PwcetAnalyzer>> cache;
+    static std::map<std::string, std::unique_ptr<PwcetPipeline>> cache;
     static std::map<std::string, std::unique_ptr<Program>> programs;
     auto it = cache.find(name);
     if (it == cache.end()) {
       programs[name] = std::make_unique<Program>(workloads::build(name));
       PwcetOptions options;
       options.engine = WcetEngine::kTree;  // fast; equivalence tested apart
-      cache[name] = std::make_unique<PwcetAnalyzer>(
-          *programs[name], CacheConfig::paper_default(), options);
+      cache[name] = std::make_unique<PwcetPipeline>(
+          *programs[name],
+          std::vector<std::shared_ptr<const CacheDomain>>{
+              std::make_shared<IcacheDomain>(CacheConfig::paper_default())},
+          options);
       it = cache.find(name);
     }
     return *it->second;
@@ -147,7 +158,8 @@ TEST(Analyzer, ExceedanceQuantileConsistency) {
   const Program p = workloads::build("matmult");
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer a(p, CacheConfig::paper_default(), options);
+  const PwcetPipeline a =
+      icache_pipeline(p, CacheConfig::paper_default(), options);
   const auto r = a.analyze(FaultModel(1e-4), Mechanism::kNone);
   for (double prob : {1e-6, 1e-10, 1e-15}) {
     const Cycles v = r.pwcet(prob);
@@ -164,7 +176,7 @@ TEST(Analyzer, PenaltyDistributionDominatesMonteCarlo) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   const CacheConfig c = CacheConfig::paper_default();
-  const PwcetAnalyzer a(p, c, options);
+  const PwcetPipeline a = icache_pipeline(p, c, options);
   // Large pfail so the Monte-Carlo sees non-trivial fault counts.
   const double pfail = 0.005;
   const FaultModel faults(pfail);
@@ -179,7 +191,7 @@ TEST(Analyzer, PenaltyDistributionDominatesMonteCarlo) {
     const FaultMap map = FaultMap::sample(c, pbf, rng);
     double misses = 0.0;
     for (SetIndex s = 0; s < c.sets; ++s)
-      misses += a.fmm_bundle().none.at(s, map.faulty_count(s));
+      misses += a.fmm(0).none.at(s, map.faulty_count(s));
     samples.push_back(misses * static_cast<double>(c.miss_penalty));
   }
   // At several thresholds: model exceedance >= empirical - sampling noise.
@@ -200,8 +212,8 @@ TEST(Analyzer, IlpAndTreeEnginesAgreeEndToEnd) {
   tree_opts.engine = WcetEngine::kTree;
   PwcetOptions ilp_opts;
   ilp_opts.engine = WcetEngine::kIlp;
-  const PwcetAnalyzer via_tree(p, c, tree_opts);
-  const PwcetAnalyzer via_ilp(p, c, ilp_opts);
+  const PwcetPipeline via_tree = icache_pipeline(p, c, tree_opts);
+  const PwcetPipeline via_ilp = icache_pipeline(p, c, ilp_opts);
   EXPECT_EQ(via_tree.fault_free_wcet(), via_ilp.fault_free_wcet());
   const FaultModel faults(1e-4);
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
@@ -220,8 +232,8 @@ TEST(Analyzer, CoarserCoalescingStaysConservative) {
   fine.max_distribution_points = 4096;
   PwcetOptions coarse = fine;
   coarse.max_distribution_points = 16;
-  const PwcetAnalyzer a_fine(p, c, fine);
-  const PwcetAnalyzer a_coarse(p, c, coarse);
+  const PwcetPipeline a_fine = icache_pipeline(p, c, fine);
+  const PwcetPipeline a_coarse = icache_pipeline(p, c, coarse);
   const FaultModel faults(1e-4);
   const auto r_fine = a_fine.analyze(faults, Mechanism::kNone);
   const auto r_coarse = a_coarse.analyze(faults, Mechanism::kNone);

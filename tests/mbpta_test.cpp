@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "mbpta/evt.hpp"
 #include "mbpta/mbpta.hpp"
+#include "sim/population.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "workloads/malardalen.hpp"
@@ -150,7 +153,7 @@ TEST(Mbpta, StaticBoundDominatesAllObservations) {
   const CacheConfig c = CacheConfig::paper_default();
   PwcetOptions popt;
   popt.engine = WcetEngine::kTree;
-  const PwcetAnalyzer analyzer(p, c, popt);
+  const PwcetPipeline analyzer(p, {std::make_shared<IcacheDomain>(c)}, popt);
   const FaultModel faults(1e-3);
   MbptaOptions options;
   options.chips = 300;
@@ -174,6 +177,9 @@ TEST(Mbpta, DeterministicUnderSeed) {
   const auto a = run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options);
   const auto b = run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options);
   EXPECT_EQ(a.times, b.times);
+  // The observations are the shared chip-population loop's output.
+  EXPECT_EQ(a.times, simulate_chip_population(p, c, FaultModel(1e-3),
+                                              Mechanism::kNone, 60, 12345));
 }
 
 }  // namespace

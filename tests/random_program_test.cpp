@@ -3,8 +3,9 @@
 // overfitted to the 25 hand-written workloads.
 #include <gtest/gtest.h>
 
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "cfg/dominators.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -129,7 +130,9 @@ TEST_P(RandomProgramTest, AnalyzerInvariantsHold) {
   const Program p = make_program();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer a(p, CacheConfig::paper_default(), options);
+  const PwcetPipeline a(
+      p, {std::make_shared<IcacheDomain>(CacheConfig::paper_default())},
+      options);
   const FaultModel faults(1e-4);
   const auto none = a.analyze(faults, Mechanism::kNone);
   const auto rw = a.analyze(faults, Mechanism::kReliableWay);

@@ -111,7 +111,7 @@ TEST(SpecIo, RoundTripPreservesEveryKeyedField) {
                             DcacheMechanism::kReliableWay,
                             DcacheMechanism::kSharedReliableBuffer};
   spec.sample_counts = {0, 64, 4000};
-  spec.ccdf_exceedances = {1.0, 1e-3, 1e-16};
+  spec.ccdf_exceedances = {0.5, 1e-3, 1e-16};
   spec.target_exceedance = 1e-12;
   spec.max_distribution_points = 512;
   spec.mbpta.chips = 128;
@@ -610,6 +610,73 @@ TEST(SpecIoErrors, MbptaPopulationConstraintIsExplained) {
   })",
                   {"mbpta.chips must be at least 2 * mbpta.block_size",
                    "field \"mbpta.chips\""});
+}
+
+TEST(SpecIoErrors, MbptaExceedancesMustBeBelowOne) {
+  // The Gumbel quantile is undefined at exceedance 1, so an MBPTA campaign
+  // asking for it must fail at load instead of aborting in the fit.
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["spta", "mbpta"],
+    "target_exceedance": 1
+  })",
+                  {"target_exceedance must be below 1",
+                   "field \"target_exceedance\""});
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["spta", "mbpta"],
+    "ccdf_exceedances": [1e-3, 1]
+  })",
+                  {"ccdf_exceedances entries must be below 1",
+                   "field \"ccdf_exceedances[1]\""});
+}
+
+TEST(SpecIo, SptaOnlySpecsAcceptExceedanceOne) {
+  // Without an MBPTA job, exceedance 1 is a valid (trivial) quantile.
+  const CampaignSpec spec = parse_ok(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["spta", "sim"],
+    "target_exceedance": 1,
+    "ccdf_exceedances": [1]
+  })");
+  EXPECT_EQ(spec.target_exceedance, 1.0);
+  spec.validate();
+}
+
+TEST(SpecIoErrors, HugeMbptaBlockSizeDoesNotWrapPastTheBound) {
+  // 2 * 2^63 wraps to 0 in 64 bits: the population bound must hold in
+  // division form, or the spec slips through and the Gumbel fit aborts.
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["mbpta"],
+    "mbpta": {"block_size": 9223372036854775808}
+  })",
+                  {"mbpta.chips must be at least 2 * mbpta.block_size",
+                   "field \"mbpta.chips\""});
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["mbpta"],
+    "mbpta": {"chips": 9223372036854775808, "block_size": 4611686018427387904},
+    "sample_counts": [0, 400]
+  })",
+                  {"sample_counts entries must be at least 2 * "
+                   "mbpta.block_size",
+                   "field \"sample_counts[1]\""});
 }
 
 TEST(SpecIoErrors, DcacheEntriesMustBeNullOrGeometry) {

@@ -17,7 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
@@ -308,21 +309,22 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
   const CacheConfig config = CacheConfig::paper_default();
   const FaultModel faults(1e-3);
 
-  const PwcetAnalyzer plain(program, config);
+  const PwcetPipeline plain(program, {std::make_shared<IcacheDomain>(config)});
   AnalysisStore store;
   PwcetOptions stored_options;
   stored_options.store = &store;
-  const PwcetAnalyzer stored(program, config, stored_options);
-  // Second stored analyzer: core comes entirely from the memo.
-  const PwcetAnalyzer memoized(program, config, stored_options);
+  const PwcetPipeline stored(
+      program, {std::make_shared<IcacheDomain>(config)}, stored_options);
+  // Second stored pipeline: core comes entirely from the memo.
+  const PwcetPipeline memoized(
+      program, {std::make_shared<IcacheDomain>(config)}, stored_options);
 
   EXPECT_EQ(plain.fault_free_wcet(), stored.fault_free_wcet());
   EXPECT_EQ(plain.fault_free_wcet(), memoized.fault_free_wcet());
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
                             Mechanism::kSharedReliableBuffer}) {
-    EXPECT_EQ(plain.fmm_bundle().of(m).misses, stored.fmm_bundle().of(m).misses);
-    EXPECT_EQ(plain.fmm_bundle().of(m).misses,
-              memoized.fmm_bundle().of(m).misses);
+    EXPECT_EQ(plain.fmm(0).of(m).misses, stored.fmm(0).of(m).misses);
+    EXPECT_EQ(plain.fmm(0).of(m).misses, memoized.fmm(0).of(m).misses);
     const PwcetResult a = plain.analyze(faults, m);
     const PwcetResult b = stored.analyze(faults, m);
     const PwcetResult c = memoized.analyze(faults, m);  // memo hit path

@@ -3,10 +3,12 @@
 // against the cycle-accurate simulator.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 
 #include "fault/fault_map.hpp"
+#include "icache/set_analysis.hpp"
+#include "icache/srb_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -172,28 +174,76 @@ TEST_P(EngineEquivalenceTest, FmmEnginesAgree) {
   }
 }
 
-// Reference equivalence for the FMM signature dedup (wcet/fmm.cpp): with
-// PWCET_FMM_DEDUP=0 every used set computes its own rows; by default sets
-// sharing a canonical reference signature reuse one computation. The
-// bundles must match bitwise for both engines — the dedup is a pure
-// strength reduction, not an approximation, and in particular must not
-// perturb the ILP engine's warm-started simplex trajectory.
+/// Non-dedup reference for compute_fmm_bundle, built from public pieces:
+/// every used set computes its own three rows — f = 1..W-1 at line
+/// granularity, then the unprotected and the SRB full-fault columns —
+/// clamped at zero and made monotone in f. Sets are visited in index order
+/// and each set's objectives in that order, so with the ILP engine the one
+/// shared IpetCalculator sees exactly the maximize() sequence the
+/// library's dedup replay must reproduce.
+FmmBundle fmm_bundle_without_dedup(const Program& p, const CacheConfig& c,
+                                   const ReferenceMap& refs,
+                                   WcetEngine engine) {
+  const ControlFlowGraph& cfg = p.cfg();
+  const SrbHitMap srb_hits = analyze_srb(cfg, refs);
+  std::vector<bool> used(c.sets, false);
+  for (const auto& block_refs : refs)
+    for (const LineRef& r : block_refs) used[r.set] = true;
+  IpetCalculator ipet(p);
+  auto maximize = [&](const CostModel& model) {
+    return std::max(0.0, engine == WcetEngine::kIlp
+                             ? ipet.maximize(model).objective
+                             : tree_maximize(p, model));
+  };
+  auto make_monotone = [](std::vector<double>& row, std::uint32_t last) {
+    for (std::uint32_t f = 2; f <= last; ++f)
+      row[f] = std::max(row[f], row[f - 1]);
+  };
+
+  FmmBundle bundle;
+  for (SetIndex s = 0; s < c.sets; ++s) {
+    std::vector<double> none(c.ways + 1, 0.0), rw = none, srb = none;
+    if (used[s]) {
+      const SetAnalysis fault_free(cfg, refs, s, c.ways);
+      for (std::uint32_t f = 1; f < c.ways; ++f) {
+        const SetAnalysis degraded(cfg, refs, s, c.ways - f);
+        none[f] = rw[f] = srb[f] = maximize(build_delta_miss_model(
+            cfg, refs, s, fault_free, &degraded,
+            FullFaultSemantics::kUnprotected, nullptr));
+      }
+      none[c.ways] = maximize(
+          build_delta_miss_model(cfg, refs, s, fault_free, nullptr,
+                                 FullFaultSemantics::kUnprotected, nullptr));
+      srb[c.ways] = maximize(
+          build_delta_miss_model(cfg, refs, s, fault_free, nullptr,
+                                 FullFaultSemantics::kSrb, &srb_hits));
+      make_monotone(none, c.ways);
+      make_monotone(rw, c.ways - 1);
+      make_monotone(srb, c.ways);
+    }
+    bundle.none.misses.push_back(std::move(none));
+    bundle.rw.misses.push_back(std::move(rw));
+    bundle.srb.misses.push_back(std::move(srb));
+  }
+  return bundle;
+}
+
+// Reference equivalence for the FMM signature dedup (wcet/fmm.cpp): sets
+// sharing a canonical reference signature reuse one computation, where
+// the reference above computes every used set on its own. The bundles
+// must match bitwise for both engines — the dedup is a pure strength
+// reduction, not an approximation, and in particular must not perturb
+// the ILP engine's warm-started simplex trajectory.
 TEST_P(EngineEquivalenceTest, FmmSignatureDedupIsBitIdentical) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
   for (const WcetEngine engine : {WcetEngine::kTree, WcetEngine::kIlp}) {
-    ::setenv("PWCET_FMM_DEDUP", "0", 1);
-    IpetCalculator ipet_reference(p);
-    const FmmBundle reference = compute_fmm_bundle(
-        p, c, refs, engine,
-        engine == WcetEngine::kIlp ? &ipet_reference : nullptr);
-    ::setenv("PWCET_FMM_DEDUP", "1", 1);
+    const FmmBundle reference = fmm_bundle_without_dedup(p, c, refs, engine);
     IpetCalculator ipet_dedup(p);
     const FmmBundle dedup = compute_fmm_bundle(
         p, c, refs, engine,
         engine == WcetEngine::kIlp ? &ipet_dedup : nullptr);
-    ::unsetenv("PWCET_FMM_DEDUP");
     for (SetIndex s = 0; s < c.sets; ++s)
       for (std::uint32_t f = 0; f <= c.ways; ++f) {
         EXPECT_EQ(reference.none.at(s, f), dedup.none.at(s, f))
