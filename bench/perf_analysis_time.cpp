@@ -124,14 +124,12 @@ int main() {
   if (options.repetitions == 0) options.repetitions = 1;
   options.warmup = env_count("PWCET_BENCH_WARMUP", 1);
 
-  // Clamped to the machine: oversubscribing a pure-CPU workload only adds
-  // scheduling churn (the committed artifact once ran 4 workers on a
-  // 1-thread machine and reported speedup 0.775 — a measurement of the
-  // oversubscription penalty, not of scaling). An explicit PWCET_THREADS
-  // still wins, so the penalty remains measurable on purpose.
-  std::size_t wide_threads = threads_from_env();
-  if (wide_threads == 0)
-    wide_threads = std::max(1u, std::thread::hardware_concurrency());
+  // One worker per hardware thread: oversubscribing a pure-CPU workload
+  // only adds scheduling churn (the committed artifact once ran 4 workers
+  // on a 1-thread machine and reported speedup 0.775 — a measurement of
+  // the oversubscription penalty, not of scaling).
+  const std::size_t wide_threads =
+      std::max(1u, std::thread::hardware_concurrency());
 
   Captured captured;
   captured.wide_threads = wide_threads;

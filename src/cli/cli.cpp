@@ -8,8 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -45,8 +45,9 @@ constexpr const char* kUsage =
     "      --store on|off    content-addressed analysis store (default on)\n"
     "      --cache-dir DIR   enable the on-disk artifact tier under DIR\n"
     "      --format FMT      stdout report format: csv (default), jsonl,\n"
-    "                        table; dist-csv, dist-jsonl, dist-table print\n"
-    "                        the distribution sink (specs with\n"
+    "                        table (the spec's \"view\" when it has one);\n"
+    "                        dist-csv, dist-jsonl, dist-table print the\n"
+    "                        distribution sink (specs with\n"
     "                        ccdf_exceedances) instead\n"
     "      --output BASE     write BASE.csv and BASE.jsonl (plus\n"
     "                        BASE.dist.{csv,jsonl} for distribution\n"
@@ -150,10 +151,23 @@ bool split_args(const std::vector<std::string>& args,
   return true;
 }
 
+/// Upper bound for --threads: far beyond any host, it only guards against
+/// asking the pool for ~2^64 workers.
+constexpr unsigned long kMaxThreads = 256;
+
+/// Parses --threads (run, bench run): an integer in 0..kMaxThreads, where
+/// 0 means one worker per hardware thread.
 bool parse_threads(const std::string& text, std::size_t& threads,
                    std::ostream& err) {
-  if (parse_thread_count(text, threads)) return true;
-  err << "pwcet: --threads wants an integer in 0.." << kMaxCampaignThreads
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
+  if (errno == 0 && end != text.c_str() && *end == '\0' &&
+      value <= kMaxThreads) {
+    threads = static_cast<std::size_t>(value);
+    return true;
+  }
+  err << "pwcet: --threads wants an integer in 0.." << kMaxThreads
       << ", got '" << text << "'\n";
   return false;
 }
@@ -175,10 +189,76 @@ bool parse_shard_count(const Flag& flag, std::size_t& count,
   return true;
 }
 
-std::string geometry_label(const CacheConfig& g) {
-  return std::to_string(g.sets) + "x" + std::to_string(g.ways) + "x" +
-         std::to_string(g.line_bytes) + "B";
-}
+/// Where run and merge send the report: one --format on stdout, or the
+/// --output report files.
+struct ReportSink {
+  std::string format = "csv";
+  bool format_set = false;
+  std::string output;  ///< --output BASE; empty = stdout
+
+  bool set_format(const std::string& value, std::ostream& err) {
+    static const char* const kFormats[] = {
+        "csv", "jsonl", "table", "dist-csv", "dist-jsonl", "dist-table"};
+    if (std::find(std::begin(kFormats), std::end(kFormats), value) ==
+        std::end(kFormats)) {
+      err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
+             "dist-table, got '"
+          << value << "'\n";
+      return false;
+    }
+    format = value;
+    format_set = true;
+    return true;
+  }
+
+  /// Usage check, before anything is loaded.
+  bool valid(std::ostream& err) const {
+    if (!format_set || output.empty()) return true;
+    err << "pwcet: --format and --output are mutually exclusive (--output "
+           "always writes BASE.csv and BASE.jsonl)\n";
+    return false;
+  }
+
+  /// A dist-* format needs a spec with a distribution sink.
+  bool fits(const CampaignSpec& spec, std::ostream& err) const {
+    if (format.rfind("dist-", 0) != 0 || !spec.ccdf_exceedances.empty())
+      return true;
+    err << "pwcet: --format " << format << " needs a spec with "
+        << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
+    return false;
+  }
+
+  /// Writes the report; `table` renders `view` when one is given. False
+  /// (after a diagnostic) when the report files cannot be written.
+  bool emit(const CampaignResult& campaign, const SpecView* view,
+            std::ostream& out, std::ostream& err) const {
+    if (!output.empty()) {
+      if (!write_report_files(campaign, output)) {
+        err << "pwcet: failed to write " << output << ".{csv,jsonl}\n";
+        return false;
+      }
+      err << "wrote " << output << ".csv and " << output << ".jsonl";
+      if (!campaign.spec.ccdf_exceedances.empty())
+        err << " (+ " << output << ".dist.{csv,jsonl})";
+      err << "\n";
+    } else if (format == "csv") {
+      out << report_csv(campaign);
+    } else if (format == "jsonl") {
+      out << report_jsonl(campaign);
+    } else if (format == "table") {
+      out << (view != nullptr ? render_view(campaign, *view)
+                              : report_table(campaign))
+                 .to_string();
+    } else if (format == "dist-csv") {
+      out << report_dist_csv(campaign);
+    } else if (format == "dist-jsonl") {
+      out << report_dist_jsonl(campaign);
+    } else {
+      out << report_dist_table(campaign).to_string();
+    }
+    return true;
+  }
+};
 
 // ---- pwcet run ------------------------------------------------------------
 
@@ -251,9 +331,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   }
 
   RunnerOptions options;
-  std::string format = "csv";
-  bool format_set = false;
-  std::string output;
+  ReportSink sink;
   std::string trace_out;
   std::string metrics_out;
   bool profile = false;
@@ -261,8 +339,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   bool progress_force = false;
   ShardSelector shard;       // {0, 1} = the whole campaign
   bool shard_given = false;  // --shard 1/1 still writes its fragment
-  enum class StoreFlag { kDefault, kOn, kOff };
-  StoreFlag store_flag = StoreFlag::kDefault;  // last --store wins
   for (const Flag& flag : flags) {
     if (flag.name == "--threads") {
       if (!parse_threads(flag.value, options.threads, err)) return 2;
@@ -273,30 +349,18 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
         return 2;
       }
       shard_given = true;
-    } else if (flag.name == "--store") {
-      if (flag.value == "on") {
-        store_flag = StoreFlag::kOn;
-      } else if (flag.value == "off") {
-        store_flag = StoreFlag::kOff;
-      } else {
+    } else if (flag.name == "--store") {  // the last one wins
+      if (flag.value != "on" && flag.value != "off") {
         err << "pwcet: --store wants on|off, got '" << flag.value << "'\n";
         return 2;
       }
+      options.store.enabled = flag.value == "on";
     } else if (flag.name == "--cache-dir") {
       options.store.artifact_dir = flag.value;
     } else if (flag.name == "--format") {
-      if (flag.value != "csv" && flag.value != "jsonl" &&
-          flag.value != "table" && flag.value != "dist-csv" &&
-          flag.value != "dist-jsonl" && flag.value != "dist-table") {
-        err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
-               "dist-table, got '"
-            << flag.value << "'\n";
-        return 2;
-      }
-      format = flag.value;
-      format_set = true;
+      if (!sink.set_format(flag.value, err)) return 2;
     } else if (flag.name == "--output") {
-      output = flag.value;
+      sink.output = flag.value;
     } else if (flag.name == "--trace-out") {
       trace_out = flag.value;
     } else if (flag.name == "--metrics-out") {
@@ -320,11 +384,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       return 2;
     }
   }
-  if (format_set && !output.empty()) {
-    err << "pwcet: --format and --output are mutually exclusive (--output "
-           "always writes BASE.csv and BASE.jsonl)\n";
-    return 2;
-  }
+  if (!sink.valid(err)) return 2;
 
   // Oversubscription warning: more workers than hardware threads never
   // helps this workload (pure CPU, no blocking I/O) — the committed bench
@@ -335,30 +395,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     err << "pwcet: warning: --threads " << options.threads
         << " oversubscribes the " << hardware
         << " hardware thread(s); expect a slowdown, not a speedup\n";
-
-  // An explicit `--store on` must win over a PWCET_STORE=0 left in the
-  // environment (that knob exists to drive the spec-less bench binaries).
-  // run_campaign applies the env override only when it constructs the
-  // store itself, so build one here and hand it over — after the usual
-  // env pass, so a PWCET_CACHE_DIR fallback still applies.
-  std::unique_ptr<AnalysisStore> forced_store;
-  if (store_flag == StoreFlag::kOff) {
-    options.store.enabled = false;  // env can only disable further
-  } else if (store_flag == StoreFlag::kOn) {
-    StoreOptions store_options = options.store;
-    store_options.enabled = true;
-    // The PWCET_CACHE_DIR fallback is applied by hand rather than via
-    // store_options_from_env: that helper skips the fallback whenever
-    // PWCET_STORE=0 disabled the store first — exactly the case the
-    // explicit flag is overriding here.
-    if (store_options.artifact_dir.empty()) {
-      const char* env_dir = std::getenv("PWCET_CACHE_DIR");
-      if (env_dir != nullptr && *env_dir != '\0')
-        store_options.artifact_dir = env_dir;
-    }
-    forced_store = std::make_unique<AnalysisStore>(store_options);
-    options.shared_store = forced_store.get();
-  }
 
   // A shard run must land its fragment artifact somewhere `pwcet merge`
   // can find it; the memo store being off (--store off) does not lift
@@ -375,11 +411,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   }
 
   const SpecDocument doc = load_spec(positionals[0]);
-  if (format.rfind("dist-", 0) == 0 && doc.spec.ccdf_exceedances.empty()) {
-    err << "pwcet: --format " << format << " needs a spec with "
-        << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
-    return 1;
-  }
+  if (!sink.fits(doc.spec, err)) return 1;
 
   // Observability is armed only for this run and disarmed on every exit
   // path; the report below is byte-identical either way (observation-only
@@ -424,24 +456,9 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     return 1;
   }
 
-  if (!output.empty()) {
-    if (!write_report_files(campaign, output)) {
-      err << "pwcet: failed to write " << output << ".{csv,jsonl}\n";
-      return 1;
-    }
-  } else if (format == "csv") {
-    out << report_csv(campaign);
-  } else if (format == "jsonl") {
-    out << report_jsonl(campaign);
-  } else if (format == "table") {
-    out << report_table(campaign).to_string();
-  } else if (format == "dist-csv") {
-    out << report_dist_csv(campaign);
-  } else if (format == "dist-jsonl") {
-    out << report_dist_jsonl(campaign);
-  } else {
-    out << report_dist_table(campaign).to_string();
-  }
+  // A shard holds only its own jobs, too few for the view's cells.
+  const SpecView* view = doc.view && !shard_given ? &*doc.view : nullptr;
+  if (!sink.emit(campaign, view, out, err)) return 1;
 
   // Progress summary on stderr so stdout stays byte-clean for diffing.
   if (shard_given)
@@ -464,12 +481,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
         << campaign.store_stats.disk_writes << " writes";
   err << "]\n";
   if (profile) render_profile(err);
-  if (!output.empty()) {
-    err << "wrote " << output << ".csv and " << output << ".jsonl";
-    if (!doc.spec.ccdf_exceedances.empty())
-      err << " (+ " << output << ".dist.{csv,jsonl})";
-    err << "\n";
-  }
   return 0;
 }
 
@@ -486,9 +497,7 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
   }
 
   ShardMergeOptions merge_options;
-  std::string format = "csv";
-  bool format_set = false;
-  std::string output;
+  ReportSink sink;
   for (const Flag& flag : flags) {
     if (flag.name == "--from") {
       // Repeatable, and each occurrence may carry a comma-separated list
@@ -509,40 +518,23 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
     } else if (flag.name == "--shards") {
       if (!parse_shard_count(flag, merge_options.shard_count, err)) return 2;
     } else if (flag.name == "--format") {
-      if (flag.value != "csv" && flag.value != "jsonl" &&
-          flag.value != "table" && flag.value != "dist-csv" &&
-          flag.value != "dist-jsonl" && flag.value != "dist-table") {
-        err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
-               "dist-table, got '"
-            << flag.value << "'\n";
-        return 2;
-      }
-      format = flag.value;
-      format_set = true;
+      if (!sink.set_format(flag.value, err)) return 2;
     } else if (flag.name == "--output") {
-      output = flag.value;
+      sink.output = flag.value;
     } else {
       err << "pwcet: unknown option '" << flag.name << "' for merge\n"
           << kUsage;
       return 2;
     }
   }
-  if (format_set && !output.empty()) {
-    err << "pwcet: --format and --output are mutually exclusive (--output "
-           "always writes BASE.csv and BASE.jsonl)\n";
-    return 2;
-  }
+  if (!sink.valid(err)) return 2;
   if (merge_options.from_dirs.empty()) {
     err << "pwcet: merge wants at least one --from directory\n";
     return 2;
   }
 
   const SpecDocument doc = load_spec(positionals[0]);
-  if (format.rfind("dist-", 0) == 0 && doc.spec.ccdf_exceedances.empty()) {
-    err << "pwcet: --format " << format << " needs a spec with "
-        << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
-    return 1;
-  }
+  if (!sink.fits(doc.spec, err)) return 1;
 
   ShardMergeOutcome merged;
   try {
@@ -552,25 +544,8 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
     return 1;
   }
   const CampaignResult& campaign = merged.campaign;
-
-  if (!output.empty()) {
-    if (!write_report_files(campaign, output)) {
-      err << "pwcet: failed to write " << output << ".{csv,jsonl}\n";
-      return 1;
-    }
-  } else if (format == "csv") {
-    out << report_csv(campaign);
-  } else if (format == "jsonl") {
-    out << report_jsonl(campaign);
-  } else if (format == "table") {
-    out << report_table(campaign).to_string();
-  } else if (format == "dist-csv") {
-    out << report_dist_csv(campaign);
-  } else if (format == "dist-jsonl") {
-    out << report_dist_jsonl(campaign);
-  } else {
-    out << report_dist_table(campaign).to_string();
-  }
+  if (!sink.emit(campaign, doc.view ? &*doc.view : nullptr, out, err))
+    return 1;
 
   // Same stderr/stdout split as run: the summary never lands in the report.
   err << "[merged " << merged.shard_count << " shards: "
@@ -580,12 +555,6 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
         << merged.artifacts_copied << " copied / "
         << merged.artifacts_identical << " identical";
   err << "]\n";
-  if (!output.empty()) {
-    err << "wrote " << output << ".csv and " << output << ".jsonl";
-    if (!doc.spec.ccdf_exceedances.empty())
-      err << " (+ " << output << ".dist.{csv,jsonl})";
-    err << "\n";
-  }
   return 0;
 }
 
@@ -632,21 +601,14 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
     out << "distribution sink: " << spec.ccdf_exceedances.size()
         << " exceedance points per job\n";
   out << "spec key: " << campaign_spec_key(spec).hex() << "\n";
-  // Capacity line (and an oversubscription warning when PWCET_THREADS
-  // overrides past it) so a reader of `describe` can budget a run.
-  const unsigned hardware = std::thread::hardware_concurrency();
-  out << "hardware threads: " << hardware << "\n\n";
-  const std::size_t env_threads = threads_from_env();
-  if (hardware != 0 && env_threads > hardware)
-    err << "pwcet: warning: PWCET_THREADS=" << env_threads
-        << " oversubscribes the " << hardware
-        << " hardware thread(s); expect a slowdown, not a speedup\n";
+  // Capacity line, so a reader of `describe` can budget a run.
+  out << "hardware threads: " << std::thread::hardware_concurrency()
+      << "\n\n";
 
   // Each cache-domain axis gets its own geometry column so a grid mixing
-  // TLB and L2 cells stays readable: the dcache label carries a "-wb<N>"
-  // write-back marker, the TLB label spells entries/ways/page size.
-  // --shards N appends each job's shard under the N-way partition —
-  // the same spec-key-stable assignment `run --shard` executes.
+  // TLB and L2 cells stays readable. --shards N appends each job's shard
+  // under the N-way partition — the same spec-key-stable assignment
+  // `run --shard` executes.
   std::vector<std::string> headers = {"#",     "task", "geometry", "dcache",
                                       "tlb",   "l2",   "pfail",    "mech",
                                       "dmech", "engine", "kind", "samples",
@@ -657,23 +619,13 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
     assignment = shard_assignment(campaign_group_schedule(jobs), jobs.size(),
                                   shard_count);
   TextTable table(std::move(headers));
-  const auto dcache_label = [](const DcacheAxis& d) {
-    if (!d.enabled) return std::string("-");
-    std::string label = geometry_label(d.geometry);
-    if (d.policy == WritePolicy::kWriteBack)
-      label += "-wb" + std::to_string(d.writeback_penalty);
-    return label;
-  };
-  const auto tlb_label = [](const TlbAxis& t) {
-    if (!t.enabled) return std::string("-");
-    return std::to_string(t.entries) + "e" + std::to_string(t.ways) + "w" +
-           std::to_string(t.page_bytes) + "B";
-  };
   for (const CampaignJob& job : jobs) {
     std::vector<std::string> row = {
-        std::to_string(job.index), job.task, geometry_label(job.geometry),
-        dcache_label(job.dcache), tlb_label(job.tlb),
-        job.l2.enabled ? geometry_label(job.l2.geometry) : "-",
+        std::to_string(job.index), job.task,
+        axis_label(spec, SpecAxis::kGeometries, job.geometry_i),
+        axis_label(spec, SpecAxis::kDcaches, job.dcache_i),
+        axis_label(spec, SpecAxis::kTlbs, job.tlb_i),
+        axis_label(spec, SpecAxis::kL2s, job.l2_i),
         fmt_prob(job.pfail), mechanism_name(job.mechanism),
         job.dcache.enabled ? dcache_mechanism_name(job.dmech) : "-",
         engine_name(job.engine), analysis_kind_name(job.kind),

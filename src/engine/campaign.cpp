@@ -34,6 +34,11 @@ bool contains(const std::vector<AnalysisKind>& kinds, AnalysisKind kind) {
   return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
 }
 
+bool within_size_bounds(const CacheConfig& g) {
+  return g.ways <= kMaxGeometryWays &&
+         std::uint64_t{g.sets} * g.ways <= kMaxGeometryLines;
+}
+
 }  // namespace
 
 Mechanism CampaignJob::resolved_dmech() const {
@@ -62,7 +67,10 @@ void CampaignSpec::validate() const {
   PWCET_EXPECTS(!sample_counts.empty());
   PWCET_EXPECTS(target_exceedance > 0.0 && target_exceedance <= 1.0);
   PWCET_EXPECTS(max_distribution_points >= 2);
-  for (const CacheConfig& g : geometries) g.validate();
+  for (const CacheConfig& g : geometries) {
+    g.validate();
+    PWCET_EXPECTS(within_size_bounds(g));
+  }
   for (const Probability p : pfails) PWCET_EXPECTS(p >= 0.0 && p <= 1.0);
   for (const Probability p : ccdf_exceedances)
     PWCET_EXPECTS(p > 0.0 && p <= 1.0);
@@ -72,6 +80,7 @@ void CampaignSpec::validate() const {
   for (const DcacheAxis& d : dcaches) {
     if (d.enabled) {
       d.geometry.validate();
+      PWCET_EXPECTS(within_size_bounds(d.geometry));
       PWCET_EXPECTS(d.writeback_penalty >= 0);
     }
     any_dcache |= d.enabled;
@@ -82,12 +91,16 @@ void CampaignSpec::validate() const {
       PWCET_EXPECTS(t.entries > 0 && t.ways > 0);
       PWCET_EXPECTS(t.entries % t.ways == 0);
       t.geometry().validate();
+      PWCET_EXPECTS(within_size_bounds(t.geometry()));
     }
     any_tlb |= t.enabled;
   }
   bool any_l2 = false;
   for (const L2Axis& l : l2s) {
-    if (l.enabled) l.geometry.validate();
+    if (l.enabled) {
+      l.geometry.validate();
+      PWCET_EXPECTS(within_size_bounds(l.geometry));
+    }
     any_l2 |= l.enabled;
   }
   for (const AnalysisKind kind : kinds) {

@@ -110,6 +110,13 @@ struct L2Axis {
   friend bool operator==(const L2Axis&, const L2Axis&) = default;
 };
 
+/// Largest cache a campaign accepts, for geometries, dcaches, l2s and
+/// TLBs (entries = sets x ways). Analysis time grows with the line count
+/// and the associativity: a 2^31 x 1 or 16 x 4096 cache runs for minutes.
+/// The shipped specs stay at 64 x 4 and below.
+inline constexpr std::uint32_t kMaxGeometryWays = 256;
+inline constexpr std::uint64_t kMaxGeometryLines = 65536;
+
 /// One axis-per-member cartesian sweep. Empty required axes are rejected
 /// by validate(); `engines`, `kinds`, `dcaches`, `dcache_mechanisms` and
 /// `sample_counts` default to the common case (one-entry axes that leave

@@ -15,9 +15,15 @@
 /// point), job-major — the full pWCET curve (CCDF) of every cell, e.g.
 /// the paper's Fig. 3 series. write_report_files emits it as
 /// `basename`.dist.{csv,jsonl} next to the scalar report.
+///
+/// A spec's `view` (SpecView, docs/campaign-spec.md) pivots the report
+/// rows into one paper-style table; render_view prints it.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/runner.hpp"
@@ -25,8 +31,74 @@
 
 namespace pwcet {
 
+/// A list of spec values that a view row can iterate and `pwcet describe`
+/// labels: the sweep axes in expansion order, then the distribution
+/// sink's exceedance points.
+enum class SpecAxis : std::uint8_t {
+  kTasks,
+  kGeometries,
+  kPfails,
+  kMechanisms,
+  kEngines,
+  kKinds,
+  kDcaches,
+  kTlbs,
+  kL2s,
+  kDcacheMechanisms,
+  kSampleCounts,
+  kCcdfExceedances,
+};
+
+/// Number of values on `axis`.
+std::size_t axis_size(const CampaignSpec& spec, SpecAxis axis);
+
+/// Label of value `index` on `axis`: the task name, "16x4x16B",
+/// "1.0e-04", "SRB", "-" for a disabled cache level, ...
+std::string axis_label(const CampaignSpec& spec, SpecAxis axis,
+                       std::size_t index);
+
 /// Column names of the tabular report, in order.
 std::vector<std::string> report_columns();
+
+/// The numeric report columns (wcet_ff .. bound_misses_1): the values a
+/// view can show.
+std::vector<std::string> report_result_columns();
+
+/// One report value a view cell reads: numeric column `value` (an index
+/// into report_result_columns()) of the job at the row's axis values,
+/// with the `where` axes pinned to the given indices and every other axis
+/// at its single value. On a kCcdfExceedances row, `pwcet` reads the
+/// job's curve at that row's point.
+struct ViewRef {
+  std::size_t value = 0;
+  std::vector<std::pair<SpecAxis, std::size_t>> where;
+
+  friend bool operator==(const ViewRef&, const ViewRef&) = default;
+};
+
+struct ViewColumn {
+  std::string label;
+  ViewRef value;
+  std::optional<ViewRef> divide_by;  ///< set: a ratio column
+
+  friend bool operator==(const ViewColumn&, const ViewColumn&) = default;
+};
+
+/// A spec file's `view` block, resolved against the spec's axes. The spec
+/// loader rejects every view in which some cell does not address exactly
+/// one job, so render_view cannot fail on a loaded view.
+struct SpecView {
+  std::vector<SpecAxis> rows;  ///< outermost first
+  std::vector<ViewColumn> columns;
+
+  friend bool operator==(const SpecView&, const SpecView&) = default;
+};
+
+/// The view over a whole campaign: one row per combination of the row
+/// axes' values, outermost first; label cells, then one cell per column.
+/// A plain column prints its value as an integer, a ratio column prints
+/// value / divisor with 3 decimals, or "-" when the divisor is 0.
+TextTable render_view(const CampaignResult& campaign, const SpecView& view);
 
 /// One formatted row (same order as report_columns()).
 std::vector<std::string> report_row(const CampaignResult& campaign,

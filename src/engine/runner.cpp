@@ -1,10 +1,8 @@
 #include "engine/runner.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <future>
 #include <memory>
@@ -132,8 +130,8 @@ struct SlackStats {
   std::uint64_t sim_misses_1 = 0, bound_misses_1 = 0;
 };
 
-/// The E5 conservatism oracle (bench/tab_srb_conservatism.cpp's two
-/// regimes), generalized to the SRB-vs-RW pairing:
+/// The E5 conservatism oracle (the two regimes of
+/// specs/srb_conservatism.json), generalized to the SRB-vs-RW pairing:
 ///
 ///  * SRB — with a fully faulty set every fetch goes through the SRB; the
 ///    static analysis bounds each executed reference by 1 miss unless it
@@ -396,7 +394,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       PwcetOptions popts;
       popts.engine = first.engine;
       popts.max_distribution_points = spec.max_distribution_points;
-      popts.pool = options.parallel_sets ? &pool : nullptr;
+      popts.pool = &pool;
       popts.store = store;
 
       for (const std::size_t index : *members) {
@@ -481,31 +479,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   }
   return campaign;
-}
-
-bool parse_thread_count(const std::string& text, std::size_t& threads) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' ||
-      value > kMaxCampaignThreads)
-    return false;
-  threads = static_cast<std::size_t>(value);
-  return true;
-}
-
-std::size_t threads_from_env() {
-  const char* env = std::getenv("PWCET_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  std::size_t threads = 0;
-  if (!parse_thread_count(env, threads)) {
-    std::fprintf(stderr,
-                 "pwcet: ignoring PWCET_THREADS='%s' (want 0..%zu); using "
-                 "hardware default\n",
-                 env, kMaxCampaignThreads);
-    return 0;
-  }
-  return threads;
 }
 
 }  // namespace pwcet

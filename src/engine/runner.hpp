@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "engine/campaign.hpp"
@@ -49,14 +48,11 @@ struct ShardSelector {
 struct RunnerOptions {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
-  /// Also fan the per-set work inside each analysis onto the pool.
-  bool parallel_sets = true;
   /// Content-addressed store configuration (store/analysis_store.hpp).
   /// Enabled by default: grid jobs sharing sub-problems (same core across
   /// pfail values, same FMM rows across mechanisms) reuse each other's
-  /// results, byte-identically. The runner applies environment overrides
-  /// (PWCET_STORE=0 disables, PWCET_CACHE_DIR enables the disk tier) via
-  /// store_options_from_env before constructing the store.
+  /// results, byte-identically. The runner applies the PWCET_CACHE_DIR
+  /// fallback (store_options_from_env) before constructing the store.
   StoreOptions store;
   /// Reuse a caller-owned store instead of constructing one from `store`
   /// — this is how warm re-runs are measured (bench/perf_analysis_time)
@@ -95,7 +91,7 @@ struct JobResult {
 
   // Slack (kind kSlack) fields: static-vs-simulated miss bounds on the
   // worst structural path, in the all-sets-faulty regime and with only
-  // set 0 degraded (bench/tab_srb_conservatism.cpp's two tables).
+  // set 0 degraded (the E5 ablation, specs/srb_conservatism.json).
   std::uint64_t fetches = 0;        ///< simulated fetches (all-faulty run)
   std::uint64_t srb_hits = 0;       ///< SRB hits (spatial locality credit)
   std::uint64_t sim_misses = 0;     ///< simulated misses, all sets faulty
@@ -135,19 +131,5 @@ struct CampaignResult {
 /// rethrown (first in expansion order) after all jobs finished.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerOptions& options = {});
-
-/// Upper bound accepted for explicit worker-thread counts (PWCET_THREADS,
-/// the CLI's --threads) — far beyond any host, it only guards against
-/// unparsed garbage asking the pool for ~2^64 workers.
-inline constexpr std::size_t kMaxCampaignThreads = 256;
-
-/// Parses an explicit worker-thread count in 0..kMaxCampaignThreads
-/// (0 = one per hardware thread); false on any other input. Shared by
-/// threads_from_env and the CLI so the two cannot drift.
-bool parse_thread_count(const std::string& text, std::size_t& threads);
-
-/// Worker-thread count for benches: PWCET_THREADS if set, else 0 (= one
-/// per hardware thread).
-std::size_t threads_from_env();
 
 }  // namespace pwcet

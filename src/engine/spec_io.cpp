@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -92,6 +93,18 @@ std::string joined(const std::vector<std::string>& values) {
   return out;
 }
 
+/// Spec keys of the lists a view names, indexed by SpecAxis.
+constexpr const char* kViewAxisKeys[] = {
+    "tasks",   "geometries", "pfails", "mechanisms", "engines",
+    "kinds",   "dcaches",    "tlbs",   "l2s",        "dcache_mechanisms",
+    "sample_counts", "ccdf_exceedances"};
+static_assert(std::size(kViewAxisKeys) ==
+              static_cast<std::size_t>(SpecAxis::kCcdfExceedances) + 1);
+
+const char* view_axis_key(SpecAxis axis) {
+  return kViewAxisKeys[static_cast<std::size_t>(axis)];
+}
+
 class SpecReader {
  public:
   explicit SpecReader(const std::string& source) : source_(source) {}
@@ -113,19 +126,22 @@ class SpecReader {
         "sample_counts", "target_exceedance",
         "ccdf_exceedances", "max_distribution_points",
         "mbpta",         "simulation_chips",
-        "base_seed"};
+        "base_seed",     "view"};
 
     SpecDocument doc;
     CampaignSpec& spec = doc.spec;  // absent keys keep the C++ defaults
 
     bool saw_tasks = false, saw_geometries = false, saw_pfails = false;
     bool saw_mechanisms = false;
+    const Json* view = nullptr;  // read last: it names the axes' values
 
     for (const auto& [key, value] : root.object) {
       if (key == "name") {
         doc.name = as_string(value, key);
       } else if (key == "notes") {
         doc.notes = as_string(value, key);
+      } else if (key == "view") {
+        view = &value;
       } else if (key == "tasks") {
         spec.tasks = read_tasks(value);
         saw_tasks = true;
@@ -273,6 +289,7 @@ class SpecReader {
                "\"RW\"",
                "mechanisms[" + std::to_string(i) + "]");
 
+    if (view != nullptr) doc.view = read_view(*view, spec);
     return doc;
   }
 
@@ -418,26 +435,21 @@ class SpecReader {
       fail(source_, value.line, "sets must be positive", path + ".sets");
     if (config.ways == 0)
       fail(source_, value.line, "ways must be positive", path + ".ways");
+    if (config.ways > kMaxGeometryWays)
+      fail(source_, value.line,
+           "ways must be at most " + std::to_string(kMaxGeometryWays),
+           path + ".ways");
+    if (std::uint64_t{config.sets} * config.ways > kMaxGeometryLines)
+      fail(source_, value.line,
+           "sets x ways must be at most " +
+               std::to_string(kMaxGeometryLines) + " lines",
+           path + ".sets");
     if (config.line_bytes == 0 || config.line_bytes % kInstructionBytes != 0)
       fail(source_, value.line,
            "line_bytes must be a positive multiple of " +
                std::to_string(kInstructionBytes) + " (the instruction size)",
            path + ".line_bytes");
     return config;
-  }
-
-  WritePolicy read_write_policy(const Json& field, const std::string& path) {
-    const std::string name = as_string(field, path);
-    const std::string folded = lowercase(name);
-    std::vector<std::string> names;
-    for (const AxisName<WritePolicy>& entry : write_policy_names()) {
-      if (folded == lowercase(entry.name)) return entry.value;
-      names.push_back(entry.name);
-    }
-    fail(source_, field.line,
-         "unknown write policy \"" + name + "\"; valid values: " +
-             joined(names),
-         path);
   }
 
   /// The data-cache axis: each entry is `null` (data cache off, the
@@ -481,7 +493,9 @@ class SpecReader {
       for (const auto& [key, field] : entry.object) {
         const std::string field_path = path + "." + key;
         if (key == "policy") {
-          axis.policy = read_write_policy(field, field_path);
+          axis.policy = parse_enum(field, field_path,
+                                   axis_name_table(write_policy_names()),
+                                   "write policy");
         } else if (key == "writeback_penalty") {
           axis.writeback_penalty = as_cycles(field, field_path);
           saw_penalty = true;
@@ -565,6 +579,14 @@ class SpecReader {
              path + ".page_bytes");
       if (axis.ways == 0)
         fail(source_, entry.line, "ways must be positive", path + ".ways");
+      if (axis.ways > kMaxGeometryWays)
+        fail(source_, entry.line,
+             "ways must be at most " + std::to_string(kMaxGeometryWays),
+             path + ".ways");
+      if (axis.entries > kMaxGeometryLines)
+        fail(source_, entry.line,
+             "entries must be at most " + std::to_string(kMaxGeometryLines),
+             path + ".entries");
       if (axis.entries == 0 || axis.entries % axis.ways != 0)
         fail(source_, entry.line,
              "entries must be a positive multiple of ways (the TLB is "
@@ -662,6 +684,23 @@ class SpecReader {
     return out;
   }
 
+  /// One enum name, matched case-insensitively against the registry.
+  template <typename Enum>
+  Enum parse_enum(const Json& value, const std::string& path,
+                  const std::vector<std::pair<std::string, Enum>>& table,
+                  const char* what) {
+    const std::string name = as_string(value, path);
+    const std::string folded = lowercase(name);
+    for (const auto& [candidate, enumerator] : table)
+      if (folded == lowercase(candidate)) return enumerator;
+    std::vector<std::string> names;
+    for (const auto& entry : table) names.push_back(entry.first);
+    fail(source_, value.line,
+         std::string("unknown ") + what + " \"" + name +
+             "\"; valid values: " + joined(names),
+         path);
+  }
+
   template <typename Enum>
   std::vector<Enum> read_enums(
       const Json& value, const std::string& key,
@@ -671,32 +710,12 @@ class SpecReader {
                 (std::string("an array of ") + what + " names").c_str(), key);
     if (value.array.empty())
       fail(source_, value.line, "\"" + key + "\" must not be empty", key);
-    std::vector<std::string> names;
-    names.reserve(table.size());
-    for (const auto& [name, unused] : table) {
-      (void)unused;
-      names.push_back(name);
-    }
     std::vector<Enum> out;
     out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = key + "[" + std::to_string(i) + "]";
-      const std::string name = as_string(value.array[i], path);
-      const std::string folded = lowercase(name);
-      bool found = false;
-      for (const auto& [candidate, enumerator] : table) {
-        if (folded == lowercase(candidate)) {
-          out.push_back(enumerator);
-          found = true;
-          break;
-        }
-      }
-      if (!found)
-        fail(source_, value.array[i].line,
-             std::string("unknown ") + what + " \"" + name +
-                 "\"; valid values: " + joined(names),
-             path);
-    }
+    for (std::size_t i = 0; i < value.array.size(); ++i)
+      out.push_back(parse_enum(value.array[i],
+                               key + "[" + std::to_string(i) + "]", table,
+                               what));
     return out;
   }
 
@@ -723,6 +742,191 @@ class SpecReader {
         fail(source_, field.line, message, path);
       }
     }
+  }
+
+  /// Fails on the first key of `object` outside `keys`.
+  void expect_keys(const Json& object, const std::vector<std::string>& keys,
+                   const char* what, const std::string& path) {
+    for (const auto& [key, field] : object.object) {
+      if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+      std::string message = "unknown key \"" + key + "\" in " + what;
+      const std::string hint = closest_match(key, keys);
+      if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
+      fail(source_, field.line, message, path + "." + key);
+    }
+  }
+
+  /// The `view` block, resolved against the spec's axes. Every condition
+  /// render_view relies on is checked here: each cell must address
+  /// exactly one job.
+  SpecView read_view(const Json& value, const CampaignSpec& spec) {
+    expect_type(value, Json::Type::kObject, "a view object", "view");
+    expect_keys(value, {"rows", "columns"}, "view", "view");
+    const Json* rows = value.find("rows");
+    const Json* columns = value.find("columns");
+    if (rows == nullptr)
+      fail(source_, value.line, "view is missing \"rows\"", "view.rows");
+    if (columns == nullptr)
+      fail(source_, value.line, "view is missing \"columns\"",
+           "view.columns");
+
+    SpecView view;
+    expect_type(*rows, Json::Type::kArray, "an array of axis names",
+                "view.rows");
+    const std::vector<std::string> keys(std::begin(kViewAxisKeys),
+                                        std::end(kViewAxisKeys));
+    for (std::size_t i = 0; i < rows->array.size(); ++i) {
+      const std::string path = "view.rows[" + std::to_string(i) + "]";
+      const Json& entry = rows->array[i];
+      const std::string name = as_string(entry, path);
+      const auto it = std::find(keys.begin(), keys.end(), name);
+      if (it == keys.end())
+        fail(source_, entry.line,
+             "unknown axis \"" + name + "\"; valid values: " + joined(keys),
+             path);
+      const auto axis = static_cast<SpecAxis>(it - keys.begin());
+      if (std::find(view.rows.begin(), view.rows.end(), axis) !=
+          view.rows.end())
+        fail(source_, entry.line,
+             "axis \"" + name + "\" is already a view row", path);
+      if (axis == SpecAxis::kCcdfExceedances && spec.ccdf_exceedances.empty())
+        fail(source_, entry.line,
+             "a \"ccdf_exceedances\" row needs a spec with "
+             "\"ccdf_exceedances\" (this one has no distribution sink)",
+             path);
+      view.rows.push_back(axis);
+    }
+
+    expect_type(*columns, Json::Type::kArray, "an array of view columns",
+                "view.columns");
+    if (columns->array.empty())
+      fail(source_, columns->line, "\"view.columns\" must not be empty",
+           "view.columns");
+    for (std::size_t i = 0; i < columns->array.size(); ++i) {
+      const std::string path = "view.columns[" + std::to_string(i) + "]";
+      const Json& entry = columns->array[i];
+      expect_type(entry, Json::Type::kObject, "a view column object", path);
+      expect_keys(entry, {"label", "value", "where", "divide_by"},
+                  "view column", path);
+      const Json* label = entry.find("label");
+      if (label == nullptr)
+        fail(source_, entry.line, "view column is missing \"label\"",
+             path + ".label");
+      ViewColumn column;
+      column.label = as_string(*label, path + ".label");
+      column.value = read_view_ref(entry, path, spec, view.rows);
+      if (const Json* divisor = entry.find("divide_by")) {
+        const std::string divisor_path = path + ".divide_by";
+        expect_type(*divisor, Json::Type::kObject,
+                    "an object with \"value\" and \"where\"", divisor_path);
+        expect_keys(*divisor, {"value", "where"}, "divide_by", divisor_path);
+        column.divide_by = read_view_ref(*divisor, divisor_path, spec,
+                                         view.rows);
+      }
+      view.columns.push_back(std::move(column));
+    }
+    return view;
+  }
+
+  /// The `value` and `where` keys of a view column or of its divisor.
+  ViewRef read_view_ref(const Json& object, const std::string& path,
+                        const CampaignSpec& spec,
+                        const std::vector<SpecAxis>& rows) {
+    const auto is_row = [&rows](SpecAxis axis) {
+      return std::find(rows.begin(), rows.end(), axis) != rows.end();
+    };
+    ViewRef ref;
+    const Json* value = object.find("value");
+    if (value == nullptr)
+      fail(source_, object.line, "missing \"value\"", path + ".value");
+    const std::string name = as_string(*value, path + ".value");
+    const std::vector<std::string> names = report_result_columns();
+    const auto column = std::find(names.begin(), names.end(), name);
+    if (column == names.end())
+      fail(source_, value->line,
+           "unknown report column \"" + name + "\"; valid values: " +
+               joined(names),
+           path + ".value");
+    ref.value = static_cast<std::size_t>(column - names.begin());
+
+    if (const Json* where = object.find("where")) {
+      expect_type(*where, Json::Type::kObject, "an object of axis values",
+                  path + ".where");
+      for (const auto& [key, field] : where->object) {
+        const std::string field_path = path + ".where." + key;
+        SpecAxis axis = SpecAxis::kMechanisms;
+        std::size_t index = 0;
+        if (key == "mechanisms") {
+          axis = SpecAxis::kMechanisms;
+          index = where_index(field, field_path,
+                              axis_name_table(mechanism_names()),
+                              spec.mechanisms, "mechanism", key);
+        } else if (key == "dcache_mechanisms") {
+          axis = SpecAxis::kDcacheMechanisms;
+          index = where_index(field, field_path,
+                              axis_name_table(dcache_mechanism_names()),
+                              spec.dcache_mechanisms, "dcache mechanism", key);
+        } else if (key == "engines") {
+          axis = SpecAxis::kEngines;
+          index = where_index(field, field_path,
+                              axis_name_table(engine_names()), spec.engines,
+                              "engine", key);
+        } else if (key == "kinds") {
+          axis = SpecAxis::kKinds;
+          index = where_index(field, field_path,
+                              axis_name_table(analysis_kind_names()),
+                              spec.kinds, "analysis kind", key);
+        } else {
+          fail(source_, field.line,
+               "unknown axis \"" + key +
+                   "\" in \"where\"; valid values: mechanisms, "
+                   "dcache_mechanisms, engines, kinds",
+               field_path);
+        }
+        if (is_row(axis))
+          fail(source_, field.line,
+               "axis \"" + key + "\" is a view row; \"where\" cannot pin it",
+               field_path);
+        ref.where.emplace_back(axis, index);
+      }
+    }
+
+    // Any other axis holding several values would make the cell ambiguous.
+    for (std::size_t a = 0; a < std::size(kViewAxisKeys); ++a) {
+      const auto axis = static_cast<SpecAxis>(a);
+      const std::size_t size = axis_size(spec, axis);
+      if (axis == SpecAxis::kCcdfExceedances || size < 2 || is_row(axis) ||
+          std::any_of(ref.where.begin(), ref.where.end(),
+                      [axis](const auto& pin) { return pin.first == axis; }))
+        continue;
+      const bool pinnable =
+          axis == SpecAxis::kMechanisms ||
+          axis == SpecAxis::kDcacheMechanisms ||
+          axis == SpecAxis::kEngines || axis == SpecAxis::kKinds;
+      fail(source_, object.line,
+           "axis \"" + std::string(view_axis_key(axis)) + "\" has " +
+               std::to_string(size) + " values: make it a view row" +
+               (pinnable ? " or pin it in \"where\"" : ""),
+           path + ".where");
+    }
+    return ref;
+  }
+
+  /// Index on `axis` of the enum value named by `field`.
+  template <typename Enum>
+  std::size_t where_index(
+      const Json& field, const std::string& path,
+      const std::vector<std::pair<std::string, Enum>>& table,
+      const std::vector<Enum>& axis, const char* what,
+      const std::string& key) {
+    const Enum value = parse_enum(field, path, table, what);
+    const auto it = std::find(axis.begin(), axis.end(), value);
+    if (it == axis.end())
+      fail(source_, field.line,
+           std::string(what) + " \"" + field.string +
+               "\" is not on this spec's \"" + key + "\" axis",
+           path);
+    return static_cast<std::size_t>(it - axis.begin());
   }
 
   const std::string& source_;
@@ -793,21 +997,9 @@ SpecDocument load_spec(const std::string& path) {
   return parse_spec(buffer.str(), path);
 }
 
-SpecDocument load_spec_for_mechanism_tables(const std::string& path) {
-  SpecDocument doc = load_spec(path);
-  if (doc.spec.mechanisms !=
-      std::vector<Mechanism>{Mechanism::kNone,
-                             Mechanism::kSharedReliableBuffer,
-                             Mechanism::kReliableWay})
-    throw SpecError(path +
-                    ": these tables need mechanisms [\"none\", \"SRB\", "
-                    "\"RW\"] in that order; use `pwcet run` for other "
-                    "shapes");
-  return doc;
-}
-
 std::string spec_to_json(const CampaignSpec& spec, const std::string& name,
-                         const std::string& notes) {
+                         const std::string& notes,
+                         const std::optional<SpecView>& view) {
   std::string out = "{\n";
   auto field = [&out](const std::string& key, const std::string& value,
                       bool last = false) {
@@ -887,7 +1079,40 @@ std::string spec_to_json(const CampaignSpec& spec, const std::string& name,
                      std::to_string(spec.mbpta.block_size) +
                      ", \"seed\": " + fmt_u64_json(spec.mbpta.seed) + "}");
   field("simulation_chips", std::to_string(spec.simulation_chips));
-  field("base_seed", fmt_u64_json(spec.base_seed), /*last=*/true);
+  field("base_seed", fmt_u64_json(spec.base_seed), /*last=*/!view);
+  if (view) {
+    const auto ref_json = [&spec](const ViewRef& ref) {
+      std::string entry =
+          "\"value\": " + json_quote(report_result_columns()[ref.value]);
+      if (!ref.where.empty()) {
+        entry += ", \"where\": {";
+        for (std::size_t i = 0; i < ref.where.size(); ++i) {
+          const auto [axis, index] = ref.where[i];
+          if (i != 0) entry += ", ";
+          entry += json_quote(view_axis_key(axis)) + ": " +
+                   json_quote(axis_label(spec, axis, index));
+        }
+        entry += '}';
+      }
+      return entry;
+    };
+    std::string block = "{\n    \"rows\": " +
+                        json_array(view->rows,
+                                   [](SpecAxis axis) {
+                                     return json_quote(view_axis_key(axis));
+                                   }) +
+                        ",\n    \"columns\": [\n";
+    for (std::size_t i = 0; i < view->columns.size(); ++i) {
+      const ViewColumn& column = view->columns[i];
+      block += "      {\"label\": " + json_quote(column.label) + ", " +
+               ref_json(column.value);
+      if (column.divide_by)
+        block += ", \"divide_by\": {" + ref_json(*column.divide_by) + "}";
+      block += i + 1 < view->columns.size() ? "},\n" : "}\n";
+    }
+    block += "    ]\n  }";
+    field("view", block, /*last=*/true);
+  }
   out += "}\n";
   return out;
 }

@@ -18,10 +18,12 @@
 /// directions).
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "engine/campaign.hpp"
+#include "engine/report.hpp"
 
 namespace pwcet {
 
@@ -35,11 +37,14 @@ class SpecError : public std::runtime_error {
 };
 
 /// A parsed spec file: the campaign plus the file's display metadata
-/// (`name`, `notes`), which never influence results or store keys.
+/// (`name`, `notes`, `view`), which never influence results or store keys.
 struct SpecDocument {
   std::string name;   ///< optional human-readable title ("" if absent)
   std::string notes;  ///< optional free-text description ("" if absent)
   CampaignSpec spec;  ///< validated campaign, ready for run_campaign
+  /// Optional paper-style table over the report (`pwcet run --format
+  /// table`), resolved against `spec`'s axes.
+  std::optional<SpecView> view;
 };
 
 /// Parses a spec from JSON text. `source` names the origin in diagnostics
@@ -51,18 +56,12 @@ SpecDocument parse_spec(const std::string& text, const std::string& source);
 /// \throws SpecError if the file cannot be read or does not parse.
 SpecDocument load_spec(const std::string& path);
 
-/// load_spec plus a shape check shared by the shipped presentation
-/// binaries (bench/tab_geometry_sweep, bench/tab_pfail_sweep,
-/// examples/architecture_tradeoff), whose tables pivot the mechanisms axis
-/// as exactly {none, SRB, RW} in that order.
-/// \throws SpecError naming the file when the shape differs — such a spec
-/// is still perfectly runnable via `pwcet run`, just not pivotable here.
-SpecDocument load_spec_for_mechanism_tables(const std::string& path);
-
 /// Serializes a spec to canonical JSON (2-space indent, fixed key order,
 /// doubles in their shortest decimal form that still round-trips
-/// bit-exactly). `name` and `notes` are emitted only when non-empty.
+/// bit-exactly). `name` and `notes` are emitted only when non-empty,
+/// `view` only when set; it must be resolved against `spec`.
 std::string spec_to_json(const CampaignSpec& spec, const std::string& name = "",
-                         const std::string& notes = "");
+                         const std::string& notes = "",
+                         const std::optional<SpecView>& view = std::nullopt);
 
 }  // namespace pwcet

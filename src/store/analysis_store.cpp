@@ -5,8 +5,6 @@
 namespace pwcet {
 
 StoreOptions store_options_from_env(StoreOptions base) {
-  const char* toggle = std::getenv("PWCET_STORE");
-  if (toggle != nullptr && std::string(toggle) == "0") base.enabled = false;
   if (base.enabled && base.artifact_dir.empty()) {
     const char* dir = std::getenv("PWCET_CACHE_DIR");
     if (dir != nullptr && *dir != '\0') base.artifact_dir = dir;

@@ -32,11 +32,9 @@ struct StoreOptions {
   std::string artifact_dir;
 };
 
-/// Environment overrides, applied by run_campaign so the stock bench and
-/// example binaries can be driven cold/warm without code changes:
-/// `PWCET_STORE=0` disables the store, `PWCET_CACHE_DIR=<dir>` enables the
-/// artifact tier (only when `base` did not already name a directory).
-/// An explicitly disabled `base` stays disabled regardless of environment.
+/// The environment fallback run_campaign applies to its own store:
+/// `PWCET_CACHE_DIR=<dir>` enables the artifact tier when `base` is
+/// enabled and names no directory itself.
 StoreOptions store_options_from_env(StoreOptions base = {});
 
 class AnalysisStore {

@@ -78,6 +78,26 @@ class CliTest : public ::testing::Test {
     })");
   }
 
+  /// The tiny campaign with a view: per task and pfail, the unprotected
+  /// pWCET and the SRB / unprotected ratio.
+  std::string tiny_view_spec_path() {
+    return write_file("tiny_view.json", R"({
+      "tasks": ["fibcall", "bs"],
+      "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+      "pfails": [1e-6, 1e-4],
+      "mechanisms": ["none", "SRB", "RW"],
+      "view": {
+        "rows": ["tasks", "pfails"],
+        "columns": [
+          {"label": "none", "value": "pwcet", "where": {"mechanisms": "none"}},
+          {"label": "SRB/none", "value": "pwcet",
+           "where": {"mechanisms": "SRB"},
+           "divide_by": {"value": "pwcet", "where": {"mechanisms": "none"}}}
+        ]
+      }
+    })");
+  }
+
   static CampaignSpec tiny_spec_programmatic() {
     CampaignSpec spec;
     spec.tasks = {"fibcall", "bs"};
@@ -137,39 +157,79 @@ TEST_F(CliTest, RunWithOutputWritesTheExampleBinaryReportFiles) {
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_EQ(result.out, "");  // report went to files, stdout stays empty
 
-  // The files must match what the programmatic API (and therefore every
-  // example binary, which calls the same write_report_files) produces.
+  // The files must match what the programmatic API's write_report_files
+  // produces.
   const CampaignResult reference =
       run_campaign(tiny_spec_programmatic(), RunnerOptions{});
   EXPECT_EQ(read_file(base + ".csv"), report_csv(reference));
   EXPECT_EQ(read_file(base + ".jsonl"), report_jsonl(reference));
 }
 
-TEST_F(CliTest, ExplicitStoreOnBeatsPwcetStoreEnvironment) {
-  const std::string spec_path = tiny_spec_path();
-  const char* saved = std::getenv("PWCET_STORE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::setenv("PWCET_STORE", "0", 1);
-  const CliResult with_flag = run_cli({"run", spec_path, "--store", "on"});
-  const CliResult defaulted = run_cli({"run", spec_path});
-  if (saved != nullptr) {
-    ::setenv("PWCET_STORE", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("PWCET_STORE");
+TEST_F(CliTest, RunFormatTableRendersTheSpecViewOrTheFlatReport) {
+  const CampaignResult reference =
+      run_campaign(tiny_spec_programmatic(), RunnerOptions{});
+
+  // Without a view: the flat report as an aligned table.
+  CliResult result = run_cli({"run", tiny_spec_path(), "--format", "table"});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(result.out, report_table(reference).to_string());
+
+  // With one: the view, over the same campaign.
+  const std::string view_path = tiny_view_spec_path();
+  const SpecDocument doc = load_spec(view_path);
+  ASSERT_TRUE(doc.view.has_value());
+  result = run_cli({"run", view_path, "--format", "table"});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(result.out, render_view(reference, *doc.view).to_string());
+  EXPECT_NE(result.out.find("SRB/none"), std::string::npos) << result.out;
+
+  // The view is display-only: every other format is unchanged.
+  result = run_cli({"run", view_path});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(result.out, report_csv(reference));
+}
+
+TEST_F(CliTest, MergeFormatTableRendersTheSpecViewOrTheFlatReport) {
+  const CampaignResult reference =
+      run_campaign(tiny_spec_programmatic(), RunnerOptions{});
+  const std::string view_path = tiny_view_spec_path();
+  const SpecDocument doc = load_spec(view_path);
+  ASSERT_TRUE(doc.view.has_value());
+
+  for (const std::string& spec_path : {tiny_spec_path(), view_path}) {
+    const std::string cache =
+        (fs::path(dir_) / fs::path(spec_path).stem()).string();
+    for (const char* selector : {"1/2", "2/2"}) {
+      // A shard holds only part of the grid: its table is the flat one.
+      const CliResult shard = run_cli({"run", spec_path, "--shard", selector,
+                                       "--cache-dir", cache, "--format",
+                                       "table"});
+      ASSERT_EQ(shard.code, 0) << shard.err;
+      EXPECT_NE(shard.out.find("bound_misses_1"), std::string::npos)
+          << shard.out;
+    }
+    const CliResult merged =
+        run_cli({"merge", spec_path, "--from", cache, "--format", "table"});
+    ASSERT_EQ(merged.code, 0) << merged.err;
+    EXPECT_EQ(merged.out, spec_path == view_path
+                              ? render_view(reference, *doc.view).to_string()
+                              : report_table(reference).to_string());
   }
-  ASSERT_EQ(with_flag.code, 0) << with_flag.err;
-  ASSERT_EQ(defaulted.code, 0) << defaulted.err;
-  // The env knob disables the default store (it exists to drive the
-  // spec-less bench binaries)...
-  EXPECT_NE(defaulted.err.find("store: 0 hits / 0 misses"),
+}
+
+TEST_F(CliTest, OversizedGeometryFailsAtLoadNamingTheField) {
+  const std::string huge = write_file("huge.json", R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 2147483648, "ways": 1, "line_bytes": 16}],
+    "pfails": [1e-4],
+    "mechanisms": ["none"]
+  })");
+  const CliResult result = run_cli({"run", huge});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_EQ(result.out, "");
+  EXPECT_NE(result.err.find("field \"geometries[0].sets\""),
             std::string::npos)
-      << defaulted.err;
-  // ...but an explicit --store on wins over it.
-  EXPECT_EQ(with_flag.err.find("store: 0 hits / 0 misses"),
-            std::string::npos)
-      << with_flag.err;
-  // Byte-identity holds either way.
-  EXPECT_EQ(with_flag.out, defaulted.out);
+      << result.err;
 }
 
 TEST_F(CliTest, LastStoreFlagWins) {

@@ -15,9 +15,14 @@
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
+#include "engine/spec_io.hpp"
 #include "engine/thread_pool.hpp"
 #include "support/rng.hpp"
 #include "workloads/malardalen.hpp"
+
+#ifndef PWCET_SPECS_DIR
+#define PWCET_SPECS_DIR "specs"
+#endif
 
 namespace pwcet {
 namespace {
@@ -349,6 +354,23 @@ TEST(Runner, SimulationNeverExceedsStaticBound) {
   EXPECT_GE(spta.pwcet, sim.observed_max);
 }
 
+TEST(Runner, SlackBoundsCoverTheSimulatedMisses) {
+  // The E5 claims: the static miss bound covers the simulated misses in
+  // both regimes, and with every set faulty the SRB's reload assumption
+  // is exact.
+  const SpecDocument doc =
+      load_spec(std::string(PWCET_SPECS_DIR) + "/srb_conservatism.json");
+  const CampaignResult campaign = run_campaign(doc.spec);
+  ASSERT_EQ(campaign.results.size(), 50u);
+  for (const JobResult& r : campaign.results) {
+    EXPECT_GE(r.bound_misses, r.sim_misses) << r.job.id();
+    EXPECT_GE(r.bound_misses_1, r.sim_misses_1) << r.job.id();
+    if (r.job.mechanism == Mechanism::kSharedReliableBuffer) {
+      EXPECT_EQ(r.bound_misses, r.sim_misses) << r.job.id();
+    }
+  }
+}
+
 TEST(Report, ShapesAreConsistent) {
   CampaignSpec spec;
   spec.tasks = {"fibcall"};
@@ -366,6 +388,86 @@ TEST(Report, ShapesAreConsistent) {
             static_cast<long>(campaign.results.size()));
   EXPECT_NE(jsonl.find("\"task\":\"fibcall\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"kind\":\"spta\""), std::string::npos);
+}
+
+std::vector<std::vector<std::string>> csv_rows(const std::string& csv) {
+  std::vector<std::vector<std::string>> rows;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    const std::size_t end = csv.find('\n', start);
+    std::vector<std::string> cells;
+    std::size_t cell = start;
+    while (true) {
+      const std::size_t comma = csv.find(',', cell);
+      if (comma == std::string::npos || comma > end) {
+        cells.push_back(csv.substr(cell, end - cell));
+        break;
+      }
+      cells.push_back(csv.substr(cell, comma - cell));
+      cell = comma + 1;
+    }
+    rows.push_back(std::move(cells));
+    start = end + 1;
+  }
+  return rows;
+}
+
+TEST(ReportView, CellsRepeatTheArithmeticOnTheCampaignResult) {
+  const SpecDocument doc = parse_spec(R"({
+    "tasks": ["fibcall", "bs"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16},
+                   {"sets": 8, "ways": 2, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none", "SRB"],
+    "kinds": ["spta", "sim"],
+    "simulation_chips": 40,
+    "ccdf_exceedances": [1e-2, 1e-9],
+    "view": {
+      "rows": ["tasks", "geometries", "ccdf_exceedances"],
+      "columns": [
+        {"label": "ff", "value": "wcet_ff",
+         "where": {"mechanisms": "none", "kinds": "spta"}},
+        {"label": "srb", "value": "pwcet",
+         "where": {"mechanisms": "SRB", "kinds": "spta"}},
+        {"label": "sim/spta", "value": "observed_max",
+         "where": {"mechanisms": "none", "kinds": "sim"},
+         "divide_by": {"value": "pwcet",
+                       "where": {"mechanisms": "none", "kinds": "spta"}}},
+        {"label": "zero", "value": "wcet_ff",
+         "where": {"mechanisms": "none", "kinds": "spta"},
+         "divide_by": {"value": "observed_max",
+                       "where": {"mechanisms": "none", "kinds": "spta"}}}
+      ]
+    }
+  })", "<view>");
+  ASSERT_TRUE(doc.view.has_value());
+  const CampaignResult c = run_campaign(doc.spec);
+  const std::vector<std::vector<std::string>> rows =
+      csv_rows(render_view(c, *doc.view).to_csv());
+
+  ASSERT_EQ(rows.size(), 1u + 2 * 2 * 2);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"task", "geometry",
+                                               "exceedance", "ff", "srb",
+                                               "sim/spta", "zero"}));
+  std::size_t r = 1;
+  for (std::size_t t = 0; t < 2; ++t)
+    for (std::size_t g = 0; g < 2; ++g)
+      for (std::size_t p = 0; p < 2; ++p, ++r) {
+        // at(task, geometry, pfail, mechanism, engine, kind)
+        const JobResult& none = c.at(t, g, 0, 0, 0, 0);
+        const JobResult& srb = c.at(t, g, 0, 1, 0, 0);
+        const JobResult& sim = c.at(t, g, 0, 0, 0, 1);
+        const std::vector<std::string> expected = {
+            doc.spec.tasks[t],
+            std::to_string(doc.spec.geometries[g].sets) + "x" +
+                std::to_string(doc.spec.geometries[g].ways) + "x16B",
+            fmt_prob(doc.spec.ccdf_exceedances[p]),
+            fmt_double(static_cast<double>(none.fault_free_wcet), 0),
+            fmt_double(srb.curve[p], 0),
+            fmt_double(sim.observed_max / none.curve[p], 3),
+            "-"};  // an SPTA job observes nothing: zero divisor
+        EXPECT_EQ(rows[r], expected) << "row " << r;
+      }
 }
 
 }  // namespace

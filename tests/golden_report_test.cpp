@@ -10,6 +10,7 @@
 // be pinned), and a golden file without a spec fails (stale corpus).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -84,6 +85,18 @@ TEST_P(GoldenReportTest, LiveRunReproducesTheCorpusByteForByte) {
   } else {
     EXPECT_FALSE(fs::exists(golden / (stem + ".dist.csv")))
         << stem << " has no distribution sink but a .dist golden exists";
+  }
+  // The spec's view renders over the pinned campaign: header plus one
+  // line per combination of its row axes.
+  if (doc.view) {
+    std::size_t rows = 1;
+    for (const SpecAxis axis : doc.view->rows)
+      rows *= axis_size(doc.spec, axis);
+    const std::string csv = render_view(campaign, *doc.view).to_csv();
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(csv.begin(), csv.end(), '\n')),
+              1 + rows)
+        << stem;
   }
 }
 

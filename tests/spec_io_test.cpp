@@ -467,11 +467,63 @@ TEST(ShippedSpecs, EverySpecRoundTripsThroughTheSerializer) {
         "dcache_extension.json", "srb_conservatism.json", "tlb_sweep.json",
         "writeback_dcache.json", "shared_l2.json"}) {
     const SpecDocument doc = load_spec(shipped(name));
-    const SpecDocument again =
-        parse_spec(spec_to_json(doc.spec, doc.name, doc.notes), name);
+    const std::string json =
+        spec_to_json(doc.spec, doc.name, doc.notes, doc.view);
+    const SpecDocument again = parse_spec(json, name);
     EXPECT_EQ(campaign_spec_key(again.spec), campaign_spec_key(doc.spec))
         << name;
+    EXPECT_EQ(again.view, doc.view) << name;
+    EXPECT_EQ(spec_to_json(again.spec, again.name, again.notes, again.view),
+              json)
+        << name;
   }
+}
+
+TEST(ShippedSpecs, EveryPaperSpecHasAView) {
+  for (const char* name :
+       {"geometry_sweep.json", "pfail_sweep.json", "mbpta_vs_spta.json",
+        "architecture_tradeoff.json", "ccdf.json", "normalized_pwcet.json",
+        "dcache_extension.json", "srb_conservatism.json"})
+    EXPECT_TRUE(load_spec(shipped(name)).view.has_value()) << name;
+}
+
+TEST(SpecIo, ViewNeverEntersTheSpecKey) {
+  const SpecDocument with = load_spec(shipped("geometry_sweep.json"));
+  ASSERT_TRUE(with.view.has_value());
+  const SpecDocument without =
+      parse_spec(spec_to_json(with.spec, with.name, with.notes), "<no-view>");
+  EXPECT_FALSE(without.view.has_value());
+  EXPECT_EQ(campaign_spec_key(without.spec), campaign_spec_key(with.spec));
+}
+
+TEST(SpecIo, ViewResolvesAxisNamesToIndices) {
+  const SpecDocument doc = parse_spec(R"({
+    "tasks": ["fibcall", "bs"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-4],
+    "mechanisms": ["none", "SRB", "RW"],
+    "view": {
+      "rows": ["tasks"],
+      "columns": [
+        {"label": "rw", "value": "pwcet", "where": {"mechanisms": "rw"},
+         "divide_by": {"value": "wcet_ff", "where": {"mechanisms": "none"}}}
+      ]
+    }
+  })", "<inline>");
+  ASSERT_TRUE(doc.view.has_value());
+  EXPECT_EQ(doc.view->rows, std::vector<SpecAxis>{SpecAxis::kTasks});
+  ASSERT_EQ(doc.view->columns.size(), 1u);
+  const ViewColumn& column = doc.view->columns[0];
+  EXPECT_EQ(column.label, "rw");
+  EXPECT_EQ(report_result_columns()[column.value.value], "pwcet");
+  EXPECT_EQ(column.value.where,
+            (std::vector<std::pair<SpecAxis, std::size_t>>{
+                {SpecAxis::kMechanisms, 2}}));
+  ASSERT_TRUE(column.divide_by.has_value());
+  EXPECT_EQ(report_result_columns()[column.divide_by->value], "wcet_ff");
+  EXPECT_EQ(column.divide_by->where,
+            (std::vector<std::pair<SpecAxis, std::size_t>>{
+                {SpecAxis::kMechanisms, 0}}));
 }
 
 // ---- rejection diagnostics -------------------------------------------------
@@ -854,6 +906,181 @@ TEST(SpecIoErrors, CcdfExceedanceRangeIsEnforced) {
   })",
                   {"exceedance probability must be in (0, 1]",
                    "field \"ccdf_exceedances[1]\""});
+}
+
+TEST(SpecIoErrors, OversizedGeometriesAreRejectedOnEveryAxis) {
+  const auto spec_with = [](const std::string& extra) {
+    return R"({
+    "tasks": ["fibcall"],
+    "pfails": [1e-4],
+    "mechanisms": ["none"],
+    )" + extra + "\n}";
+  };
+  const std::string paper =
+      R"("geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}])";
+  expect_rejected(
+      spec_with(R"("geometries": [{"sets": 2147483648, "ways": 1,
+                                   "line_bytes": 16}])"),
+      {"sets x ways must be at most 65536 lines",
+       "field \"geometries[0].sets\""});
+  expect_rejected(
+      spec_with(R"("geometries": [{"sets": 16, "ways": 4096,
+                                   "line_bytes": 16}])"),
+      {"ways must be at most 256", "field \"geometries[0].ways\""});
+  expect_rejected(
+      spec_with(paper + R"(,
+    "dcaches": [{"sets": 512, "ways": 256, "line_bytes": 16}])"),
+      {"sets x ways must be at most 65536 lines",
+       "field \"dcaches[0].sets\""});
+  expect_rejected(
+      spec_with(paper + R"(,
+    "l2s": [null, {"sets": 65536, "ways": 2, "line_bytes": 32}])"),
+      {"sets x ways must be at most 65536 lines", "field \"l2s[1].sets\""});
+  expect_rejected(
+      spec_with(paper + R"(,
+    "tlbs": [{"entries": 131072, "ways": 2, "page_bytes": 64}])"),
+      {"entries must be at most 65536", "field \"tlbs[0].entries\""});
+  expect_rejected(
+      spec_with(paper + R"(,
+    "tlbs": [{"entries": 1024, "ways": 512, "page_bytes": 64}])"),
+      {"ways must be at most 256", "field \"tlbs[0].ways\""});
+  // The bounds themselves are accepted (and pass CampaignSpec::validate).
+  const CampaignSpec largest = parse_ok(spec_with(
+      R"("geometries": [{"sets": 256, "ways": 256, "line_bytes": 16}],
+    "tlbs": [{"entries": 65536, "ways": 256, "page_bytes": 64}])"));
+  EXPECT_EQ(largest.geometries[0].sets * largest.geometries[0].ways,
+            kMaxGeometryLines);
+  // CampaignSpec::validate enforces the same bound on programmatic specs.
+  CampaignSpec wider = largest;
+  wider.geometries[0].sets = 512;
+  EXPECT_DEATH(wider.validate(), "within_size_bounds");
+}
+
+// ---- view validation -------------------------------------------------------
+
+/// fibcall/bs x {none, SRB} x {spta, sim}, plus the given `view` block
+/// (which starts on line 8).
+std::string spec_with_view(const std::string& view) {
+  return R"({
+  "tasks": ["fibcall", "bs"],
+  "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+  "pfails": [1e-4],
+  "mechanisms": ["none", "SRB"],
+  "kinds": ["spta", "sim"],
+  "simulation_chips": 50,
+  "view": )" + view + "\n}";
+}
+
+TEST(SpecIoErrors, ViewRowsNameKnownDistinctAxes) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks", "taks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"<inline>:8", "unknown axis \"taks\"",
+                   "valid values: tasks, geometries, pfails",
+                   "field \"view.rows[1]\""});
+  expect_rejected(spec_with_view(R"({"rows": ["tasks", "tasks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"axis \"tasks\" is already a view row",
+                   "field \"view.rows[1]\""});
+}
+
+TEST(SpecIoErrors, ViewExceedanceRowNeedsADistributionSink) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks", "ccdf_exceedances"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"no distribution sink", "field \"view.rows[1]\""});
+}
+
+TEST(SpecIoErrors, ViewValueNamesANumericReportColumn) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "pwect",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"unknown report column \"pwect\"",
+                   "valid values: wcet_ff, pwcet, observed_max",
+                   "field \"view.columns[0].value\""});
+  // The job-identity columns are not values.
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "sets",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"unknown report column \"sets\"",
+                   "field \"view.columns[0].value\""});
+}
+
+TEST(SpecIoErrors, ViewWherePinsOnlyEnumAxesByKnownValues) {
+  expect_rejected(spec_with_view(R"({"rows": ["geometries"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"tasks": "bs"}}]})"),
+                  {"unknown axis \"tasks\" in \"where\"",
+                   "field \"view.columns[0].where.tasks\""});
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "SRBX", "kinds": "spta"}}]})"),
+                  {"unknown mechanism \"SRBX\"",
+                   "valid values: none, RW, SRB",
+                   "field \"view.columns[0].where.mechanisms\""});
+}
+
+TEST(SpecIoErrors, ViewWhereValueMustBeOnTheSpecsAxis) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"},
+                 "divide_by": {"value": "pwcet",
+                               "where": {"mechanisms": "RW",
+                                         "kinds": "spta"}}}]})"),
+                  {"mechanism \"RW\" is not on this spec's \"mechanisms\" "
+                   "axis",
+                   "field \"view.columns[0].divide_by.where.mechanisms\""});
+}
+
+TEST(SpecIoErrors, ViewWhereCannotPinARowAxis) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks", "mechanisms"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"axis \"mechanisms\" is a view row",
+                   "field \"view.columns[0].where.mechanisms\""});
+}
+
+TEST(SpecIoErrors, ViewCellsMustAddressOneJob) {
+  // kinds has two values: neither a row nor pinned.
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none"}}]})"),
+                  {"axis \"kinds\" has 2 values: make it a view row or pin "
+                   "it in \"where\"",
+                   "field \"view.columns[0].where\""});
+  // Every reference pins on its own: the divisor does not inherit.
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"},
+                 "divide_by": {"value": "pwcet",
+                               "where": {"kinds": "spta"}}}]})"),
+                  {"axis \"mechanisms\" has 2 values",
+                   "field \"view.columns[0].divide_by.where\""});
+  // A non-enum axis can only be a row.
+  expect_rejected(spec_with_view(R"({"rows": ["mechanisms"],
+    "columns": [{"label": "x", "value": "pwcet",
+                 "where": {"kinds": "spta"}}]})"),
+                  {"axis \"tasks\" has 2 values: make it a view row (",
+                   "field \"view.columns[0].where\""});
+}
+
+TEST(SpecIoErrors, ViewShapeIsChecked) {
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"]})"),
+                  {"view is missing \"columns\"", "field \"view.columns\""});
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"], "columns": []})"),
+                  {"\"view.columns\" must not be empty"});
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"], "colums": []})"),
+                  {"unknown key \"colums\" in view",
+                   "did you mean \"columns\"?", "field \"view.colums\""});
+  expect_rejected(spec_with_view(R"({"rows": ["tasks"],
+    "columns": [{"value": "pwcet",
+                 "where": {"mechanisms": "none", "kinds": "spta"}}]})"),
+                  {"view column is missing \"label\"",
+                   "field \"view.columns[0].label\""});
+  expect_rejected(spec_with_view(R"({"rows": "tasks", "columns": []})"),
+                  {"expected an array of axis names, got a string",
+                   "field \"view.rows\""});
 }
 
 TEST(SpecIoErrors, SyntaxErrorsCarryLineNumbers) {

@@ -382,9 +382,7 @@ TEST_F(ArtifactStoreTest, CampaignWarmFromDiskIsByteIdentical) {
   const std::string csv = report_csv(run_campaign(spec, off));
 
   // Fresh process simulation: two runs, each with its own cold memo,
-  // sharing only the on-disk artifacts. Caller-owned stores bypass the
-  // runner's environment resolution, so an exported PWCET_STORE=0 (e.g.
-  // left over from a manual verify run) cannot turn this test hollow.
+  // sharing only the on-disk artifacts.
   StoreOptions disk_options;
   disk_options.artifact_dir = dir_;
   AnalysisStore run1(disk_options), run2(disk_options);
