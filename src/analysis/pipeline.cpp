@@ -353,9 +353,12 @@ PwcetResult PwcetPipeline::analyze(
         options_.max_distribution_points, options_.pool, store);
   };
   DiscreteDistribution penalty = domain_penalty(0);
-  for (std::size_t i = 1; i < domains_.size(); ++i)
-    penalty = penalty.convolve(domain_penalty(i))
-                  .coalesce_up(options_.max_distribution_points);
+  for (std::size_t i = 1; i < domains_.size(); ++i) {
+    const DiscreteDistribution next = domain_penalty(i);
+    obs::ScopedPhase fold_phase(obs::phase_name::kFold);
+    penalty = penalty.convolve(next).coalesce_up(
+        options_.max_distribution_points);
+  }
   result.penalty = std::move(penalty);
 
   if (store != nullptr) {

@@ -36,6 +36,9 @@ inline constexpr const char* kBundle = "phase.bundle";
 inline constexpr const char* kPenalty = "phase.penalty";
 /// The fixed-shape pairwise convolution tree inside kPenalty.
 inline constexpr const char* kConvolve = "phase.convolve";
+/// One cross-domain fold step: convolve the running penalty with the next
+/// domain's and coalesce (domains - 1 per analysis, none for one domain).
+inline constexpr const char* kFold = "phase.fold";
 }  // namespace phase_name
 
 /// Span names of the campaign engine (engine/runner.cpp).

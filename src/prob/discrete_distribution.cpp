@@ -42,6 +42,47 @@ std::vector<ProbabilityAtom> normalize_atoms(
   return merged;
 }
 
+/// Marks the `to_remove` atoms (never the last) whose upward merges are
+/// cheapest, by cost probability(i) * (value(i+1) - value(i)) — exactly the
+/// first `to_remove` entries of the historical index sort by that cost.
+/// A selection finds the cut cost in O(n). When no other merge shares it,
+/// the marked set is {cost <= cut}, which every sort puts first. A tie
+/// straddling the cut needs the historical std::sort itself: std::sort is
+/// not stable, and only its own run says which tied merges it put first.
+/// Either way the working memory is one 8-byte array per atom, never two
+/// at once.
+std::vector<bool> cheapest_merges(const std::vector<ProbabilityAtom>& atoms,
+                                  std::size_t to_remove) {
+  const std::size_t n = atoms.size();
+  const auto cost = [&atoms](std::size_t i) {
+    return atoms[i].probability *
+           static_cast<double>(atoms[i + 1].value - atoms[i].value);
+  };
+  std::vector<bool> marked(n, false);
+  double cut = 0.0;
+  bool tie_at_cut = false;
+  {
+    std::vector<double> costs(n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i) costs[i] = cost(i);
+    const auto nth = costs.begin() + static_cast<std::ptrdiff_t>(to_remove - 1);
+    std::nth_element(costs.begin(), nth, costs.end());
+    cut = *nth;
+    // Everything after nth is >= cut, so one more equal cost there means
+    // more than to_remove merges cost <= cut.
+    tie_at_cut = std::find(nth + 1, costs.end(), cut) != costs.end();
+  }
+  if (!tie_at_cut) {
+    for (std::size_t i = 0; i + 1 < n; ++i) marked[i] = cost(i) <= cut;
+    return marked;
+  }
+  std::vector<std::size_t> order(n - 1);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return cost(a) < cost(b); });
+  for (std::size_t i = 0; i < to_remove; ++i) marked[order[i]] = true;
+  return marked;
+}
+
 }  // namespace
 
 DiscreteDistribution::DiscreteDistribution()
@@ -248,22 +289,7 @@ DiscreteDistribution DiscreteDistribution::coalesce_up(
   // unmarked atom. Mass only ever moves to larger values, so the result
   // stochastically dominates the input (sound for WCET exceedance bounds).
   const std::size_t n = atoms_.size();
-  const std::size_t to_remove = n - max_points;
-
-  std::vector<std::size_t> order(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double cost_a =
-        atoms_[a].probability *
-        static_cast<double>(atoms_[a + 1].value - atoms_[a].value);
-    const double cost_b =
-        atoms_[b].probability *
-        static_cast<double>(atoms_[b + 1].value - atoms_[b].value);
-    return cost_a < cost_b;
-  });
-
-  std::vector<bool> merged_up(n, false);
-  for (std::size_t i = 0; i < to_remove; ++i) merged_up[order[i]] = true;
+  const std::vector<bool> merged_up = cheapest_merges(atoms_, n - max_points);
 
   std::vector<ProbabilityAtom> atoms;
   atoms.reserve(max_points);

@@ -76,6 +76,12 @@ class DiscreteDistribution {
   /// Conservatively reduces the support to at most `max_points` atoms by
   /// merging adjacent atoms into the one with the *larger* value. The result
   /// stochastically dominates the original (exceedance is >= pointwise).
+  ///
+  /// Selection rule, part of the byte contract: of the n - 1 upward merges
+  /// it performs the n - `max_points` cheapest, by cost p_i * gap_i
+  /// (gap_i = value(i+1) - value(i)). Ties at the cut resolve as the
+  /// historical std::sort of merge indices by cost ordered them.
+  /// tests/prob_test.cpp pins this against a copy of that full sort.
   DiscreteDistribution coalesce_up(std::size_t max_points) const;
 
   /// Scales every support value by a non-negative factor (e.g. converting a

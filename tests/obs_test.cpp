@@ -11,12 +11,17 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/dcache_domain.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/l2_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +30,7 @@
 #include "obs/tracer.hpp"
 #include "store/analysis_store.hpp"
 #include "support/json_doc.hpp"
+#include "workloads/malardalen.hpp"
 
 namespace pwcet {
 namespace {
@@ -404,6 +410,40 @@ TEST_F(ObsTest, CampaignTraceContainsThePhaseTaxonomy) {
         << "span " << name << " missing from campaign trace";
   // Pool workers named themselves (tracing was on at pool construction).
   EXPECT_NE(json.find("\"worker-0\""), std::string::npos);
+}
+
+TEST_F(ObsTest, FoldSpanMarksEachCrossDomainStep) {
+  // phase.fold covers one step of the cross-domain fold: domains - 1
+  // spans per analysis, and none when the icache is the only domain.
+  const Program program = workloads::build("fibcall");
+  const CacheConfig icache = CacheConfig::paper_default();
+  CacheConfig dcache = icache;
+  dcache.sets = 8;
+  dcache.ways = 2;
+  CacheConfig l2 = icache;
+  l2.sets = 64;
+  l2.line_bytes = 32;
+  const FaultModel faults(1e-4);
+  const auto fold_spans = [] {
+    const Json doc =
+        parse_json(obs::Tracer::instance().trace_json(), "<trace>");
+    std::size_t spans = 0;
+    for (const Json& event : doc.find("traceEvents")->array)
+      if (event.find("name")->string == obs::phase_name::kFold) ++spans;
+    return spans;
+  };
+
+  obs::Tracer::instance().enable();
+  PwcetPipeline(program, {std::make_shared<const IcacheDomain>(icache)})
+      .analyze(faults, Mechanism::kNone);
+  EXPECT_EQ(fold_spans(), 0u);
+
+  PwcetPipeline(program, {std::make_shared<const IcacheDomain>(icache),
+                          std::make_shared<const DcacheDomain>(dcache),
+                          std::make_shared<const L2Domain>(l2)})
+      .analyze(faults, Mechanism::kNone);
+  obs::Tracer::instance().disable();
+  EXPECT_EQ(fold_spans(), 2u);
 }
 
 TEST_F(ObsTest, PerJobEventsFireOnBothColdAndWarmPaths) {

@@ -1,16 +1,24 @@
 // Unit and property tests for src/prob: binomial law (paper Eq. 2-3) and
 // the discrete penalty distributions with conservative coalescing
-// (paper Fig. 1.b).
+// (paper Fig. 1.b); convolve and coalesce_up are pinned bit for bit to
+// copies of their historical implementations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "analysis/dcache_domain.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/l2_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "prob/binomial.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "support/rng.hpp"
+#include "workloads/malardalen.hpp"
 
 namespace pwcet {
 namespace {
@@ -362,6 +370,283 @@ TEST(Distribution, ConvolveAllTreeSharedMatchesExpandedTree) {
     ASSERT_EQ(convolve_all_tree_shared(distinct, ids, max_points),
               convolve_all_tree(expanded, max_points));
   }
+}
+
+// ---- the coalesce_up selection ---------------------------------------------
+
+/// What merging atom i into atom i + 1 costs: the probability mass moved
+/// times the distance it moves (coalesce_up's expression).
+double merge_cost(const std::vector<ProbabilityAtom>& atoms, std::size_t i) {
+  return atoms[i].probability *
+         static_cast<double>(atoms[i + 1].value - atoms[i].value);
+}
+
+/// The historical coalesce_up, verbatim: std::sort all n - 1 merge indices
+/// by cost, perform the first n - max_points, roll each run of merged
+/// atoms into the next kept one. std::sort is not stable, so which tied
+/// merges land before the cut is whatever its introsort does; the shipped
+/// selection claims bit-identity with exactly that. `stable_ties` swaps in
+/// std::stable_sort — the lowest-index-first tie rule these tests must be
+/// able to tell apart from it.
+DiscreteDistribution reference_coalesce_up(const DiscreteDistribution& d,
+                                           std::size_t max_points,
+                                           bool stable_ties = false) {
+  const std::vector<ProbabilityAtom>& in = d.atoms();
+  if (in.size() <= max_points) return d;
+  std::vector<std::size_t> order(in.size() - 1);
+  for (std::size_t i = 0; i + 1 < in.size(); ++i) order[i] = i;
+  const auto cheaper = [&](std::size_t a, std::size_t b) {
+    return merge_cost(in, a) < merge_cost(in, b);
+  };
+  if (stable_ties)
+    std::stable_sort(order.begin(), order.end(), cheaper);
+  else
+    std::sort(order.begin(), order.end(), cheaper);
+  std::vector<bool> merged_up(in.size(), false);
+  for (std::size_t i = 0; i < in.size() - max_points; ++i)
+    merged_up[order[i]] = true;
+  std::vector<ProbabilityAtom> atoms;
+  Probability carried = 0.0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (merged_up[i]) {
+      carried += in[i].probability;
+    } else {
+      atoms.push_back({in[i].value, in[i].probability + carried});
+      carried = 0.0;
+    }
+  }
+  return DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+}
+
+/// True when the cut splits a run of equal merge costs: the inputs on
+/// which coalesce_up must reproduce std::sort's tie order.
+bool tie_at_cut(const DiscreteDistribution& d, std::size_t max_points) {
+  const std::vector<ProbabilityAtom>& in = d.atoms();
+  if (in.size() <= max_points) return false;
+  std::vector<double> costs(in.size() - 1);
+  for (std::size_t i = 0; i + 1 < in.size(); ++i)
+    costs[i] = merge_cost(in, i);
+  std::sort(costs.begin(), costs.end());
+  const std::size_t to_remove = in.size() - max_points;
+  return costs[to_remove - 1] == costs[to_remove];
+}
+
+/// Checks coalesce_up against the reference at one budget; returns
+/// whether the cut split a tie there.
+bool expect_reference_coalesce(const DiscreteDistribution& d,
+                               std::size_t max_points) {
+  EXPECT_EQ(d.coalesce_up(max_points), reference_coalesce_up(d, max_points))
+      << "n = " << d.size() << ", max_points = " << max_points;
+  return tie_at_cut(d, max_points);
+}
+
+/// n atoms with gaps in [1, max_gap]. `levels` = 0 draws any probability;
+/// otherwise probabilities take `levels` distinct values, so with small
+/// gaps equal merge costs are common, as on penalty lattices.
+DiscreteDistribution random_support(Rng& rng, std::size_t n, Cycles max_gap,
+                                    std::uint64_t levels) {
+  std::vector<ProbabilityAtom> atoms(n);
+  Cycles value = static_cast<Cycles>(rng.next_below(100));
+  double mass = 0.0;
+  for (ProbabilityAtom& atom : atoms) {
+    atom.value = value;
+    atom.probability = levels == 0
+                           ? rng.next_double() + 1e-3
+                           : static_cast<double>(1 + rng.next_below(levels));
+    mass += atom.probability;
+    value += 1 + static_cast<Cycles>(
+                     rng.next_below(static_cast<std::uint64_t>(max_gap)));
+  }
+  for (ProbabilityAtom& atom : atoms) atom.probability /= mass;
+  return DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+}
+
+TEST(Distribution, CoalesceSelectionMatchesFullSortOnRandomSupports) {
+  // Supports from 3 atoms to a quarter million, each at budgets 2, 2048,
+  // n - 1 and a random one; continuous probabilities (ties are rare) and
+  // five probability levels on gaps of 1..3 (ties are everywhere).
+  Rng rng(0xc0a1e5ce);
+  std::vector<std::size_t> sizes = {3,   4,    5,    16,    17,    18,
+                                    100, 2049, 2050, 10000, 65537, 250000};
+  for (int extra = 0; extra < 20; ++extra)
+    sizes.push_back(3 + rng.next_below(5000));
+  std::size_t cuts = 0, tied = 0;
+  for (const std::size_t n : sizes) {
+    for (const std::uint64_t levels : {0, 5}) {
+      const DiscreteDistribution d =
+          random_support(rng, n, levels == 0 ? 1000 : 3, levels);
+      const std::size_t random_budget = 2 + rng.next_below(n - 2);
+      for (const std::size_t max_points :
+           {std::size_t{2}, std::size_t{2048}, n - 1, random_budget}) {
+        if (max_points >= n) continue;
+        ++cuts;
+        if (expect_reference_coalesce(d, max_points)) ++tied;
+      }
+    }
+  }
+  // Both paths ran: a clean cut and a cut through tied merges.
+  EXPECT_GT(tied, 0u);
+  EXPECT_LT(tied, cuts);
+}
+
+TEST(Distribution, CoalesceSelectionKeepsSortTieOrderWhenAllCostsTie) {
+  // Uniform probabilities on an evenly spaced support: every merge costs
+  // the same, so every cut splits a tie. libstdc++ insertion-sorts ranges
+  // of 16 or fewer, which keeps ties in index order; from 17 merges (18
+  // atoms) on its introsort partitions reorder them, and the lowest-index
+  // rule gives different bytes.
+  for (const std::size_t n : {17, 18, 19, 31, 64, 257, 1000, 4099}) {
+    std::vector<ProbabilityAtom> atoms;
+    for (std::size_t i = 0; i < n; ++i)
+      atoms.push_back(
+          {static_cast<Cycles>(10 * i), 1.0 / static_cast<double>(n)});
+    const auto d = DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+    std::size_t index_order_differs = 0;
+    for (const std::size_t max_points :
+         {std::size_t{2}, std::size_t{3}, n / 2, n - 2, n - 1}) {
+      ASSERT_TRUE(expect_reference_coalesce(d, max_points));
+      if (reference_coalesce_up(d, max_points) !=
+          reference_coalesce_up(d, max_points, /*stable_ties=*/true))
+        ++index_order_differs;
+    }
+    if (n - 1 > 16) {
+      EXPECT_GT(index_order_differs, 0u) << "n = " << n;
+    }
+  }
+}
+
+TEST(Distribution, CoalesceSelectionKeepsSortTieOrderAcrossTheCut) {
+  // Unit gaps make each merge cost its atom's probability. Merges fall in
+  // three classes at random positions — cheaper than t, exactly t, dearer
+  // than t — and the cut lands strictly inside the tied class. The masses
+  // are left unnormalized: the selection never reads the total.
+  Rng rng(0x71ec07);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 20 + rng.next_below(3000);
+    constexpr double t = 0.25;
+    std::vector<ProbabilityAtom> atoms;
+    std::size_t below = 0, at = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double p = t;  // the top atom enters no merge cost
+      if (i + 1 < n) {
+        switch (rng.next_below(3)) {
+          case 0:
+            p = t * (0.1 + 0.8 * rng.next_double());
+            ++below;
+            break;
+          case 1:
+            ++at;
+            break;
+          default:
+            p = t * (1.2 + rng.next_double());
+        }
+      }
+      atoms.push_back({static_cast<Cycles>(i), p});
+    }
+    if (at < 2) continue;
+    const auto d = DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+    const std::size_t to_remove = below + 1 + rng.next_below(at - 1);
+    ASSERT_TRUE(expect_reference_coalesce(d, n - to_remove));
+  }
+}
+
+TEST(Distribution, CoalesceSelectionOnNearDenormalCosts) {
+  // Tiny probabilities whose costs collapse onto equal values: denormal
+  // multiples k * denorm_min times gaps g give exactly k * g * denorm_min,
+  // so (2, 3), (3, 2) and (6, 1) cost the same; just above DBL_MIN,
+  // neighbouring probabilities times a gap round onto one double. A
+  // probability-1 top atom keeps the total mass at 1.
+  Rng rng(0xde40);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double normal_min = std::numeric_limits<double>::min();
+  std::size_t tied = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 17 + rng.next_below(2000);
+    std::vector<ProbabilityAtom> atoms;
+    Cycles value = 0;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const double k = static_cast<double>(1 + rng.next_below(12));
+      const double p = trial % 2 == 0
+                           ? k * denorm
+                           : normal_min * (1.0 + k * 0x1p-52);
+      atoms.push_back({value, p});
+      value += 1 + static_cast<Cycles>(rng.next_below(6));
+    }
+    atoms.push_back({value, 1.0});
+    const auto d = DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+    for (const std::size_t max_points :
+         {std::size_t{2}, n / 2, 2 + rng.next_below(n - 2)})
+      if (expect_reference_coalesce(d, max_points)) ++tied;
+  }
+  EXPECT_GT(tied, 0u);
+}
+
+/// One domain's penalty distribution rebuilt from its FMM: per cache set,
+/// atoms ceil(misses) * miss_penalty with probabilities pwf[f], combined
+/// by the pairwise tree (paper Fig. 1.b).
+DiscreteDistribution domain_penalty(const PwcetPipeline& pipeline,
+                                    std::size_t domain,
+                                    const FaultModel& faults,
+                                    Mechanism mechanism) {
+  const FaultMissMap& fmm = pipeline.fmm(domain).of(mechanism);
+  const Cycles miss_penalty = pipeline.domain(domain).config().miss_penalty;
+  const std::vector<Probability> pwf =
+      pipeline.domain(domain).pwf(faults, mechanism);
+  std::vector<DiscreteDistribution> per_set;
+  for (const std::vector<double>& row : fmm.misses) {
+    std::vector<ProbabilityAtom> atoms;
+    for (std::size_t f = 0; f < pwf.size(); ++f)
+      atoms.push_back({static_cast<Cycles>(std::ceil(row[f] - 1e-6) *
+                                           static_cast<double>(miss_penalty)),
+                       pwf[f]});
+    per_set.push_back(DiscreteDistribution::from_atoms(std::move(atoms)));
+  }
+  return convolve_all_tree(per_set, 2048);
+}
+
+TEST(Distribution, CoalesceSelectionOnACrossDomainFold) {
+  // Real fold inputs: crc on a 16x4x16 icache, an 8x4x16 dcache and a
+  // 64x4x32 L2 (miss penalty 80) at pfail 1e-4, as in campaignbench's
+  // multi_domain workload. Folding the rebuilt domain penalties through
+  // the reference reproduces the pipeline's own answer, so these are the
+  // inputs its cross-domain fold coalesces.
+  auto geometry = [](std::uint32_t sets, std::uint32_t ways,
+                     std::uint32_t line_bytes) {
+    CacheConfig config;
+    config.sets = sets;
+    config.ways = ways;
+    config.line_bytes = line_bytes;
+    return config;
+  };
+  CacheConfig l2 = geometry(64, 4, 32);
+  l2.hit_latency = 0;
+  l2.miss_penalty = 80;
+  const Program program = workloads::build("crc");
+  PwcetOptions options;
+  options.engine = WcetEngine::kTree;
+  const PwcetPipeline pipeline(
+      program,
+      {std::make_shared<const IcacheDomain>(geometry(16, 4, 16)),
+       std::make_shared<const DcacheDomain>(geometry(8, 4, 16)),
+       std::make_shared<const L2Domain>(l2)},
+      options);
+  const FaultModel faults(1e-4);
+  std::size_t largest = 0;
+  for (const Mechanism mechanism :
+       {Mechanism::kNone, Mechanism::kReliableWay,
+        Mechanism::kSharedReliableBuffer}) {
+    DiscreteDistribution penalty =
+        domain_penalty(pipeline, 0, faults, mechanism);
+    for (std::size_t i = 1; i < pipeline.domain_count(); ++i) {
+      const DiscreteDistribution input =
+          penalty.convolve(domain_penalty(pipeline, i, faults, mechanism));
+      largest = std::max(largest, input.size());
+      penalty = reference_coalesce_up(input, 2048);
+      ASSERT_EQ(input.coalesce_up(2048), penalty);
+    }
+    EXPECT_EQ(penalty, pipeline.analyze(faults, mechanism).penalty);
+  }
+  EXPECT_GT(largest, 50000u);
 }
 
 }  // namespace
