@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <tuple>
+#include <utility>
 
+#include "engine/names.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "workloads/malardalen.hpp"
@@ -34,9 +37,63 @@ bool contains(const std::vector<AnalysisKind>& kinds, AnalysisKind kind) {
   return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
 }
 
-bool within_size_bounds(const CacheConfig& g) {
-  return g.ways <= kMaxGeometryWays &&
-         std::uint64_t{g.sets} * g.ways <= kMaxGeometryLines;
+std::string indexed(const char* key, std::size_t i) {
+  return std::string(key) + "[" + std::to_string(i) + "]";
+}
+
+std::optional<SpecViolation> violation(std::string path,
+                                       std::string message) {
+  return SpecViolation{std::move(path), std::move(message)};
+}
+
+std::string multiple_of_instruction(const char* field) {
+  return std::string(field) + " must be a positive multiple of " +
+         std::to_string(kInstructionBytes) + " (the instruction size)";
+}
+
+/// Rules of the cache geometry at `key`[i] (geometries, dcaches, l2s).
+std::optional<SpecViolation> check_geometry(const CacheConfig& g,
+                                            const char* key, std::size_t i) {
+  const auto at = [&](const char* field, std::string message) {
+    return violation(indexed(key, i) + "." + field, std::move(message));
+  };
+  if (g.sets == 0) return at("sets", "sets must be positive");
+  if (g.ways == 0) return at("ways", "ways must be positive");
+  if (g.ways > kMaxGeometryWays)
+    return at("ways",
+              "ways must be at most " + std::to_string(kMaxGeometryWays));
+  if (std::uint64_t{g.sets} * g.ways > kMaxGeometryLines)
+    return at("sets", "sets x ways must be at most " +
+                          std::to_string(kMaxGeometryLines) + " lines");
+  if (g.line_bytes == 0 || g.line_bytes % kInstructionBytes != 0)
+    return at("line_bytes", multiple_of_instruction("line_bytes"));
+  if (g.hit_latency < 0)
+    return at("hit_latency", "hit_latency must be non-negative");
+  if (g.miss_penalty < 0)
+    return at("miss_penalty", "miss_penalty must be non-negative");
+  return std::nullopt;
+}
+
+std::optional<SpecViolation> check_tlb(const TlbAxis& t, std::size_t i) {
+  const auto at = [i](const char* field, std::string message) {
+    return violation(indexed("tlbs", i) + "." + field, std::move(message));
+  };
+  if (t.ways == 0) return at("ways", "ways must be positive");
+  if (t.ways > kMaxGeometryWays)
+    return at("ways",
+              "ways must be at most " + std::to_string(kMaxGeometryWays));
+  if (t.entries > kMaxGeometryLines)
+    return at("entries",
+              "entries must be at most " + std::to_string(kMaxGeometryLines));
+  if (t.entries == 0 || t.entries % t.ways != 0)
+    return at("entries",
+              "entries must be a positive multiple of ways (the TLB is "
+              "modeled as entries/ways sets of `ways` translations)");
+  if (t.page_bytes == 0 || t.page_bytes % kInstructionBytes != 0)
+    return at("page_bytes", multiple_of_instruction("page_bytes"));
+  if (t.miss_penalty < 0)
+    return at("miss_penalty", "miss_penalty must be non-negative");
+  return std::nullopt;
 }
 
 }  // namespace
@@ -55,77 +112,129 @@ Mechanism CampaignJob::resolved_dmech() const {
   return mechanism;
 }
 
-void CampaignSpec::validate() const {
-  PWCET_EXPECTS(!tasks.empty());
-  PWCET_EXPECTS(!geometries.empty());
-  PWCET_EXPECTS(!pfails.empty());
-  PWCET_EXPECTS(!mechanisms.empty());
-  PWCET_EXPECTS(!engines.empty());
-  PWCET_EXPECTS(!kinds.empty());
-  PWCET_EXPECTS(!dcaches.empty());
-  PWCET_EXPECTS(!dcache_mechanisms.empty());
-  PWCET_EXPECTS(!sample_counts.empty());
-  PWCET_EXPECTS(target_exceedance > 0.0 && target_exceedance <= 1.0);
-  PWCET_EXPECTS(max_distribution_points >= 2);
-  for (const CacheConfig& g : geometries) {
-    g.validate();
-    PWCET_EXPECTS(within_size_bounds(g));
+std::optional<SpecViolation> CampaignSpec::validate() const {
+  const std::pair<bool, const char*> axes[] = {
+      {tasks.empty(), "tasks"}, {geometries.empty(), "geometries"},
+      {pfails.empty(), "pfails"}, {mechanisms.empty(), "mechanisms"},
+      {engines.empty(), "engines"}, {kinds.empty(), "kinds"},
+      {dcaches.empty(), "dcaches"}, {tlbs.empty(), "tlbs"},
+      {l2s.empty(), "l2s"}, {dcache_mechanisms.empty(), "dcache_mechanisms"},
+      {sample_counts.empty(), "sample_counts"}};
+  for (const auto& [empty, key] : axes)
+    if (empty)
+      return violation(key, std::string("\"") + key + "\" must not be empty");
+
+  const std::vector<std::string> known = workloads::all_names();
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (std::find(known.begin(), known.end(), tasks[i]) != known.end())
+      continue;
+    std::string message = "unknown task \"" + tasks[i] + "\"";
+    const std::string hint = closest_match(tasks[i], known);
+    if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
+    message += " (`pwcet list` prints the built-in tasks)";
+    return violation(indexed("tasks", i), std::move(message));
   }
-  for (const Probability p : pfails) PWCET_EXPECTS(p >= 0.0 && p <= 1.0);
-  for (const Probability p : ccdf_exceedances)
-    PWCET_EXPECTS(p > 0.0 && p <= 1.0);
-  PWCET_EXPECTS(!tlbs.empty());
-  PWCET_EXPECTS(!l2s.empty());
-  bool any_dcache = false;
-  for (const DcacheAxis& d : dcaches) {
-    if (d.enabled) {
-      d.geometry.validate();
-      PWCET_EXPECTS(within_size_bounds(d.geometry));
-      PWCET_EXPECTS(d.writeback_penalty >= 0);
-    }
-    any_dcache |= d.enabled;
+  for (std::size_t i = 0; i < geometries.size(); ++i)
+    if (auto v = check_geometry(geometries[i], "geometries", i)) return v;
+  for (std::size_t i = 0; i < pfails.size(); ++i)
+    if (!(pfails[i] >= 0.0 && pfails[i] <= 1.0))
+      return violation(indexed("pfails", i),
+                       "cell failure probability must be in [0, 1]");
+  for (std::size_t i = 0; i < dcaches.size(); ++i) {
+    if (!dcaches[i].enabled) continue;
+    if (auto v = check_geometry(dcaches[i].geometry, "dcaches", i)) return v;
+    if (dcaches[i].writeback_penalty < 0)
+      return violation(indexed("dcaches", i) + ".writeback_penalty",
+                       "writeback_penalty must be non-negative");
   }
-  bool any_tlb = false;
-  for (const TlbAxis& t : tlbs) {
-    if (t.enabled) {
-      PWCET_EXPECTS(t.entries > 0 && t.ways > 0);
-      PWCET_EXPECTS(t.entries % t.ways == 0);
-      t.geometry().validate();
-      PWCET_EXPECTS(within_size_bounds(t.geometry()));
-    }
-    any_tlb |= t.enabled;
+  for (std::size_t i = 0; i < tlbs.size(); ++i)
+    if (tlbs[i].enabled)
+      if (auto v = check_tlb(tlbs[i], i)) return v;
+  for (std::size_t i = 0; i < l2s.size(); ++i)
+    if (l2s[i].enabled)
+      if (auto v = check_geometry(l2s[i].geometry, "l2s", i)) return v;
+
+  if (!(target_exceedance > 0.0 && target_exceedance <= 1.0))
+    return violation("target_exceedance",
+                     "target_exceedance must be in (0, 1]");
+  for (std::size_t i = 0; i < ccdf_exceedances.size(); ++i)
+    if (!(ccdf_exceedances[i] > 0.0 && ccdf_exceedances[i] <= 1.0))
+      return violation(indexed("ccdf_exceedances", i),
+                       "exceedance probability must be in (0, 1]");
+  if (max_distribution_points < 2)
+    return violation("max_distribution_points",
+                     "max_distribution_points must be at least 2");
+  if (mbpta.chips == 0)
+    return violation("mbpta.chips", "mbpta.chips must be positive");
+  if (mbpta.block_size == 0)
+    return violation("mbpta.block_size", "mbpta.block_size must be positive");
+  if (simulation_chips == 0)
+    return violation("simulation_chips", "simulation_chips must be positive");
+
+  if (contains(kinds, AnalysisKind::kMbpta)) {
+    // Division form: 2 * block_size wraps for huge block sizes.
+    if (mbpta.block_size > mbpta.chips / 2)
+      return violation("mbpta.chips",
+                       "mbpta.chips must be at least 2 * mbpta.block_size "
+                       "when \"kinds\" includes \"mbpta\"");
+    for (std::size_t i = 0; i < sample_counts.size(); ++i)
+      if (sample_counts[i] != 0 && mbpta.block_size > sample_counts[i] / 2)
+        return violation(indexed("sample_counts", i),
+                         "sample_counts entries must be at least 2 * "
+                         "mbpta.block_size (or 0 for the default) when "
+                         "\"kinds\" includes \"mbpta\"");
+    // The Gumbel quantile is defined for exceedances strictly below 1.
+    if (target_exceedance >= 1.0)
+      return violation("target_exceedance",
+                       "target_exceedance must be below 1 when \"kinds\" "
+                       "includes \"mbpta\"");
+    for (std::size_t i = 0; i < ccdf_exceedances.size(); ++i)
+      if (ccdf_exceedances[i] >= 1.0)
+        return violation(indexed("ccdf_exceedances", i),
+                         "ccdf_exceedances entries must be below 1 when "
+                         "\"kinds\" includes \"mbpta\"");
   }
-  bool any_l2 = false;
-  for (const L2Axis& l : l2s) {
-    if (l.enabled) {
-      l.geometry.validate();
-      PWCET_EXPECTS(within_size_bounds(l.geometry));
-    }
-    any_l2 |= l.enabled;
-  }
-  for (const AnalysisKind kind : kinds) {
-    if (kind == AnalysisKind::kMbpta) {
-      // Division form: 2 * block_size wraps for huge block sizes.
-      PWCET_EXPECTS(mbpta.block_size <= mbpta.chips / 2);
-      for (const std::size_t n : sample_counts)
-        PWCET_EXPECTS(n == 0 || mbpta.block_size <= n / 2);
-      // The Gumbel quantile is defined for exceedances strictly below 1.
-      PWCET_EXPECTS(target_exceedance < 1.0);
-      for (const Probability p : ccdf_exceedances) PWCET_EXPECTS(p < 1.0);
-    }
-    if (kind == AnalysisKind::kSimulation)
-      PWCET_EXPECTS(simulation_chips > 0);
-    // The MBPTA protocol, the fault-injection simulator and the slack
-    // oracle model the instruction cache only; combined multi-domain
-    // analyses (D-cache, TLB, shared L2) exist only for the SPTA
-    // pipeline (analysis/pipeline.hpp).
-    if (kind != AnalysisKind::kSpta)
-      PWCET_EXPECTS(!any_dcache && !any_tlb && !any_l2);
-  }
+  // The MBPTA protocol, the fault-injection simulator and the slack oracle
+  // model the instruction cache only; combined multi-domain analyses
+  // (D-cache, TLB, shared L2) exist only for the SPTA pipeline
+  // (analysis/pipeline.hpp).
+  const auto enabled = [](const auto& axis) {
+    return std::any_of(axis.begin(), axis.end(),
+                       [](const auto& entry) { return entry.enabled; });
+  };
+  const std::tuple<bool, const char*, const char*> domains[] = {
+      {enabled(dcaches), "dcaches", "a data cache"},
+      {enabled(tlbs), "tlbs", "a TLB"},
+      {enabled(l2s), "l2s", "a shared L2"}};
+  for (const auto& [on, key, domain] : domains)
+    for (const AnalysisKind kind : kinds)
+      if (on && kind != AnalysisKind::kSpta)
+        return violation(key, "kind \"" + analysis_kind_name(kind) +
+                                  "\" does not support " + domain + "; \"" +
+                                  key + "\" entries other than null need "
+                                  "kinds = [\"spta\"]");
+  // Conservatism is measured against a reliability mechanism's static
+  // bound; the unprotected cache has no such bound to compare.
   if (contains(kinds, AnalysisKind::kSlack))
-    // Conservatism is measured against a reliability mechanism's static
-    // bound; the unprotected cache has no such bound to compare.
-    for (const Mechanism m : mechanisms) PWCET_EXPECTS(m != Mechanism::kNone);
+    for (std::size_t i = 0; i < mechanisms.size(); ++i)
+      if (mechanisms[i] == Mechanism::kNone)
+        return violation(indexed("mechanisms", i),
+                         "kind \"slack\" measures a reliability mechanism's "
+                         "conservatism; \"mechanisms\" must contain only "
+                         "\"SRB\" / \"RW\"");
+
+  const auto too_large = [](std::string path, const char* what) {
+    return violation(std::move(path), std::string(what) + " must be at most " +
+                                          std::to_string(kMaxPopulation));
+  };
+  if (simulation_chips > kMaxPopulation)
+    return too_large("simulation_chips", "simulation_chips");
+  if (mbpta.chips > kMaxPopulation)
+    return too_large("mbpta.chips", "mbpta.chips");
+  for (std::size_t i = 0; i < sample_counts.size(); ++i)
+    if (sample_counts[i] > kMaxPopulation)
+      return too_large(indexed("sample_counts", i), "sample_counts entries");
+  return std::nullopt;
 }
 
 std::string CampaignJob::id() const {
@@ -209,7 +318,12 @@ std::uint64_t campaign_job_seed(const CampaignSpec& spec,
 }
 
 std::vector<CampaignJob> expand_campaign(const CampaignSpec& spec) {
-  spec.validate();
+  if (const std::optional<SpecViolation> v = spec.validate()) {
+    const std::string what =
+        "CampaignSpec field \"" + v->path + "\": " + v->message;
+    detail::contract_failure("precondition", what.c_str(), __FILE__,
+                             __LINE__);
+  }
   std::vector<CampaignJob> jobs;
   jobs.reserve(spec.job_count());
   for (std::size_t t = 0; t < spec.tasks.size(); ++t)

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,10 +118,25 @@ struct L2Axis {
 inline constexpr std::uint32_t kMaxGeometryWays = 256;
 inline constexpr std::uint64_t kMaxGeometryLines = 65536;
 
-/// One axis-per-member cartesian sweep. Empty required axes are rejected
-/// by validate(); `engines`, `kinds`, `dcaches`, `dcache_mechanisms` and
-/// `sample_counts` default to the common case (one-entry axes that leave
-/// the job count unchanged).
+/// Largest chip population a campaign accepts (`simulation_chips`,
+/// `mbpta.chips`, every `sample_counts` entry). MBPTA and simulation jobs
+/// simulate every chip and keep one time per chip; the defaults are 400
+/// (MBPTA) and 1,000 (simulation) chips.
+inline constexpr std::size_t kMaxPopulation = std::size_t{1} << 20;
+
+/// The first rule a CampaignSpec breaks: the offending field as a spec-file
+/// path ("geometries[0].sets", "tlbs[1].entries", "mbpta.chips",
+/// "sample_counts[1]", "dcaches" for a rule on a whole axis) and the
+/// diagnostic the spec reader prints for it.
+struct SpecViolation {
+  std::string path;
+  std::string message;
+};
+
+/// One axis-per-member cartesian sweep. Empty axes are rejected by
+/// validate(); `engines`, `kinds`, `dcaches`, `tlbs`, `l2s`,
+/// `dcache_mechanisms` and `sample_counts` default to the common case
+/// (one-entry axes that leave the job count unchanged).
 struct CampaignSpec {
   std::vector<std::string> tasks;        ///< workload names
   std::vector<CacheConfig> geometries;   ///< (instruction-)cache configs
@@ -159,7 +175,17 @@ struct CampaignSpec {
            dcache_mechanisms.size() * sample_counts.size();
   }
 
-  void validate() const;
+  /// The first rule the spec breaks, or nullopt when it can run. This is
+  /// the only copy of the value rules: spec files reach it through the
+  /// reader (engine/spec_io.hpp), programmatic specs through
+  /// expand_campaign. Rules are checked in a fixed order: every axis is
+  /// non-empty; the axis entries in member order (known task names,
+  /// geometry and TLB sizes, probabilities); the scalars (exceedances,
+  /// coalescing cap, positive populations); the cross-field rules (MBPTA
+  /// block bounds and exceedances below 1, SPTA-only data cache / TLB /
+  /// L2, slack mechanisms); and the kMaxPopulation bound last. Never
+  /// aborts; messages are built only for the failing rule.
+  [[nodiscard]] std::optional<SpecViolation> validate() const;
 };
 
 /// One cell of the expanded grid: resolved axis values plus the axis
@@ -204,7 +230,8 @@ std::uint64_t campaign_job_seed(const CampaignSpec& spec,
 
 /// Unrolls the sweep in fixed row-major order: tasks outermost, then
 /// geometries, pfails, mechanisms, engines, kinds, dcaches, tlbs, l2s,
-/// dcache_mechanisms, sample_counts innermost.
+/// dcache_mechanisms, sample_counts innermost. Aborts, naming the field
+/// and the rule, on a spec that validate() rejects.
 std::vector<CampaignJob> expand_campaign(const CampaignSpec& spec);
 
 /// Index of a cell in expansion order (inverse of the job's axis indices).

@@ -1,6 +1,42 @@
 #include "engine/names.hpp"
 
+#include <algorithm>
+
 namespace pwcet {
+namespace {
+
+/// Levenshtein distance; inputs are tiny, the quadratic DP is fine.
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = up;
+    }
+  }
+  return row[b.size()];
+}
+
+}  // namespace
+
+std::string closest_match(const std::string& word,
+                          const std::vector<std::string>& candidates) {
+  std::string best;
+  std::size_t best_distance = std::max<std::size_t>(2, word.size() / 3) + 1;
+  for (const std::string& candidate : candidates) {
+    const std::size_t d = edit_distance(word, candidate);
+    if (d < best_distance) {
+      best_distance = d;
+      best = candidate;
+    }
+  }
+  return best;
+}
 
 const std::vector<AxisName<Mechanism>>& mechanism_names() {
   static const std::vector<AxisName<Mechanism>> kNames = {

@@ -45,6 +45,11 @@ struct DomainListing {
 /// The shipped CacheDomain plugins, in pipeline composition order.
 const std::vector<DomainListing>& cache_domain_listings();
 
+/// The candidate closest to `word` by edit distance, for a "did you mean"
+/// hint on a misspelt key or name; "" when none is close enough.
+std::string closest_match(const std::string& word,
+                          const std::vector<std::string>& candidates);
+
 /// (name, value) pairs in registry order — the shape the spec loader's
 /// enum parser consumes.
 template <typename Enum>

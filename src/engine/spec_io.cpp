@@ -7,17 +7,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "cfg/basic_block.hpp"
 #include "engine/names.hpp"
 #include "support/json.hpp"
 #include "support/json_doc.hpp"
-#include "workloads/malardalen.hpp"
 
 namespace pwcet {
 namespace {
@@ -45,36 +44,31 @@ namespace {
 // Schema mapping: Json document -> SpecDocument, with field-path context.
 // ---------------------------------------------------------------------------
 
-/// Levenshtein distance, used only for "did you mean" hints on unknown
-/// keys/values — inputs are tiny, the quadratic DP is fine.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diagonal = up;
+/// Line of the deepest node of `root` that a SpecViolation path
+/// ("geometries[0].sets", "mbpta.chips", "dcaches") reaches: a rule on a
+/// key the file leaves at its default points at the enclosing object.
+int line_of(const Json& root, const std::string& path) {
+  const Json* node = &root;
+  for (std::size_t at = 0; at < path.size();) {
+    const Json* next = nullptr;
+    if (path[at] == '[') {
+      char* close = nullptr;
+      const std::size_t index =
+          std::strtoull(path.c_str() + at + 1, &close, 10);
+      if (node->type == Json::Type::kArray && index < node->array.size())
+        next = &node->array[index];
+      at = static_cast<std::size_t>(close - path.c_str()) + 1;  // past ']'
+    } else {
+      if (path[at] == '.') ++at;
+      const std::size_t end =
+          std::min(path.find_first_of(".[", at), path.size());
+      next = node->find(path.substr(at, end - at));
+      at = end;
     }
+    if (next == nullptr) break;
+    node = next;
   }
-  return row[b.size()];
-}
-
-std::string closest_match(const std::string& word,
-                          const std::vector<std::string>& candidates) {
-  std::string best;
-  std::size_t best_distance = std::max<std::size_t>(2, word.size() / 3) + 1;
-  for (const std::string& candidate : candidates) {
-    const std::size_t d = edit_distance(word, candidate);
-    if (d < best_distance) {
-      best_distance = d;
-      best = candidate;
-    }
-  }
-  return best;
+  return node->line;
 }
 
 std::string lowercase(std::string s) {
@@ -143,20 +137,32 @@ class SpecReader {
       } else if (key == "view") {
         view = &value;
       } else if (key == "tasks") {
-        spec.tasks = read_tasks(value);
+        spec.tasks = read_list<std::string>(
+            value, key, "an array of task names",
+            std::bind_front(&SpecReader::as_string, this));
         saw_tasks = true;
       } else if (key == "geometries") {
-        spec.geometries = read_geometries(value);
+        spec.geometries = read_list<CacheConfig>(
+            value, key, "an array of geometry objects",
+            std::bind_front(&SpecReader::read_geometry, this));
         saw_geometries = true;
       } else if (key == "pfails") {
-        spec.pfails = read_pfails(value);
+        spec.pfails = read_list<Probability>(
+            value, key, "an array of probabilities",
+            std::bind_front(&SpecReader::as_number, this));
         saw_pfails = true;
       } else if (key == "dcaches") {
-        spec.dcaches = read_dcaches(value);
+        spec.dcaches = read_list<DcacheAxis>(
+            value, key, "an array of null (off) or geometry objects",
+            std::bind_front(&SpecReader::read_dcache, this));
       } else if (key == "tlbs") {
-        spec.tlbs = read_tlbs(value);
+        spec.tlbs = read_list<TlbAxis>(
+            value, key, "an array of null (off) or TLB objects",
+            std::bind_front(&SpecReader::read_tlb, this));
       } else if (key == "l2s") {
-        spec.l2s = read_l2s(value);
+        spec.l2s = read_list<L2Axis>(
+            value, key, "an array of null (off) or geometry objects",
+            std::bind_front(&SpecReader::read_l2, this));
       } else if (key == "mechanisms") {
         // All enum axes parse against the axis-name registry
         // (engine/names.hpp), the same tables the reports and `pwcet
@@ -176,26 +182,22 @@ class SpecReader {
             value, key, axis_name_table(analysis_kind_names()),
             "analysis kind");
       } else if (key == "sample_counts") {
-        spec.sample_counts = read_sample_counts(value);
+        spec.sample_counts = read_list<std::size_t>(
+            value, key, "an array of sample counts",
+            std::bind_front(&SpecReader::as_u64, this));
       } else if (key == "ccdf_exceedances") {
-        spec.ccdf_exceedances = read_ccdf_exceedances(value);
+        spec.ccdf_exceedances = read_list<Probability>(
+            value, key, "an array of exceedance probabilities",
+            std::bind_front(&SpecReader::as_number, this));
       } else if (key == "target_exceedance") {
         spec.target_exceedance = as_number(value, key);
-        if (!(spec.target_exceedance > 0.0 && spec.target_exceedance <= 1.0))
-          fail(source_, value.line,
-               "target_exceedance must be in (0, 1]", key);
       } else if (key == "max_distribution_points") {
         spec.max_distribution_points =
             static_cast<std::size_t>(as_u64(value, key));
-        if (spec.max_distribution_points < 2)
-          fail(source_, value.line,
-               "max_distribution_points must be at least 2", key);
       } else if (key == "mbpta") {
         read_mbpta(value, spec.mbpta);
       } else if (key == "simulation_chips") {
         spec.simulation_chips = static_cast<std::size_t>(as_u64(value, key));
-        if (spec.simulation_chips == 0)
-          fail(source_, value.line, "simulation_chips must be positive", key);
       } else if (key == "base_seed") {
         spec.base_seed = as_u64(value, key);
       } else {
@@ -217,77 +219,10 @@ class SpecReader {
       fail(source_, root.line, "missing required key \"mechanisms\"",
            "mechanisms");
 
-    // Cross-field constraints mirrored from CampaignSpec::validate(),
-    // which would otherwise abort instead of reporting.
-    const auto wants = [&spec](AnalysisKind kind) {
-      return std::find(spec.kinds.begin(), spec.kinds.end(), kind) !=
-             spec.kinds.end();
-    };
-    if (wants(AnalysisKind::kMbpta)) {
-      // Division form: 2 * block_size wraps for huge block sizes.
-      if (spec.mbpta.block_size > spec.mbpta.chips / 2)
-        fail(source_, root.line,
-             "mbpta.chips must be at least 2 * mbpta.block_size when "
-             "\"kinds\" includes \"mbpta\"",
-             "mbpta.chips");
-      for (std::size_t i = 0; i < spec.sample_counts.size(); ++i)
-        if (spec.sample_counts[i] != 0 &&
-            spec.mbpta.block_size > spec.sample_counts[i] / 2)
-          fail(source_, root.line,
-               "sample_counts entries must be at least 2 * mbpta.block_size "
-               "(or 0 for the default) when \"kinds\" includes \"mbpta\"",
-               "sample_counts[" + std::to_string(i) + "]");
-      // The Gumbel quantile is defined for exceedances strictly below 1.
-      if (spec.target_exceedance >= 1.0)
-        fail(source_, root.line,
-             "target_exceedance must be below 1 when \"kinds\" includes "
-             "\"mbpta\"",
-             "target_exceedance");
-      for (std::size_t i = 0; i < spec.ccdf_exceedances.size(); ++i)
-        if (spec.ccdf_exceedances[i] >= 1.0)
-          fail(source_, root.line,
-               "ccdf_exceedances entries must be below 1 when \"kinds\" "
-               "includes \"mbpta\"",
-               "ccdf_exceedances[" + std::to_string(i) + "]");
-    }
-    bool any_dcache = false;
-    for (const DcacheAxis& d : spec.dcaches) any_dcache |= d.enabled;
-    if (any_dcache)
-      for (const AnalysisKind kind : spec.kinds)
-        if (kind != AnalysisKind::kSpta)
-          fail(source_, root.line,
-               "kind \"" + analysis_kind_name(kind) +
-                   "\" does not support a data cache; \"dcaches\" entries "
-                   "other than null need kinds = [\"spta\"]",
-               "dcaches");
-    bool any_tlb = false;
-    for (const TlbAxis& t : spec.tlbs) any_tlb |= t.enabled;
-    if (any_tlb)
-      for (const AnalysisKind kind : spec.kinds)
-        if (kind != AnalysisKind::kSpta)
-          fail(source_, root.line,
-               "kind \"" + analysis_kind_name(kind) +
-                   "\" does not support a TLB; \"tlbs\" entries other than "
-                   "null need kinds = [\"spta\"]",
-               "tlbs");
-    bool any_l2 = false;
-    for (const L2Axis& l : spec.l2s) any_l2 |= l.enabled;
-    if (any_l2)
-      for (const AnalysisKind kind : spec.kinds)
-        if (kind != AnalysisKind::kSpta)
-          fail(source_, root.line,
-               "kind \"" + analysis_kind_name(kind) +
-                   "\" does not support a shared L2; \"l2s\" entries other "
-                   "than null need kinds = [\"spta\"]",
-               "l2s");
-    if (wants(AnalysisKind::kSlack))
-      for (std::size_t i = 0; i < spec.mechanisms.size(); ++i)
-        if (spec.mechanisms[i] == Mechanism::kNone)
-          fail(source_, root.line,
-               "kind \"slack\" measures a reliability mechanism's "
-               "conservatism; \"mechanisms\" must contain only \"SRB\" / "
-               "\"RW\"",
-               "mechanisms[" + std::to_string(i) + "]");
+    // Every rule on a value is CampaignSpec::validate()'s; the reader adds
+    // only the line its field path reaches in this document.
+    if (const std::optional<SpecViolation> v = spec.validate())
+      fail(source_, line_of(root, v->path), v->message, v->path);
 
     if (view != nullptr) doc.view = read_view(*view, spec);
     return doc;
@@ -350,8 +285,7 @@ class SpecReader {
   }
 
   /// Cycle counts are signed 64-bit downstream; values beyond int64 max
-  /// would wrap negative through the cast and trip the abort-style
-  /// contract checks this loader promises to shield.
+  /// would wrap negative through the cast.
   Cycles as_cycles(const Json& value, const std::string& path) {
     const std::uint64_t wide = as_u64(value, path);
     if (wide > static_cast<std::uint64_t>(std::numeric_limits<Cycles>::max()))
@@ -360,40 +294,28 @@ class SpecReader {
     return static_cast<Cycles>(wide);
   }
 
-  std::vector<std::string> read_tasks(const Json& value) {
-    expect_type(value, Json::Type::kArray, "an array of task names", "tasks");
-    if (value.array.empty())
-      fail(source_, value.line, "\"tasks\" must not be empty", "tasks");
-    const std::vector<std::string> known = workloads::all_names();
-    std::vector<std::string> tasks;
-    tasks.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "tasks[" + std::to_string(i) + "]";
-      const std::string task = as_string(value.array[i], path);
-      if (std::find(known.begin(), known.end(), task) == known.end()) {
-        std::string message = "unknown task \"" + task + "\"";
-        const std::string hint = closest_match(task, known);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        message += " (`pwcet list` prints the built-in tasks)";
-        fail(source_, value.array[i].line, message, path);
-      }
-      tasks.push_back(task);
-    }
-    return tasks;
-  }
-
-  std::vector<CacheConfig> read_geometries(const Json& value) {
-    expect_type(value, Json::Type::kArray, "an array of geometry objects",
-                "geometries");
-    if (value.array.empty())
-      fail(source_, value.line, "\"geometries\" must not be empty",
-           "geometries");
-    std::vector<CacheConfig> out;
+  /// An axis array, one `read(entry, "key[i]")` per entry.
+  template <typename T, typename Read>
+  std::vector<T> read_list(const Json& value, const std::string& key,
+                           const std::string& what, Read read) {
+    expect_type(value, Json::Type::kArray, what.c_str(), key);
+    std::vector<T> out;
     out.reserve(value.array.size());
     for (std::size_t i = 0; i < value.array.size(); ++i)
-      out.push_back(read_geometry(value.array[i],
-                                  "geometries[" + std::to_string(i) + "]"));
+      out.push_back(read(value.array[i], key + "[" + std::to_string(i) + "]"));
     return out;
+  }
+
+  /// An entry of an optional-domain axis: false for `null` (the domain is
+  /// off), true for an object; fails on anything else.
+  bool enabled_entry(const Json& entry, const std::string& path,
+                     const char* expected) {
+    if (entry.type == Json::Type::kNull) return false;
+    if (entry.type != Json::Type::kObject)
+      fail(source_, entry.line,
+           std::string("expected ") + expected + ", got " + entry.type_name(),
+           path);
+    return true;
   }
 
   CacheConfig read_geometry(const Json& value, const std::string& path) {
@@ -431,257 +353,110 @@ class SpecReader {
     if (!saw_line_bytes)
       fail(source_, value.line, "geometry is missing \"line_bytes\"",
            path + ".line_bytes");
-    if (config.sets == 0)
-      fail(source_, value.line, "sets must be positive", path + ".sets");
-    if (config.ways == 0)
-      fail(source_, value.line, "ways must be positive", path + ".ways");
-    if (config.ways > kMaxGeometryWays)
-      fail(source_, value.line,
-           "ways must be at most " + std::to_string(kMaxGeometryWays),
-           path + ".ways");
-    if (std::uint64_t{config.sets} * config.ways > kMaxGeometryLines)
-      fail(source_, value.line,
-           "sets x ways must be at most " +
-               std::to_string(kMaxGeometryLines) + " lines",
-           path + ".sets");
-    if (config.line_bytes == 0 || config.line_bytes % kInstructionBytes != 0)
-      fail(source_, value.line,
-           "line_bytes must be a positive multiple of " +
-               std::to_string(kInstructionBytes) + " (the instruction size)",
-           path + ".line_bytes");
     return config;
   }
 
-  /// The data-cache axis: each entry is `null` (data cache off, the
-  /// default analysis) or a geometry object, optionally extended with
+  /// A data-cache axis entry: `null` (data cache off, the default
+  /// analysis) or a geometry object, optionally extended with
   /// `"policy": "write_back"` and a `writeback_penalty` (cycles charged
   /// per dirty eviction; the analysis folds it into the miss penalty —
   /// see analysis/writeback_dcache_domain.hpp for why that is sound).
-  std::vector<DcacheAxis> read_dcaches(const Json& value) {
-    expect_type(value, Json::Type::kArray,
-                "an array of null (off) or geometry objects", "dcaches");
-    if (value.array.empty())
-      fail(source_, value.line, "\"dcaches\" must not be empty", "dcaches");
+  DcacheAxis read_dcache(const Json& entry, const std::string& path) {
     static const std::vector<std::string> kGeometryKeys = {
         "sets", "ways", "line_bytes", "hit_latency", "miss_penalty"};
     static const std::vector<std::string> kKeys = {
         "sets",        "ways",   "line_bytes",        "hit_latency",
         "miss_penalty", "policy", "writeback_penalty"};
-    std::vector<DcacheAxis> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "dcaches[" + std::to_string(i) + "]";
-      const Json& entry = value.array[i];
-      DcacheAxis axis;
-      if (entry.type == Json::Type::kNull) {
-        out.push_back(axis);  // disabled
-        continue;
+    DcacheAxis axis;
+    axis.enabled = enabled_entry(
+        entry, path, "null (data cache off) or a geometry object");
+    if (!axis.enabled) return axis;
+    // Split the entry: the policy fields are handled here, everything
+    // else flows through read_geometry so the geometry diagnostics
+    // (required keys) stay in one place.
+    Json geometry = entry;
+    geometry.object.clear();
+    bool saw_penalty = false;
+    for (const auto& [key, field] : entry.object) {
+      const std::string field_path = path + "." + key;
+      if (key == "policy") {
+        axis.policy = parse_enum(field, field_path,
+                                 axis_name_table(write_policy_names()),
+                                 "write policy");
+      } else if (key == "writeback_penalty") {
+        axis.writeback_penalty = as_cycles(field, field_path);
+        saw_penalty = true;
+      } else if (std::find(kGeometryKeys.begin(), kGeometryKeys.end(), key) !=
+                 kGeometryKeys.end()) {
+        geometry.object.emplace_back(key, field);
+      } else {
+        std::string message = "unknown key \"" + key + "\" in data-cache entry";
+        const std::string hint = closest_match(key, kKeys);
+        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
+        fail(source_, field.line, message, field_path);
       }
-      if (entry.type != Json::Type::kObject)
-        fail(source_, entry.line,
-             std::string("expected null (data cache off) or a geometry "
-                         "object, got ") +
-                 entry.type_name(),
-             path);
-      axis.enabled = true;
-      // Split the entry: the policy fields are handled here, everything
-      // else flows through read_geometry so the geometry diagnostics
-      // (required keys, line_bytes alignment) stay in one place.
-      Json geometry = entry;
-      geometry.object.clear();
-      bool saw_penalty = false;
-      for (const auto& [key, field] : entry.object) {
-        const std::string field_path = path + "." + key;
-        if (key == "policy") {
-          axis.policy = parse_enum(field, field_path,
-                                   axis_name_table(write_policy_names()),
-                                   "write policy");
-        } else if (key == "writeback_penalty") {
-          axis.writeback_penalty = as_cycles(field, field_path);
-          saw_penalty = true;
-        } else if (std::find(kGeometryKeys.begin(), kGeometryKeys.end(),
-                             key) != kGeometryKeys.end()) {
-          geometry.object.emplace_back(key, field);
-        } else {
-          std::string message =
-              "unknown key \"" + key + "\" in data-cache entry";
-          const std::string hint = closest_match(key, kKeys);
-          if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-          fail(source_, field.line, message, field_path);
-        }
-      }
-      axis.geometry = read_geometry(geometry, path);
-      if (saw_penalty && axis.policy != WritePolicy::kWriteBack)
-        fail(source_, entry.line,
-             "\"writeback_penalty\" needs \"policy\": \"write_back\" (a "
-             "write-through data cache never writes lines back)",
-             path + ".writeback_penalty");
-      out.push_back(axis);
     }
-    return out;
+    axis.geometry = read_geometry(geometry, path);
+    if (saw_penalty && axis.policy != WritePolicy::kWriteBack)
+      fail(source_, entry.line,
+           "\"writeback_penalty\" needs \"policy\": \"write_back\" (a "
+           "write-through data cache never writes lines back)",
+           path + ".writeback_penalty");
+    return axis;
   }
 
-  /// The TLB axis: each entry is `null` (TLB off) or an object with
-  /// `entries`, `ways`, `page_bytes` and an optional `miss_penalty`.
-  std::vector<TlbAxis> read_tlbs(const Json& value) {
-    expect_type(value, Json::Type::kArray,
-                "an array of null (off) or TLB objects", "tlbs");
-    if (value.array.empty())
-      fail(source_, value.line, "\"tlbs\" must not be empty", "tlbs");
+  /// A TLB axis entry: `null` (TLB off) or an object with `entries`,
+  /// `ways`, `page_bytes` and an optional `miss_penalty`.
+  TlbAxis read_tlb(const Json& entry, const std::string& path) {
     static const std::vector<std::string> kKeys = {"entries", "ways",
                                                    "page_bytes",
                                                    "miss_penalty"};
-    std::vector<TlbAxis> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "tlbs[" + std::to_string(i) + "]";
-      const Json& entry = value.array[i];
-      TlbAxis axis;
-      if (entry.type == Json::Type::kNull) {
-        out.push_back(axis);  // disabled
-        continue;
+    TlbAxis axis;
+    axis.enabled =
+        enabled_entry(entry, path, "null (TLB off) or a TLB object");
+    if (!axis.enabled) return axis;
+    bool saw_entries = false, saw_ways = false, saw_page_bytes = false;
+    for (const auto& [key, field] : entry.object) {
+      const std::string field_path = path + "." + key;
+      if (key == "entries") {
+        axis.entries = as_u32(field, field_path);
+        saw_entries = true;
+      } else if (key == "ways") {
+        axis.ways = as_u32(field, field_path);
+        saw_ways = true;
+      } else if (key == "page_bytes") {
+        axis.page_bytes = as_u32(field, field_path);
+        saw_page_bytes = true;
+      } else if (key == "miss_penalty") {
+        axis.miss_penalty = as_cycles(field, field_path);
+      } else {
+        std::string message = "unknown key \"" + key + "\" in TLB entry";
+        const std::string hint = closest_match(key, kKeys);
+        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
+        fail(source_, field.line, message, field_path);
       }
-      if (entry.type != Json::Type::kObject)
-        fail(source_, entry.line,
-             std::string("expected null (TLB off) or a TLB object, got ") +
-                 entry.type_name(),
-             path);
-      axis.enabled = true;
-      bool saw_entries = false, saw_ways = false, saw_page_bytes = false;
-      for (const auto& [key, field] : entry.object) {
-        const std::string field_path = path + "." + key;
-        if (key == "entries") {
-          axis.entries = as_u32(field, field_path);
-          saw_entries = true;
-        } else if (key == "ways") {
-          axis.ways = as_u32(field, field_path);
-          saw_ways = true;
-        } else if (key == "page_bytes") {
-          axis.page_bytes = as_u32(field, field_path);
-          saw_page_bytes = true;
-        } else if (key == "miss_penalty") {
-          axis.miss_penalty = as_cycles(field, field_path);
-        } else {
-          std::string message = "unknown key \"" + key + "\" in TLB entry";
-          const std::string hint = closest_match(key, kKeys);
-          if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-          fail(source_, field.line, message, field_path);
-        }
-      }
-      if (!saw_entries)
-        fail(source_, entry.line, "TLB entry is missing \"entries\"",
-             path + ".entries");
-      if (!saw_ways)
-        fail(source_, entry.line, "TLB entry is missing \"ways\"",
-             path + ".ways");
-      if (!saw_page_bytes)
-        fail(source_, entry.line, "TLB entry is missing \"page_bytes\"",
-             path + ".page_bytes");
-      if (axis.ways == 0)
-        fail(source_, entry.line, "ways must be positive", path + ".ways");
-      if (axis.ways > kMaxGeometryWays)
-        fail(source_, entry.line,
-             "ways must be at most " + std::to_string(kMaxGeometryWays),
-             path + ".ways");
-      if (axis.entries > kMaxGeometryLines)
-        fail(source_, entry.line,
-             "entries must be at most " + std::to_string(kMaxGeometryLines),
-             path + ".entries");
-      if (axis.entries == 0 || axis.entries % axis.ways != 0)
-        fail(source_, entry.line,
-             "entries must be a positive multiple of ways (the TLB is "
-             "modeled as entries/ways sets of `ways` translations)",
-             path + ".entries");
-      if (axis.page_bytes == 0 ||
-          axis.page_bytes % kInstructionBytes != 0)
-        fail(source_, entry.line,
-             "page_bytes must be a positive multiple of " +
-                 std::to_string(kInstructionBytes) +
-                 " (the instruction size)",
-             path + ".page_bytes");
-      out.push_back(axis);
     }
-    return out;
+    if (!saw_entries)
+      fail(source_, entry.line, "TLB entry is missing \"entries\"",
+           path + ".entries");
+    if (!saw_ways)
+      fail(source_, entry.line, "TLB entry is missing \"ways\"",
+           path + ".ways");
+    if (!saw_page_bytes)
+      fail(source_, entry.line, "TLB entry is missing \"page_bytes\"",
+           path + ".page_bytes");
+    return axis;
   }
 
-  /// The shared-L2 axis: each entry is `null` (no L2) or a geometry
-  /// object (the L2 is lookup-through; hit_latency/miss_penalty price
-  /// the *incremental* L2 cost per reference).
-  std::vector<L2Axis> read_l2s(const Json& value) {
-    expect_type(value, Json::Type::kArray,
-                "an array of null (off) or geometry objects", "l2s");
-    if (value.array.empty())
-      fail(source_, value.line, "\"l2s\" must not be empty", "l2s");
-    std::vector<L2Axis> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "l2s[" + std::to_string(i) + "]";
-      const Json& entry = value.array[i];
-      L2Axis axis;
-      if (entry.type == Json::Type::kNull) {
-        out.push_back(axis);  // disabled
-        continue;
-      }
-      if (entry.type != Json::Type::kObject)
-        fail(source_, entry.line,
-             std::string("expected null (no shared L2) or a geometry "
-                         "object, got ") +
-                 entry.type_name(),
-             path);
-      axis.enabled = true;
-      axis.geometry = read_geometry(entry, path);
-      out.push_back(axis);
-    }
-    return out;
-  }
-
-  std::vector<std::size_t> read_sample_counts(const Json& value) {
-    expect_type(value, Json::Type::kArray, "an array of sample counts",
-                "sample_counts");
-    if (value.array.empty())
-      fail(source_, value.line, "\"sample_counts\" must not be empty",
-           "sample_counts");
-    std::vector<std::size_t> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "sample_counts[" + std::to_string(i) + "]";
-      out.push_back(static_cast<std::size_t>(as_u64(value.array[i], path)));
-    }
-    return out;
-  }
-
-  std::vector<Probability> read_ccdf_exceedances(const Json& value) {
-    expect_type(value, Json::Type::kArray,
-                "an array of exceedance probabilities", "ccdf_exceedances");
-    std::vector<Probability> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "ccdf_exceedances[" + std::to_string(i) + "]";
-      const double p = as_number(value.array[i], path);
-      if (!(p > 0.0 && p <= 1.0))
-        fail(source_, value.array[i].line,
-             "exceedance probability must be in (0, 1]", path);
-      out.push_back(p);
-    }
-    return out;
-  }
-
-  std::vector<Probability> read_pfails(const Json& value) {
-    expect_type(value, Json::Type::kArray, "an array of probabilities",
-                "pfails");
-    if (value.array.empty())
-      fail(source_, value.line, "\"pfails\" must not be empty", "pfails");
-    std::vector<Probability> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i) {
-      const std::string path = "pfails[" + std::to_string(i) + "]";
-      const double p = as_number(value.array[i], path);
-      if (!(p >= 0.0 && p <= 1.0))
-        fail(source_, value.array[i].line,
-             "cell failure probability must be in [0, 1]", path);
-      out.push_back(p);
-    }
-    return out;
+  /// A shared-L2 axis entry: `null` (no L2) or a geometry object (the L2
+  /// is lookup-through; hit_latency/miss_penalty price the *incremental*
+  /// L2 cost per reference).
+  L2Axis read_l2(const Json& entry, const std::string& path) {
+    L2Axis axis;
+    axis.enabled =
+        enabled_entry(entry, path, "null (no shared L2) or a geometry object");
+    if (axis.enabled) axis.geometry = read_geometry(entry, path);
+    return axis;
   }
 
   /// One enum name, matched case-insensitively against the registry.
@@ -706,17 +481,11 @@ class SpecReader {
       const Json& value, const std::string& key,
       const std::vector<std::pair<std::string, Enum>>& table,
       const char* what) {
-    expect_type(value, Json::Type::kArray,
-                (std::string("an array of ") + what + " names").c_str(), key);
-    if (value.array.empty())
-      fail(source_, value.line, "\"" + key + "\" must not be empty", key);
-    std::vector<Enum> out;
-    out.reserve(value.array.size());
-    for (std::size_t i = 0; i < value.array.size(); ++i)
-      out.push_back(parse_enum(value.array[i],
-                               key + "[" + std::to_string(i) + "]", table,
-                               what));
-    return out;
+    return read_list<Enum>(
+        value, key, std::string("an array of ") + what + " names",
+        [&](const Json& entry, const std::string& path) {
+          return parse_enum(entry, path, table, what);
+        });
   }
 
   void read_mbpta(const Json& value, MbptaOptions& options) {
@@ -727,12 +496,8 @@ class SpecReader {
       const std::string path = "mbpta." + key;
       if (key == "chips") {
         options.chips = static_cast<std::size_t>(as_u64(field, path));
-        if (options.chips == 0)
-          fail(source_, field.line, "mbpta.chips must be positive", path);
       } else if (key == "block_size") {
         options.block_size = static_cast<std::size_t>(as_u64(field, path));
-        if (options.block_size == 0)
-          fail(source_, field.line, "mbpta.block_size must be positive", path);
       } else if (key == "seed") {
         options.seed = as_u64(field, path);
       } else {
@@ -980,12 +745,7 @@ SpecDocument parse_spec(const std::string& text, const std::string& source) {
   } catch (const JsonParseError& e) {
     throw SpecError(e.what());
   }
-  SpecDocument doc = SpecReader(source).read(root);
-  // The reader enforces a superset of validate()'s conditions with real
-  // diagnostics; this call is a belt-and-braces check that the two never
-  // drift (it aborts, so it must be unreachable for parsed specs).
-  doc.spec.validate();
-  return doc;
+  return SpecReader(source).read(root);
 }
 
 SpecDocument load_spec(const std::string& path) {

@@ -3,12 +3,16 @@
 ///
 /// A spec file is one JSON object naming the sweep axes and scalar knobs of
 /// a CampaignSpec (see docs/campaign-spec.md for the full reference). The
-/// loader is strict by design: unknown keys, wrong types, bad enum values,
-/// out-of-range numbers and unknown task names are all rejected with a
-/// SpecError whose message carries the source name, the line and the field
-/// path of the offence — a spec file that loads is guaranteed to pass
-/// CampaignSpec::validate(), so the abort-style contract checks downstream
-/// can never fire on user input.
+/// loader is strict by design, in two layers. The reader checks what a
+/// CampaignSpec value cannot express: JSON types, unknown and missing keys,
+/// enum names, integer widths and the `writeback_penalty` / `policy` key
+/// pairing. Every rule on a value (ranges, sizes, empty axes, task names,
+/// cross-field constraints) is CampaignSpec::validate()'s alone; the reader
+/// reports its violation at the line the violated field's path reaches in
+/// the document. Either way the SpecError carries the source name, the line
+/// and the field path of the offence. A spec file that loads passes
+/// validate() by construction, so expand_campaign's abort on an invalid
+/// spec can never fire on user input.
 ///
 /// Round-trip contract: for any valid spec S, parsing spec_to_json(S)
 /// yields a spec with the same campaign_spec_key — i.e. the file format

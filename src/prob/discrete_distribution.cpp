@@ -306,13 +306,6 @@ DiscreteDistribution DiscreteDistribution::coalesce_up(
   return DiscreteDistribution(std::move(atoms));
 }
 
-DiscreteDistribution DiscreteDistribution::scale_values(Cycles factor) const {
-  PWCET_EXPECTS(factor >= 0);
-  std::vector<ProbabilityAtom> atoms = atoms_;
-  for (auto& a : atoms) a.value *= factor;
-  return DiscreteDistribution(normalize_atoms(std::move(atoms)));
-}
-
 DiscreteDistribution DiscreteDistribution::shift(Cycles offset) const {
   std::vector<ProbabilityAtom> atoms = atoms_;
   for (auto& a : atoms) a.value += offset;

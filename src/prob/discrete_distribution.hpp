@@ -84,10 +84,6 @@ class DiscreteDistribution {
   /// tests/prob_test.cpp pins this against a copy of that full sort.
   DiscreteDistribution coalesce_up(std::size_t max_points) const;
 
-  /// Scales every support value by a non-negative factor (e.g. converting a
-  /// miss count distribution into cycles via the miss penalty).
-  DiscreteDistribution scale_values(Cycles factor) const;
-
   /// Shifts every support value by a constant (e.g. adding the fault-free
   /// WCET to a penalty distribution).
   DiscreteDistribution shift(Cycles offset) const;

@@ -142,25 +142,17 @@ TEST(Distribution, ConvolveWithZeroIsIdentity) {
   EXPECT_EQ(same, d);
 }
 
-TEST(Distribution, ShiftAndScale) {
+TEST(Distribution, Shift) {
   const auto d = DiscreteDistribution::from_atoms({{1, 0.5}, {2, 0.5}});
   const auto shifted = d.shift(100);
   EXPECT_EQ(shifted.min_value(), 101);
   EXPECT_EQ(shifted.max_value(), 102);
-  const auto scaled = d.scale_values(100);
-  EXPECT_EQ(scaled.min_value(), 100);
-  EXPECT_EQ(scaled.max_value(), 200);
-  // Scaling by zero collapses to a single atom at 0.
-  const auto zero = d.scale_values(0);
-  EXPECT_EQ(zero.size(), 1u);
-  EXPECT_NEAR(zero.total_mass(), 1.0, 1e-12);
 }
 
 TEST(Distribution, MeanLinearity) {
   const auto d = DiscreteDistribution::from_atoms({{2, 0.5}, {6, 0.5}});
   EXPECT_DOUBLE_EQ(d.mean(), 4.0);
   EXPECT_DOUBLE_EQ(d.shift(10).mean(), 14.0);
-  EXPECT_DOUBLE_EQ(d.scale_values(3).mean(), 12.0);
 }
 
 TEST(Distribution, CoalesceKeepsMassAndBounds) {

@@ -7,10 +7,13 @@
 //    campaigns the example/bench binaries used to construct in C++;
 //  - defaults match the C++ defaults of CampaignSpec;
 //  - malformed specs are rejected with diagnostics naming the offending
-//    field (and its line), never with an abort.
+//    field (and its line), never with an abort;
+//  - every rule CampaignSpec::validate() names reaches a programmatic spec
+//    and its spec_to_json file under the same field path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -701,7 +704,7 @@ TEST(SpecIo, SptaOnlySpecsAcceptExceedanceOne) {
     "ccdf_exceedances": [1]
   })");
   EXPECT_EQ(spec.target_exceedance, 1.0);
-  spec.validate();
+  EXPECT_FALSE(spec.validate());
 }
 
 TEST(SpecIoErrors, HugeMbptaBlockSizeDoesNotWrapPastTheBound) {
@@ -953,7 +956,233 @@ TEST(SpecIoErrors, OversizedGeometriesAreRejectedOnEveryAxis) {
   // CampaignSpec::validate enforces the same bound on programmatic specs.
   CampaignSpec wider = largest;
   wider.geometries[0].sets = 512;
-  EXPECT_DEATH(wider.validate(), "within_size_bounds");
+  const std::optional<SpecViolation> violation = wider.validate();
+  ASSERT_TRUE(violation);
+  EXPECT_EQ(violation->path, "geometries[0].sets");
+  EXPECT_EQ(violation->message, "sets x ways must be at most 65536 lines");
+  EXPECT_DEATH(expand_campaign(wider), "geometries\\[0\\]\\.sets");
+}
+
+TEST(SpecIoErrors, SimulationChipsAreBounded) {
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["sim"],
+    "simulation_chips": 1000000000
+  })",
+                  {"<inline>:7", "simulation_chips must be at most 1048576",
+                   "field \"simulation_chips\""});
+  // The bound itself is accepted.
+  EXPECT_EQ(parse_ok(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["sim"],
+    "simulation_chips": 1048576
+  })").simulation_chips,
+            kMaxPopulation);
+}
+
+TEST(SpecIoErrors, MbptaChipsAreBounded) {
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["mbpta"],
+    "mbpta": {"chips": 100000000000, "block_size": 20}
+  })",
+                  {"<inline>:7", "mbpta.chips must be at most 1048576",
+                   "field \"mbpta.chips\""});
+}
+
+TEST(SpecIoErrors, SampleCountsAreBounded) {
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-3],
+    "mechanisms": ["none"],
+    "kinds": ["sim"],
+    "sample_counts": [0, "9223372036854775807"]
+  })",
+                  {"<inline>:7",
+                   "sample_counts entries must be at most 1048576",
+                   "field \"sample_counts[1]\""});
+}
+
+TEST(SpecIoErrors, CrossFieldErrorsPointAtTheirFieldsLine) {
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-4],
+    "mechanisms": ["SRB"],
+    "kinds": ["spta", "sim"],
+    "tlbs": [{"entries": 16, "ways": 2, "page_bytes": 64}]
+  })",
+                  {"<inline>:7", "field \"tlbs\""});
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-4],
+    "kinds": ["slack"],
+    "mechanisms": ["SRB",
+                   "none"]
+  })",
+                  {"<inline>:7", "field \"mechanisms[1]\""});
+  // A rule on a key the file leaves at its default (mbpta.chips = 400)
+  // points at the enclosing object.
+  expect_rejected(R"({
+    "tasks": ["fibcall"],
+    "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+    "pfails": [1e-4],
+    "mechanisms": ["none"],
+    "kinds": ["mbpta"],
+    "mbpta": {
+      "block_size": 300
+    }
+  })",
+                  {"<inline>:7", "mbpta.chips must be at least 2 * "
+                   "mbpta.block_size", "field \"mbpta.chips\""});
+}
+
+// ---- one validator, two paths ----------------------------------------------
+
+/// A valid programmatic spec with every optional axis enabled, so each
+/// value rule has an entry to break.
+CampaignSpec twin_base() {
+  CampaignSpec spec;
+  spec.tasks = {"fibcall"};
+  spec.geometries = {CacheConfig::paper_default()};
+  spec.pfails = {1e-4};
+  spec.mechanisms = {Mechanism::kSharedReliableBuffer};
+  spec.dcaches = {DcacheAxis{true, CacheConfig{8, 4, 16, 1, 100},
+                             WritePolicy::kWriteBack, 40}};
+  spec.tlbs = {TlbAxis{true, 16, 2, 64, 30}};
+  spec.l2s = {L2Axis{true, CacheConfig{64, 4, 32, 0, 80}}};
+  spec.ccdf_exceedances = {1e-6};
+  return spec;
+}
+
+/// Every rule validate() names, broken once on a programmatic spec: the
+/// violation names the field, and the spec file spec_to_json writes for
+/// the same spec is rejected naming the same field.
+TEST(SpecValidation, EveryRuleNamesTheSameFieldOnBothPaths) {
+  using Mutate = void (*)(CampaignSpec&);
+  const std::vector<std::pair<std::string, Mutate>> cases = {
+      {"tasks", [](CampaignSpec& s) { s.tasks.clear(); }},
+      {"tasks[0]", [](CampaignSpec& s) { s.tasks = {"fibcal"}; }},
+      {"geometries", [](CampaignSpec& s) { s.geometries.clear(); }},
+      {"geometries[0].sets", [](CampaignSpec& s) { s.geometries[0].sets = 0; }},
+      {"geometries[0].ways", [](CampaignSpec& s) { s.geometries[0].ways = 0; }},
+      {"geometries[0].ways",
+       [](CampaignSpec& s) { s.geometries[0].ways = 512; }},
+      {"geometries[0].sets",
+       [](CampaignSpec& s) { s.geometries[0] = CacheConfig{512, 256, 16}; }},
+      {"geometries[0].line_bytes",
+       [](CampaignSpec& s) { s.geometries[0].line_bytes = 10; }},
+      {"geometries[0].hit_latency",
+       [](CampaignSpec& s) { s.geometries[0].hit_latency = -1; }},
+      {"geometries[0].miss_penalty",
+       [](CampaignSpec& s) { s.geometries[0].miss_penalty = -1; }},
+      {"pfails", [](CampaignSpec& s) { s.pfails.clear(); }},
+      {"pfails[0]", [](CampaignSpec& s) { s.pfails = {1.5}; }},
+      {"mechanisms", [](CampaignSpec& s) { s.mechanisms.clear(); }},
+      {"engines", [](CampaignSpec& s) { s.engines.clear(); }},
+      {"kinds", [](CampaignSpec& s) { s.kinds.clear(); }},
+      {"dcaches", [](CampaignSpec& s) { s.dcaches.clear(); }},
+      {"dcaches[0].line_bytes",
+       [](CampaignSpec& s) { s.dcaches[0].geometry.line_bytes = 6; }},
+      {"dcaches[0].writeback_penalty",
+       [](CampaignSpec& s) { s.dcaches[0].writeback_penalty = -1; }},
+      {"tlbs", [](CampaignSpec& s) { s.tlbs.clear(); }},
+      {"tlbs[0].ways", [](CampaignSpec& s) { s.tlbs[0].ways = 0; }},
+      {"tlbs[0].ways",
+       [](CampaignSpec& s) { s.tlbs[0] = TlbAxis{true, 1024, 512, 64, 30}; }},
+      {"tlbs[0].entries", [](CampaignSpec& s) { s.tlbs[0].entries = 131072; }},
+      {"tlbs[0].entries", [](CampaignSpec& s) { s.tlbs[0].entries = 15; }},
+      {"tlbs[0].page_bytes",
+       [](CampaignSpec& s) { s.tlbs[0].page_bytes = 10; }},
+      {"tlbs[0].miss_penalty",
+       [](CampaignSpec& s) { s.tlbs[0].miss_penalty = -1; }},
+      {"l2s", [](CampaignSpec& s) { s.l2s.clear(); }},
+      {"l2s[0].ways", [](CampaignSpec& s) { s.l2s[0].geometry.ways = 300; }},
+      {"dcache_mechanisms",
+       [](CampaignSpec& s) { s.dcache_mechanisms.clear(); }},
+      {"sample_counts", [](CampaignSpec& s) { s.sample_counts.clear(); }},
+      {"target_exceedance",
+       [](CampaignSpec& s) { s.target_exceedance = 0.0; }},
+      {"ccdf_exceedances[0]",
+       [](CampaignSpec& s) { s.ccdf_exceedances = {0.0}; }},
+      {"max_distribution_points",
+       [](CampaignSpec& s) { s.max_distribution_points = 1; }},
+      {"mbpta.chips", [](CampaignSpec& s) { s.mbpta.chips = 0; }},
+      {"mbpta.block_size", [](CampaignSpec& s) { s.mbpta.block_size = 0; }},
+      {"simulation_chips", [](CampaignSpec& s) { s.simulation_chips = 0; }},
+      {"mbpta.chips",
+       [](CampaignSpec& s) {
+         s.kinds = {AnalysisKind::kMbpta};
+         s.mbpta.chips = 10;
+       }},
+      {"sample_counts[1]",
+       [](CampaignSpec& s) {
+         s.kinds = {AnalysisKind::kMbpta};
+         s.sample_counts = {0, 10};
+       }},
+      {"target_exceedance",
+       [](CampaignSpec& s) {
+         s.kinds = {AnalysisKind::kMbpta};
+         s.target_exceedance = 1.0;
+       }},
+      {"ccdf_exceedances[0]",
+       [](CampaignSpec& s) {
+         s.kinds = {AnalysisKind::kMbpta};
+         s.ccdf_exceedances = {1.0};
+       }},
+      {"dcaches",
+       [](CampaignSpec& s) {
+         s.kinds = {AnalysisKind::kSpta, AnalysisKind::kSimulation};
+       }},
+      {"tlbs",
+       [](CampaignSpec& s) {
+         s.dcaches = {DcacheAxis{}};
+         s.kinds = {AnalysisKind::kSimulation};
+       }},
+      {"l2s",
+       [](CampaignSpec& s) {
+         s.dcaches = {DcacheAxis{}};
+         s.tlbs = {TlbAxis{}};
+         s.kinds = {AnalysisKind::kMbpta};
+       }},
+      {"mechanisms[1]",
+       [](CampaignSpec& s) {
+         s.dcaches = {DcacheAxis{}};
+         s.tlbs = {TlbAxis{}};
+         s.l2s = {L2Axis{}};
+         s.kinds = {AnalysisKind::kSlack};
+         s.mechanisms = {Mechanism::kReliableWay, Mechanism::kNone};
+       }},
+      {"simulation_chips",
+       [](CampaignSpec& s) { s.simulation_chips = kMaxPopulation + 1; }},
+      {"mbpta.chips",
+       [](CampaignSpec& s) { s.mbpta.chips = kMaxPopulation + 1; }},
+      {"sample_counts[0]",
+       [](CampaignSpec& s) { s.sample_counts = {kMaxPopulation + 1}; }},
+  };
+  const CampaignSpec base = twin_base();
+  ASSERT_FALSE(base.validate());
+  EXPECT_FALSE(parse_spec(spec_to_json(base), "<base>").spec.validate());
+  for (const auto& [path, mutate] : cases) {
+    CampaignSpec spec = base;
+    mutate(spec);
+    const std::optional<SpecViolation> violation = spec.validate();
+    ASSERT_TRUE(violation) << path;
+    EXPECT_EQ(violation->path, path);
+    EXPECT_FALSE(violation->message.empty()) << path;
+    expect_rejected(spec_to_json(spec), {"field \"" + path + "\""});
+  }
 }
 
 // ---- view validation -------------------------------------------------------
