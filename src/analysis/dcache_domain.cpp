@@ -20,10 +20,6 @@ ReferenceMap extract_data_references(const ControlFlowGraph& cfg,
   return refs;
 }
 
-std::uint64_t block_loads(const ControlFlowGraph& cfg, BlockId b) {
-  return cfg.block(b).data_addresses.size();
-}
-
 StoreKey DcacheDomain::row_key_prefix(const Program& program,
                                       WcetEngine engine) const {
   return KeyHasher("pwcet-dcache-rows-v1")

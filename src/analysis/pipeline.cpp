@@ -370,16 +370,4 @@ PwcetResult PwcetPipeline::analyze(
   return result;
 }
 
-std::vector<CcdfPoint> PwcetResult::ccdf() const {
-  std::vector<CcdfPoint> points;
-  points.reserve(penalty.size());
-  for (const ProbabilityAtom& atom : penalty.atoms()) {
-    // P[WCET > fault_free + value] is the tail strictly above the atom;
-    // report the exceedance just below it, i.e. including the atom itself.
-    points.push_back({fault_free_wcet + atom.value,
-                      penalty.exceedance(atom.value - 1)});
-  }
-  return points;
-}
-
 }  // namespace pwcet

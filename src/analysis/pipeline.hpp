@@ -78,12 +78,6 @@ struct PwcetOptions {
   AnalysisStore* store = nullptr;
 };
 
-/// One (exceedance probability, pWCET) point of the CCDF.
-struct CcdfPoint {
-  Cycles wcet = 0;
-  Probability exceedance = 0.0;
-};
-
 /// Full result of one mechanism assignment.
 struct PwcetResult {
   Mechanism mechanism = Mechanism::kNone;  ///< primary domain's mechanism
@@ -101,9 +95,6 @@ struct PwcetResult {
   Probability exceedance(Cycles wcet) const {
     return penalty.exceedance(wcet - fault_free_wcet);
   }
-
-  /// The CCDF as explicit points (one per penalty support atom).
-  std::vector<CcdfPoint> ccdf() const;
 };
 
 /// Pipeline bound to one (program, domain list) pair. The expensive

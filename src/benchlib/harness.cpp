@@ -1,30 +1,11 @@
 #include "benchlib/harness.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace pwcet::benchlib {
-
-void Recorder::record_ns(const std::string& metric, std::uint64_t ns) {
-  for (auto& [name, value] : extra_) {
-    if (name == metric) {
-      value = ns;
-      return;
-    }
-  }
-  extra_.emplace_back(metric, ns);
-}
-
-/// Internal access to Recorder state without widening its public surface.
-struct HarnessAccess {
-  static std::vector<std::pair<std::string, std::uint64_t>> take(
-      Recorder& recorder) {
-    return std::move(recorder.extra_);
-  }
-};
 
 namespace {
 
@@ -43,14 +24,11 @@ std::uint64_t maybe_inject(const BenchOptions& options,
 
 ScenarioSamples run_scenario(const std::string& name,
                              const BenchOptions& options,
-                             const std::function<void(Recorder&)>& body) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+                             const std::function<void()>& body) {
   // The harness owns the registry for the duration of the run: snapshots
-  // must attribute to exactly one repetition, so any previously collected
-  // data is cleared and the registry is left disabled + empty on return.
-  registry.disable();
-  registry.clear();
-
+  // must attribute to exactly one repetition, so it is cleared before
+  // each one and left disabled + empty on return.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   ScenarioSamples out;
   out.name = name;
   out.samples.reserve(options.repetitions);
@@ -58,38 +36,31 @@ ScenarioSamples run_scenario(const std::string& name,
   const std::size_t total = options.warmup + options.repetitions;
   for (std::size_t rep = 0; rep < total; ++rep) {
     const bool measured = rep >= options.warmup;
-    if (options.capture_metrics) {
-      registry.clear();
-      registry.enable();
-    }
-    Recorder recorder;
+    registry.clear();
+    registry.enable();
     const std::uint64_t start_ns = obs::monotonic_ns();
     try {
-      body(recorder);
+      body();
     } catch (...) {
       registry.disable();
       registry.clear();
       throw;
     }
     const std::uint64_t wall_ns = obs::monotonic_ns() - start_ns;
-    if (options.capture_metrics) registry.disable();
+    registry.disable();
     if (!measured) continue;
 
     RepetitionSample sample;
     sample.wall_ns = maybe_inject(options, "wall_ns", wall_ns);
-    if (options.capture_metrics) {
-      for (const obs::MetricsRegistry::NamedHistogram& h :
-           registry.histograms()) {
-        if (h.snapshot.count == 0) continue;
-        sample.metrics.emplace_back(
-            h.name, maybe_inject(options, h.name, h.snapshot.sum_ns));
-      }
-      for (const auto& [counter, value] : registry.counters())
-        if (value != 0) sample.counters.emplace_back(counter, value);
+    // The registry enumerates names in sorted order, as samples keep them.
+    for (const obs::MetricsRegistry::NamedHistogram& h :
+         registry.histograms()) {
+      if (h.snapshot.count == 0) continue;
+      sample.metrics.emplace_back(
+          h.name, maybe_inject(options, h.name, h.snapshot.sum_ns));
     }
-    for (auto& [metric, ns] : HarnessAccess::take(recorder))
-      sample.metrics.emplace_back(metric, maybe_inject(options, metric, ns));
-    std::sort(sample.metrics.begin(), sample.metrics.end());
+    for (const auto& [counter, value] : registry.counters())
+      if (value != 0) sample.counters.emplace_back(counter, value);
     out.samples.push_back(std::move(sample));
   }
 

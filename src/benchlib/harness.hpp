@@ -32,40 +32,19 @@ struct BenchOptions {
   std::size_t warmup = 1;
   /// Recorded repetitions; every derived statistic is over these.
   std::size_t repetitions = 5;
-  /// Arm the obs MetricsRegistry around each repetition and embed its
-  /// snapshot (histogram totals + non-zero counters) in the sample. Off
-  /// for pure wall-clock timing runs (e.g. measuring the enabled-obs
-  /// overhead itself needs an unobserved twin).
-  bool capture_metrics = true;
   /// Fault-injection self-test knob: scale every recorded sample of the
-  /// named metric ("wall_ns", a phase histogram name, or a custom
-  /// recorder metric) by the factor. This deliberately corrupts the
-  /// *measurements*, never the computation — it exists so CI can prove
-  /// the `bench diff` regression gate actually fires (a ~2x injected
-  /// slowdown must be flagged and named). Documented in
-  /// docs/benchmarking.md; never set it for real measurements.
+  /// named metric ("wall_ns" or a phase histogram name) by the factor.
+  /// This deliberately corrupts the *measurements*, never the computation
+  /// — it exists so CI can prove the `bench diff` regression gate actually
+  /// fires (a ~2x injected slowdown must be flagged and named). Documented
+  /// in docs/benchmarking.md; never set it for real measurements.
   std::vector<std::pair<std::string, double>> inject_slowdown;
-};
-
-/// Per-repetition channel a scenario body can push custom sub-metrics
-/// into (e.g. the store scenario records "cold_ns" and "warm_ns" from one
-/// body that runs both). Harness-owned; cleared between repetitions.
-class Recorder {
- public:
-  /// Records one named nanosecond measurement for the current repetition.
-  /// Names share the namespace of the automatic metrics ("wall_ns", phase
-  /// histogram names); later records of the same name overwrite.
-  void record_ns(const std::string& metric, std::uint64_t ns);
-
- private:
-  friend struct HarnessAccess;
-  std::vector<std::pair<std::string, std::uint64_t>> extra_;
 };
 
 /// One recorded repetition: the body's wall time, the per-metric
 /// nanosecond breakdown (histogram totals from the armed MetricsRegistry
-/// — phase sums, queue waits — merged with Recorder entries), and the
-/// registry's non-zero counters (store hits/misses, job counts).
+/// — phase sums, queue waits), and the registry's non-zero counters
+/// (store hits/misses, job counts).
 struct RepetitionSample {
   std::uint64_t wall_ns = 0;
   std::vector<std::pair<std::string, std::uint64_t>> metrics;   ///< sorted
@@ -79,12 +58,12 @@ struct ScenarioSamples {
 };
 
 /// Runs `body` warmup + repetitions times and returns the recorded
-/// samples. The MetricsRegistry is cleared/armed per repetition when
-/// `capture_metrics` is set, and left disabled and empty on return
-/// (whatever its prior state). Exceptions from the body propagate —
-/// scenarios use them to fail loudly when a determinism check breaks.
+/// samples. The MetricsRegistry is cleared and armed per repetition, and
+/// left disabled and empty on return (whatever its prior state).
+/// Exceptions from the body propagate — scenarios use them to fail loudly
+/// when a determinism check breaks.
 ScenarioSamples run_scenario(const std::string& name,
                              const BenchOptions& options,
-                             const std::function<void(Recorder&)>& body);
+                             const std::function<void()>& body);
 
 }  // namespace pwcet::benchlib

@@ -2,11 +2,13 @@
 /// Named benchmark scenarios for `pwcet bench run`.
 ///
 /// Two families:
-///   - `campaign.*` macro scenarios run the paper's geometry-sweep
-///     campaign end to end (cold store / warm store); their samples carry
-///     the full per-phase breakdown from the obs span taxonomy
-///     (obs/phase.hpp) plus store counters, because the harness arms the
-///     MetricsRegistry around every repetition.
+///   - `campaign.*` macro scenarios run the geometry-sweep and
+///     pfail-sweep campaigns end to end (cold store, warm store, 3-way
+///     shard runs + merge); their samples carry the full per-phase
+///     breakdown from the obs span taxonomy (obs/phase.hpp) plus store and
+///     engine counters, because the harness arms the MetricsRegistry
+///     around every repetition. They are the campaign-scaling record:
+///     `BENCH_perf_analysis_time.json` is their `bench run` report.
 ///   - `pipeline.*` / `micro.*` scenarios time one pipeline stage in a
 ///     fixed-iteration loop (reference extraction, classification,
 ///     maximization, FMM, the full per-mechanism analysis) so a diff can
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "benchlib/harness.hpp"
 #include "engine/campaign.hpp"
 
 namespace pwcet::benchlib {
@@ -42,22 +43,21 @@ struct Scenario {
   /// Runs before the first repetition; may be empty.
   std::function<void(const ScenarioOptions&)> setup;
   /// The timed body, run warmup + repetitions times.
-  std::function<void(Recorder&, const ScenarioOptions&)> body;
+  std::function<void(const ScenarioOptions&)> body;
 };
 
 /// A fresh set of the built-in scenarios (state captured per call).
 std::vector<Scenario> builtin_scenarios();
 
-/// The geometry-sweep campaign the macro scenarios and the perf bench
-/// measure: 4 tasks x 5 geometries x 1 pfail x 3 mechanisms = 60 jobs,
-/// identical to the grid tracked in BENCH_perf_analysis_time.json.
+/// The geometry-sweep campaign the `campaign.geometry_sweep.*` scenarios
+/// measure: 4 tasks x 5 geometries x 1 pfail x 3 mechanisms = 60 jobs.
 CampaignSpec geometry_sweep_spec();
 
 /// The pfail-sweep campaign (specs/pfail_sweep.json's grid): 6 tasks x
 /// 1 geometry x 7 pfails x 3 mechanisms = 126 jobs. The stress case for
 /// the shared re-weighting bundle — every group holds 7 pfail-siblings
-/// per mechanism — tracked in BENCH_perf_analysis_time.json and gated in
-/// CI via campaign.pfail_sweep.cold.
+/// per mechanism — measured by `campaign.pfail_sweep.*` and
+/// `campaign.shard_merge` and gated in CI via campaign.pfail_sweep.cold.
 CampaignSpec pfail_sweep_spec();
 
 }  // namespace pwcet::benchlib

@@ -107,7 +107,7 @@ std::vector<Scenario> builtin_scenarios() {
          "geometry-sweep campaign (60 jobs), fresh in-memory store per "
          "repetition",
          {},
-         [identity](Recorder&, const ScenarioOptions& options) {
+         [identity](const ScenarioOptions& options) {
            AnalysisStore store;
            RunnerOptions runner;
            runner.threads = options.threads;
@@ -133,7 +133,7 @@ std::vector<Scenario> builtin_scenarios() {
                report_csv(run_campaign(geometry_sweep_spec(), runner)),
                "campaign.geometry_sweep.warm");
          },
-         [store, identity](Recorder&, const ScenarioOptions& options) {
+         [store, identity](const ScenarioOptions& options) {
            RunnerOptions runner;
            runner.threads = options.threads;
            runner.shared_store = store.get();
@@ -155,7 +155,7 @@ std::vector<Scenario> builtin_scenarios() {
          "pfail-sweep campaign (126 jobs, 7 pfails/group), fresh in-memory "
          "store per repetition",
          {},
-         [identity](Recorder&, const ScenarioOptions& options) {
+         [identity](const ScenarioOptions& options) {
            AnalysisStore store;
            RunnerOptions runner;
            runner.threads = options.threads;
@@ -180,7 +180,7 @@ std::vector<Scenario> builtin_scenarios() {
                report_csv(run_campaign(pfail_sweep_spec(), runner)),
                "campaign.pfail_sweep.warm");
          },
-         [store, identity](Recorder&, const ScenarioOptions& options) {
+         [store, identity](const ScenarioOptions& options) {
            RunnerOptions runner;
            runner.threads = options.threads;
            runner.shared_store = store.get();
@@ -214,7 +214,7 @@ std::vector<Scenario> builtin_scenarios() {
                report_csv(run_campaign(pfail_sweep_spec(), runner)),
                "campaign.shard_merge");
          },
-         [identity](Recorder&, const ScenarioOptions& options) {
+         [identity](const ScenarioOptions& options) {
            namespace fs = std::filesystem;
            const fs::path root =
                fs::temp_directory_path() /
@@ -253,7 +253,7 @@ std::vector<Scenario> builtin_scenarios() {
          "(3 iterations); "
          "samples carry the phase.* breakdown",
          {},
-         [fixture](Recorder&, const ScenarioOptions&) {
+         [fixture](const ScenarioOptions&) {
            const FaultModel faults(1e-4);
            for (int i = 0; i < 3; ++i) {
              const PwcetPipeline pipeline(
@@ -273,7 +273,7 @@ std::vector<Scenario> builtin_scenarios() {
          "3-domain pipeline (icache + dcache + tlb) + all three mechanisms "
          "on interp (3 iterations); exercises the ncore composition path",
          {},
-         [](Recorder&, const ScenarioOptions&) {
+         [](const ScenarioOptions&) {
            const Program program = workloads::build("interp");
            const CacheConfig icache = CacheConfig::paper_default();
            CacheConfig dcache = CacheConfig::paper_default();
@@ -306,7 +306,7 @@ std::vector<Scenario> builtin_scenarios() {
     scenarios.push_back({"micro.extract",
                          "reference extraction on adpcm (100 iterations)",
                          {},
-                         [fixture](Recorder&, const ScenarioOptions&) {
+                         [fixture](const ScenarioOptions&) {
                            for (int i = 0; i < 100; ++i)
                              keep(extract_references(fixture->program.cfg(),
                                                      fixture->config));
@@ -315,7 +315,7 @@ std::vector<Scenario> builtin_scenarios() {
         {"micro.classify",
          "fault-free CHMC classification on adpcm (100 iterations)",
          {},
-         [fixture](Recorder&, const ScenarioOptions&) {
+         [fixture](const ScenarioOptions&) {
            for (int i = 0; i < 100; ++i)
              keep(classify_fault_free(fixture->program.cfg(), fixture->refs,
                                       fixture->config));
@@ -324,7 +324,7 @@ std::vector<Scenario> builtin_scenarios() {
                          "loop-tree WCET maximization on adpcm (100 "
                          "iterations)",
                          {},
-                         [fixture](Recorder&, const ScenarioOptions&) {
+                         [fixture](const ScenarioOptions&) {
                            for (int i = 0; i < 100; ++i)
                              keep(tree_maximize(fixture->program,
                                                 fixture->model));
@@ -333,7 +333,7 @@ std::vector<Scenario> builtin_scenarios() {
                          "IPET construction + simplex solve on adpcm (10 "
                          "iterations)",
                          {},
-                         [fixture](Recorder&, const ScenarioOptions&) {
+                         [fixture](const ScenarioOptions&) {
                            for (int i = 0; i < 10; ++i) {
                              IpetCalculator ipet(fixture->program);
                              keep(ipet.maximize(fixture->model));
@@ -343,7 +343,7 @@ std::vector<Scenario> builtin_scenarios() {
         {"micro.fmm.tree",
          "per-set FMM bundle, tree engine, on adpcm (10 iterations)",
          {},
-         [fixture](Recorder&, const ScenarioOptions&) {
+         [fixture](const ScenarioOptions&) {
            for (int i = 0; i < 10; ++i)
              keep(compute_fmm_bundle(fixture->program, fixture->config,
                                      fixture->refs, WcetEngine::kTree,

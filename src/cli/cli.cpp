@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -153,40 +155,37 @@ bool split_args(const std::vector<std::string>& args,
 
 /// Upper bound for --threads: far beyond any host, it only guards against
 /// asking the pool for ~2^64 workers.
-constexpr unsigned long kMaxThreads = 256;
+constexpr std::size_t kMaxThreads = 256;
 
-/// Parses --threads (run, bench run): an integer in 0..kMaxThreads, where
-/// 0 means one worker per hardware thread.
-bool parse_threads(const std::string& text, std::size_t& threads,
-                   std::ostream& err) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
-  if (errno == 0 && end != text.c_str() && *end == '\0' &&
-      value <= kMaxThreads) {
-    threads = static_cast<std::size_t>(value);
-    return true;
-  }
-  err << "pwcet: --threads wants an integer in 0.." << kMaxThreads
-      << ", got '" << text << "'\n";
-  return false;
-}
+/// Upper bound for `bench run --repetitions` and `--warmup`: far beyond
+/// any useful sample, it only guards against unbounded sample buffers.
+constexpr std::size_t kMaxRepetitions = 1000;
 
-/// Parses `--shards N` (describe, merge): an integer in 1..kMaxShardCount.
-bool parse_shard_count(const Flag& flag, std::size_t& count,
-                       std::ostream& err) {
+/// Parses an unsigned decimal flag value in lo..hi. A sign is rejected
+/// rather than wrapped, so "-1" never becomes 2^64 - 1.
+bool parse_count(const Flag& flag, std::size_t lo, std::size_t hi,
+                 std::size_t& value, std::ostream& err) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed =
       std::strtoull(flag.value.c_str(), &end, 10);
-  if (flag.value.empty() || errno != 0 || end == nullptr || *end != '\0' ||
-      parsed == 0 || parsed > kMaxShardCount) {
-    err << "pwcet: --shards wants an integer in 1.." << kMaxShardCount
-        << ", got '" << flag.value << "'\n";
+  if (flag.value.empty() || flag.value[0] < '0' || flag.value[0] > '9' ||
+      errno != 0 || *end != '\0' || parsed < lo || parsed > hi) {
+    err << "pwcet: " << flag.name << " wants an integer in " << lo << ".."
+        << hi << ", got '" << flag.value << "'\n";
     return false;
   }
-  count = static_cast<std::size_t>(parsed);
+  value = static_cast<std::size_t>(parsed);
   return true;
+}
+
+/// Parses a flag value as a finite double in (0, hi].
+bool parse_positive(const std::string& text, double hi, double& value) {
+  errno = 0;
+  char* end = nullptr;
+  value = std::strtod(text.c_str(), &end);
+  return !text.empty() && errno == 0 && *end == '\0' &&
+         std::isfinite(value) && value > 0.0 && value <= hi;
 }
 
 /// Where run and merge send the report: one --format on stdout, or the
@@ -341,7 +340,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   bool shard_given = false;  // --shard 1/1 still writes its fragment
   for (const Flag& flag : flags) {
     if (flag.name == "--threads") {
-      if (!parse_threads(flag.value, options.threads, err)) return 2;
+      if (!parse_count(flag, 0, kMaxThreads, options.threads, err)) return 2;
     } else if (flag.name == "--shard") {
       if (!parse_shard_selector(flag.value, shard)) {
         err << "pwcet: --shard wants i/N with 1 <= i <= N <= "
@@ -516,7 +515,9 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
     } else if (flag.name == "--into") {
       merge_options.into_dir = flag.value;
     } else if (flag.name == "--shards") {
-      if (!parse_shard_count(flag, merge_options.shard_count, err)) return 2;
+      if (!parse_count(flag, 1, kMaxShardCount, merge_options.shard_count,
+                       err))
+        return 2;
     } else if (flag.name == "--format") {
       if (!sink.set_format(flag.value, err)) return 2;
     } else if (flag.name == "--output") {
@@ -568,7 +569,7 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
   std::size_t shard_count = 0;  // 0 = no shard column
   for (const Flag& flag : flags) {
     if (flag.name == "--shards") {
-      if (!parse_shard_count(flag, shard_count, err)) return 2;
+      if (!parse_count(flag, 1, kMaxShardCount, shard_count, err)) return 2;
     } else {
       err << "pwcet: unknown option '" << flag.name << "' for describe\n";
       return 2;
@@ -919,20 +920,9 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
 
 // ---- pwcet bench ----------------------------------------------------------
 
-bool parse_count_flag(const Flag& flag, std::size_t& value,
-                      std::ostream& err) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed =
-      std::strtoull(flag.value.c_str(), &end, 10);
-  if (flag.value.empty() || errno != 0 || end == nullptr || *end != '\0') {
-    err << "pwcet: " << flag.name << " wants a non-negative integer, got '"
-        << flag.value << "'\n";
-    return false;
-  }
-  value = static_cast<std::size_t>(parsed);
-  return true;
-}
+/// Largest `--inject-slowdown` factor: a self-test needs about 2x, and the
+/// cap keeps every scaled nanosecond count inside 64 bits.
+constexpr double kMaxInjectedFactor = 1000.0;
 
 /// Parses `--inject-slowdown METRIC=FACTOR` into the harness's injection
 /// list. The knob exists so CI can prove the regression gate fires (see
@@ -942,16 +932,12 @@ bool parse_injection(const Flag& flag, benchlib::BenchOptions& options,
                      std::ostream& err) {
   const std::size_t equals = flag.value.find('=');
   double factor = 0.0;
-  if (equals != std::string::npos && equals > 0) {
-    errno = 0;
-    char* end = nullptr;
-    factor = std::strtod(flag.value.c_str() + equals + 1, &end);
-    if (errno != 0 || end == nullptr || *end != '\0') factor = 0.0;
-  }
-  if (factor <= 0.0) {
-    err << "pwcet: --inject-slowdown wants METRIC=FACTOR with FACTOR > 0, "
-           "got '"
-        << flag.value << "'\n";
+  if (equals == std::string::npos || equals == 0 ||
+      !parse_positive(flag.value.substr(equals + 1), kMaxInjectedFactor,
+                      factor)) {
+    err << "pwcet: --inject-slowdown wants METRIC=FACTOR with FACTOR in "
+           "(0, "
+        << kMaxInjectedFactor << "], got '" << flag.value << "'\n";
     return false;
   }
   options.inject_slowdown.emplace_back(flag.value.substr(0, equals), factor);
@@ -973,15 +959,13 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
     if (flag.name == "--output") {
       output = flag.value;
     } else if (flag.name == "--repetitions") {
-      if (!parse_count_flag(flag, bench.repetitions, err)) return 2;
-      if (bench.repetitions == 0) {
-        err << "pwcet: --repetitions wants at least 1\n";
+      if (!parse_count(flag, 1, kMaxRepetitions, bench.repetitions, err))
         return 2;
-      }
     } else if (flag.name == "--warmup") {
-      if (!parse_count_flag(flag, bench.warmup, err)) return 2;
+      if (!parse_count(flag, 0, kMaxRepetitions, bench.warmup, err)) return 2;
     } else if (flag.name == "--threads") {
-      if (!parse_threads(flag.value, scenario_options.threads, err)) return 2;
+      if (!parse_count(flag, 0, kMaxThreads, scenario_options.threads, err))
+        return 2;
       if (scenario_options.threads == 0)
         scenario_options.threads =
             std::max(1u, std::thread::hardware_concurrency());
@@ -1021,7 +1005,6 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
 #else
       {"build_type", "debug"},
 #endif
-      {"obs_metrics", bench.capture_metrics ? "on" : "off"},
       {"warmup", std::to_string(bench.warmup)},
       {"repetitions", std::to_string(bench.repetitions)},
   };
@@ -1040,9 +1023,7 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
     if (scenario.setup) scenario.setup(scenario_options);
     benchlib::ScenarioSamples samples = benchlib::run_scenario(
         scenario.name, bench,
-        [&scenario, &scenario_options](benchlib::Recorder& recorder) {
-          scenario.body(recorder, scenario_options);
-        });
+        [&scenario, &scenario_options] { scenario.body(scenario_options); });
     benchlib::ScenarioReport summary =
         benchlib::summarize_scenario(std::move(samples));
     const auto wall = summary.stats.find("wall_ns");
@@ -1091,12 +1072,9 @@ int cmd_bench_diff(const std::vector<std::string>& positionals,
   benchlib::DiffOptions options;
   for (const Flag& flag : flags) {
     if (flag.name == "--threshold") {
-      errno = 0;
-      char* end = nullptr;
-      options.threshold = std::strtod(flag.value.c_str(), &end);
-      if (flag.value.empty() || errno != 0 || end == nullptr ||
-          *end != '\0' || options.threshold <= 0.0) {
-        err << "pwcet: --threshold wants a positive fraction, got '"
+      if (!parse_positive(flag.value, std::numeric_limits<double>::max(),
+                          options.threshold)) {
+        err << "pwcet: --threshold wants a finite positive fraction, got '"
             << flag.value << "'\n";
         return 2;
       }

@@ -256,7 +256,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         std::to_string(options.shard.count) + ")");
   const bool sharded = options.shard.count > 1;
   const std::vector<CampaignJob> jobs = expand_campaign(spec);
-  obs::MetricsRegistry::instance().add("engine.jobs", jobs.size());
 
   // The group schedule is shared with the shard partitioner
   // (engine/shard.hpp) so the two can never drift; a shard executes the
@@ -265,6 +264,12 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       campaign_group_schedule(jobs);
   const auto [shard_begin, shard_end] =
       shard_group_range(schedule.size(), options.shard);
+  // The jobs this run owns: all of them, or the shard's groups. The
+  // shards' counts sum to the whole campaign's.
+  std::size_t owned_jobs = 0;
+  for (std::size_t g = shard_begin; g < shard_end; ++g)
+    owned_jobs += schedule[g].size();
+  obs::MetricsRegistry::instance().add("engine.jobs", owned_jobs);
 
   // One store serves the whole campaign (callers can pass a longer-lived
   // one for warm reuse). Pool workers share it concurrently.
@@ -328,16 +333,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       // shard fires only for the jobs it owns — its progress total is the
       // owned count, and the surplus rows stay filled (harmless: the
       // fragment renders owned slots only).
-      if (options.on_job_finished) {
-        if (!sharded) {
-          for (std::size_t i = 0; i < jobs.size(); ++i)
-            options.on_job_finished();
-        } else {
-          for (std::size_t g = shard_begin; g < shard_end; ++g)
-            for (std::size_t i = 0; i < schedule[g].size(); ++i)
-              options.on_job_finished();
-        }
-      }
+      if (options.on_job_finished)
+        for (std::size_t i = 0; i < owned_jobs; ++i)
+          options.on_job_finished();
       return campaign;
     }
   }

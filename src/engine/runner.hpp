@@ -55,8 +55,9 @@ struct RunnerOptions {
   /// fallback (store_options_from_env) before constructing the store.
   StoreOptions store;
   /// Reuse a caller-owned store instead of constructing one from `store`
-  /// — this is how warm re-runs are measured (bench/perf_analysis_time)
-  /// and how long-lived services would share a cache across campaigns.
+  /// — this is how warm re-runs are measured (the
+  /// `campaign.*.warm` bench scenarios, benchlib/scenarios.cpp) and how
+  /// long-lived services would share a cache across campaigns.
   AnalysisStore* shared_store = nullptr;
   /// Which shard of the campaign to execute. {0, 1} (the default) runs
   /// everything. A proper shard runs only the analyzer groups its

@@ -1,6 +1,7 @@
 #include "engine/shard.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -20,7 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Parses one non-negative integer field ("name":123) out of a JSON meta
-/// line rendered by this file; false when absent or malformed.
+/// line rendered by this file; false when absent, signed or malformed.
 bool json_u64_field(const std::string& line, const char* name,
                     std::uint64_t& out) {
   std::string needle = "\"";
@@ -28,11 +29,9 @@ bool json_u64_field(const std::string& line, const char* name,
   needle += "\":";
   const std::size_t at = line.find(needle);
   if (at == std::string::npos) return false;
-  unsigned long long value = 0;
-  if (std::sscanf(line.c_str() + at + needle.size(), "%llu", &value) != 1)
-    return false;
-  out = value;
-  return true;
+  return std::from_chars(line.data() + at + needle.size(),
+                         line.data() + line.size(), out)
+             .ec == std::errc();
 }
 
 /// Parses a string field ("name":"...") — values rendered by this file
@@ -71,28 +70,33 @@ std::string render_slot_ranges(const std::vector<std::size_t>& slots) {
   return out;
 }
 
-/// Inverse of render_slot_ranges; false on malformed text or a sequence
-/// that is not strictly ascending.
-bool parse_slot_ranges(const std::string& text,
+/// Inverse of render_slot_ranges for a campaign of `job_count` jobs;
+/// false on malformed or signed text, a sequence that is not strictly
+/// ascending, a slot at or beyond `job_count`, or more than `max_slots`
+/// slots. Both bounds are checked before a range is expanded.
+bool parse_slot_ranges(const std::string& text, std::size_t job_count,
+                       std::size_t max_slots,
                        std::vector<std::size_t>& slots) {
   slots.clear();
   if (text.empty()) return true;  // an empty shard covers no slots
   std::istringstream segments(text);
   std::string segment;
   while (std::getline(segments, segment, ',')) {
-    unsigned long long first = 0, last = 0;
-    char extra = '\0';
-    if (std::sscanf(segment.c_str(), "%llu-%llu%c", &first, &last,
-                    &extra) == 2) {
-      if (last < first) return false;
-    } else if (std::sscanf(segment.c_str(), "%llu%c", &first, &extra) == 1) {
-      last = first;
-    } else {
-      return false;
+    const char* const end = segment.data() + segment.size();
+    std::uint64_t first = 0;
+    std::from_chars_result read = std::from_chars(segment.data(), end, first);
+    if (read.ec != std::errc()) return false;
+    std::uint64_t last = first;
+    if (read.ptr != end) {
+      if (*read.ptr != '-') return false;
+      read = std::from_chars(read.ptr + 1, end, last);
+      if (read.ec != std::errc() || read.ptr != end || last < first)
+        return false;
     }
-    if (!slots.empty() && first <= slots.back()) return false;
-    for (unsigned long long s = first; s <= last; ++s)
-      slots.push_back(static_cast<std::size_t>(s));
+    if (last >= job_count || (!slots.empty() && first <= slots.back()) ||
+        last - first >= max_slots - slots.size())
+      return false;
+    for (std::uint64_t s = first; s <= last; ++s) slots.push_back(s);
   }
   return true;
 }
@@ -303,10 +307,15 @@ bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
   fragment.count = static_cast<std::size_t>(count);
   fragment.job_count = static_cast<std::size_t>(jobs);
   fragment.curve_points = static_cast<std::size_t>(points);
-  if (!parse_slot_ranges(slots_text, fragment.slots) ||
-      (!fragment.slots.empty() &&
-       fragment.slots.back() >= fragment.job_count)) {
-    error = "malformed fragment slot list '" + slots_text + "'";
+  // Every slot needs a report row, so the payload's line count bounds
+  // the list before it is expanded.
+  const auto rows = static_cast<std::size_t>(
+      std::count(payload.begin(), payload.end(), '\n'));
+  if (!parse_slot_ranges(slots_text, fragment.job_count, rows,
+                         fragment.slots)) {
+    error = "malformed fragment slot list '" + slots_text +
+            "' (want ascending slots below the fragment's " +
+            std::to_string(fragment.job_count) + " jobs, one row each)";
     return false;
   }
   // Store counters are informational; missing ones read as zero.

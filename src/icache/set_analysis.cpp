@@ -192,10 +192,4 @@ RefClass SetAnalysis::classification(BlockId b, std::size_t ref_index) const {
   return result_[size_t(b)][ref_index];
 }
 
-std::size_t SetAnalysis::distinct_lines_in_scope(LoopId l) const {
-  const std::size_t idx = (l == kNoLoop) ? 0 : 1 + size_t(l);
-  PWCET_EXPECTS(idx < scope_distinct_lines_.size());
-  return scope_distinct_lines_[idx];
-}
-
 }  // namespace pwcet

@@ -31,10 +31,6 @@ class SetAnalysis {
   SetIndex set() const { return set_; }
   std::uint32_t associativity() const { return associativity_; }
 
-  /// Distinct lines of this set referenced in loop `l` (kNoLoop = whole
-  /// program). Exposed for tests and diagnostics.
-  std::size_t distinct_lines_in_scope(LoopId l) const;
-
  private:
   void run_fixpoints(const ControlFlowGraph& cfg, const ReferenceMap& refs);
   void run_persistence(const ControlFlowGraph& cfg, const ReferenceMap& refs);

@@ -31,7 +31,6 @@ class LinearProgram {
   VarId add_variable(std::string name, bool integral = true);
 
   void set_objective(VarId v, double coefficient);
-  double objective_coefficient(VarId v) const { return objective_[size_t(v)]; }
 
   /// Replaces the whole objective vector (size must match variable count).
   void set_objective_vector(std::vector<double> objective);

@@ -75,71 +75,6 @@ GumbelFit fit_gumbel_mle(std::span<const double> sample) {
   return fit;
 }
 
-double GpdFit::exceedance(double x) const {
-  if (x <= threshold) return exceed_rate;
-  const double z = x - threshold;
-  if (std::abs(xi) < 1e-12) return exceed_rate * std::exp(-z / sigma);
-  const double base = 1.0 + xi * z / sigma;
-  if (base <= 0.0) return 0.0;  // beyond the finite right endpoint (xi < 0)
-  return exceed_rate * std::pow(base, -1.0 / xi);
-}
-
-double GpdFit::quantile_exceedance(double p) const {
-  PWCET_EXPECTS(p > 0.0 && p < exceed_rate);
-  const double ratio = exceed_rate / p;
-  if (std::abs(xi) < 1e-12) return threshold + sigma * std::log(ratio);
-  return threshold + sigma / xi * (std::pow(ratio, xi) - 1.0);
-}
-
-GpdFit fit_gpd_pot(std::span<const double> sample, double quantile) {
-  PWCET_EXPECTS(sample.size() >= 10);
-  PWCET_EXPECTS(quantile > 0.0 && quantile < 1.0);
-  const std::vector<double> v = sorted(sample);
-  const auto cut = static_cast<std::size_t>(
-      quantile * static_cast<double>(v.size()));
-  const std::size_t idx = std::min(cut, v.size() - 2);
-  const double u = v[idx];
-
-  std::vector<double> excess;
-  for (double x : v)
-    if (x > u) excess.push_back(x - u);
-  GpdFit fit;
-  fit.threshold = u;
-  fit.exceed_rate =
-      static_cast<double>(excess.size()) / static_cast<double>(v.size());
-  if (excess.size() < 2) {
-    fit.sigma = 1e-9;
-    fit.xi = 0.0;
-    return fit;
-  }
-
-  // Probability-weighted moments (Hosking & Wallis): with b0 the mean and
-  // b1 = sum((i)/(n-1) * z_(i+1)) / n over sorted excesses,
-  //   xi = 2 - b0 / (b0 - 2 b1),  sigma = 2 b0 b1 / (b0 - 2 b1).
-  std::sort(excess.begin(), excess.end());
-  const double m = static_cast<double>(excess.size());
-  double b0 = 0.0, b1 = 0.0;
-  for (std::size_t i = 0; i < excess.size(); ++i) {
-    b0 += excess[i];
-    b1 += (static_cast<double>(i) / (m - 1.0)) * excess[i];
-  }
-  b0 /= m;
-  b1 /= m;
-  const double denom = b0 - 2.0 * b1;
-  if (std::abs(denom) < 1e-15) {
-    fit.xi = 0.0;
-    fit.sigma = b0;
-    return fit;
-  }
-  fit.xi = 2.0 - b0 / denom;
-  fit.sigma = 2.0 * b0 * b1 / denom;
-  if (fit.sigma <= 0.0) {  // degenerate; fall back to exponential tail
-    fit.xi = 0.0;
-    fit.sigma = b0;
-  }
-  return fit;
-}
-
 std::vector<double> block_maxima(std::span<const double> sample,
                                  std::size_t block_size) {
   PWCET_EXPECTS(block_size >= 1);

@@ -4,10 +4,9 @@
 // measurement-based alternative in its related work (Slijepcevic et al.,
 // DTM [7]) derives pWCET estimates by fitting extreme-value distributions
 // to observed execution times. This module provides that comparator:
-// block-maxima + Gumbel (MLE via Newton) and peaks-over-threshold +
-// generalized Pareto (probability-weighted moments), plus a
-// Kolmogorov-Smirnov distance for fit quality. No external statistics
-// package is used.
+// block-maxima + Gumbel (MLE via Newton), which `run_mbpta` fits, plus the
+// Kolmogorov-Smirnov distance the tests use to check the fit's quality.
+// No external statistics package is used.
 #pragma once
 
 #include <functional>
@@ -33,24 +32,6 @@ struct GumbelFit {
 /// Maximum-likelihood Gumbel fit (Newton iteration on the scale profile
 /// likelihood). Requires at least two distinct sample values.
 GumbelFit fit_gumbel_mle(std::span<const double> sample);
-
-/// Generalized Pareto distribution over a threshold u:
-/// F(z) = 1 - (1 + xi * z / sigma)^(-1/xi), z = x - u >= 0.
-struct GpdFit {
-  double threshold = 0.0;
-  double sigma = 1.0;  ///< scale (> 0)
-  double xi = 0.0;     ///< shape
-  double exceed_rate = 0.0;  ///< fraction of the sample above the threshold
-
-  /// P[X > x] for x >= threshold, unconditional (includes exceed_rate).
-  double exceedance(double x) const;
-  /// Value exceeded with probability p (p < exceed_rate).
-  double quantile_exceedance(double p) const;
-};
-
-/// Peaks-over-threshold GPD fit by probability-weighted moments.
-/// `quantile` in (0, 1) picks the threshold as that empirical quantile.
-GpdFit fit_gpd_pot(std::span<const double> sample, double quantile);
 
 /// Per-block maxima of consecutive windows (tail samples for Gumbel).
 std::vector<double> block_maxima(std::span<const double> sample,

@@ -3,7 +3,7 @@
 /// plus ScopedPhase — the one-line probe instrumentation sites use.
 ///
 /// Names are defined centrally so the pipeline, the CLI's `--profile`
-/// table, the perf bench's per-phase breakdown, the tests and the CI
+/// table, the bench samples' per-phase breakdown, the tests and the CI
 /// validator all agree on the exact strings; see docs/observability.md
 /// for what each one measures.
 #pragma once

@@ -3,9 +3,9 @@
 /// campaign engine.
 ///
 /// One AnalysisStore instance serves a whole campaign (and, if the caller
-/// keeps it alive, any number of campaigns — that is how warm re-runs are
-/// measured in bench/perf_analysis_time.cpp). All methods are thread-safe;
-/// pool workers use the store concurrently.
+/// keeps it alive, any number of campaigns — that is how the
+/// `campaign.*.warm` bench scenarios measure warm re-runs). All methods
+/// are thread-safe; pool workers use the store concurrently.
 ///
 /// Determinism: the store only ever returns bits some earlier invocation
 /// of the *same deterministic computation on the same inputs* produced, so

@@ -54,18 +54,6 @@ class ArtifactStore {
   bool store_text(std::string_view kind, const StoreKey& key,
                   std::string_view payload) const;
 
-  /// Load-or-compute semantics: returns the cached payload if present,
-  /// otherwise computes, persists and returns it.
-  template <typename Fn>
-  std::string load_or_compute_text(std::string_view kind, const StoreKey& key,
-                                   Fn&& compute) const {
-    if (std::optional<std::string> cached = load_text(kind, key))
-      return *std::move(cached);
-    std::string payload = compute();
-    store_text(kind, key, payload);
-    return payload;
-  }
-
   /// pWCET distributions, one atom per payload line. Invalid payloads
   /// (unparsable line, non-increasing values, non-positive probability)
   /// load as nothing.

@@ -186,12 +186,6 @@ StoreKey hash_cache_config(const CacheConfig& config) {
   return h.finish();
 }
 
-StoreKey hash_fault_model(Probability pfail) {
-  KeyHasher h("pwcet-fault-model-v1");
-  h.mix_double(pfail);
-  return h.finish();
-}
-
 StoreKey pwcet_bundle_key(const StoreKey& core_key,
                           const std::vector<std::uint64_t>& mechanisms) {
   KeyHasher h("pwcet-bundle-v1");

@@ -97,9 +97,6 @@ StoreKey hash_program(const Program& program);
 /// All geometry and timing fields of a cache configuration.
 StoreKey hash_cache_config(const CacheConfig& config);
 
-/// The fault model's sole parameter (cell failure probability), by bits.
-StoreKey hash_fault_model(Probability pfail);
-
 /// Key of the shared re-weighting bundle ("pwcet-bundle-v1"): the
 /// pfail-independent penalty scaffolding of one (pipeline core, per-domain
 /// mechanism assignment) pair — deliberately *without* the fault

@@ -66,14 +66,4 @@ double median_abs_deviation(std::span<const double> sample) {
   return median(deviations);
 }
 
-double geometric_mean(std::span<const double> sample) {
-  PWCET_EXPECTS(!sample.empty());
-  double log_sum = 0.0;
-  for (double x : sample) {
-    PWCET_EXPECTS(x > 0.0);
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(sample.size()));
-}
-
 }  // namespace pwcet

@@ -38,7 +38,4 @@ double median(std::span<const double> sample);
 /// dispersion estimate. Multiply by 1.4826 for a normal-consistent sigma.
 double median_abs_deviation(std::span<const double> sample);
 
-/// Geometric mean; all inputs must be strictly positive.
-double geometric_mean(std::span<const double> sample);
-
 }  // namespace pwcet

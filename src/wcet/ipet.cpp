@@ -113,13 +113,4 @@ IpetSolution IpetCalculator::maximize(const CostModel& model) {
   return from_values(model, lp_sol.values, lp_sol.objective);
 }
 
-IpetSolution IpetCalculator::maximize_exact(const CostModel& model) const {
-  LinearProgram lp = lp_;
-  lp.set_objective_vector(objective_vector(model));
-  const LpSolution sol = solve_ilp(lp);
-  PWCET_ASSERT(sol.status == SolveStatus::kOptimal);
-  IpetSolution out = from_values(model, sol.values, sol.objective);
-  return out;
-}
-
 }  // namespace pwcet

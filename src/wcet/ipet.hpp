@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "cfg/program.hpp"
-#include "ilp/ilp_solver.hpp"
+#include "ilp/linear_program.hpp"
 #include "ilp/simplex.hpp"
 #include "wcet/cost_model.hpp"
 
@@ -36,12 +36,6 @@ class IpetCalculator {
   /// exact whenever the relaxation is integral (the common case for IPET;
   /// the test suite cross-checks against the exact loop-tree engine).
   IpetSolution maximize(const CostModel& model);
-
-  /// Exact integer solve (fresh branch-and-bound; no warm start). Used by
-  /// tests and available for certification-grade runs.
-  IpetSolution maximize_exact(const CostModel& model) const;
-
-  const LinearProgram& linear_program() const { return lp_; }
 
  private:
   std::vector<double> objective_vector(const CostModel& model) const;

@@ -35,7 +35,4 @@ std::vector<std::string> all_names();
 /// names.
 Program build(const std::string& name);
 
-/// Builds the full suite in display order.
-std::vector<Program> build_all();
-
 }  // namespace pwcet::workloads

@@ -3,8 +3,8 @@
 //
 //  - robust statistics (median/min/p90/MAD) on known samples;
 //  - harness discipline: warmup repetitions are discarded, samples carry
-//    recorder metrics and (when armed) MetricsRegistry data, and the
-//    --inject-slowdown self-test knob scales exactly the named metric;
+//    the armed MetricsRegistry's data, and the --inject-slowdown self-test
+//    knob scales exactly the named metric;
 //  - BenchReport JSON round-trip through a file;
 //  - diff verdict golden pairs: regression, improvement, within-noise,
 //    scenario added/removed, schema-version mismatch;
@@ -61,35 +61,12 @@ TEST(BenchHarness, WarmupRepetitionsRunButAreDiscarded) {
   BenchOptions options;
   options.warmup = 2;
   options.repetitions = 3;
-  options.capture_metrics = false;
   std::size_t calls = 0;
   const ScenarioSamples samples =
-      run_scenario("probe", options, [&calls](Recorder&) { ++calls; });
+      run_scenario("probe", options, [&calls] { ++calls; });
   EXPECT_EQ(calls, 5u);
   EXPECT_EQ(samples.samples.size(), 3u);
   EXPECT_EQ(samples.name, "probe");
-}
-
-TEST(BenchHarness, RecorderMetricsLandInEverySample) {
-  BenchOptions options;
-  options.warmup = 0;
-  options.repetitions = 2;
-  options.capture_metrics = false;
-  std::size_t rep = 0;
-  const ScenarioSamples samples =
-      run_scenario("probe", options, [&rep](Recorder& recorder) {
-        recorder.record_ns("cold_ns", 100 + rep);
-        recorder.record_ns("cold_ns", 200 + rep);  // overwrite wins
-        recorder.record_ns("warm_ns", 10);
-        ++rep;
-      });
-  ASSERT_EQ(samples.samples.size(), 2u);
-  const auto& metrics = samples.samples[0].metrics;
-  ASSERT_EQ(metrics.size(), 2u);  // sorted: cold_ns, warm_ns
-  EXPECT_EQ(metrics[0].first, "cold_ns");
-  EXPECT_EQ(metrics[0].second, 200u);
-  EXPECT_EQ(metrics[1].first, "warm_ns");
-  EXPECT_EQ(samples.samples[1].metrics[0].second, 201u);
 }
 
 TEST(BenchHarness, ArmedRegistryMetricsAndCountersAreCaptured) {
@@ -97,7 +74,7 @@ TEST(BenchHarness, ArmedRegistryMetricsAndCountersAreCaptured) {
   options.warmup = 1;
   options.repetitions = 2;
   const ScenarioSamples samples =
-      run_scenario("probe", options, [](Recorder&) {
+      run_scenario("probe", options, [] {
         obs::MetricsRegistry::instance().observe_ns("probe.phase", 4096);
         obs::MetricsRegistry::instance().add("probe.count", 3);
       });
@@ -121,25 +98,24 @@ TEST(BenchHarness, InjectedSlowdownScalesExactlyTheNamedMetric) {
   BenchOptions options;
   options.warmup = 0;
   options.repetitions = 1;
-  options.capture_metrics = false;
-  options.inject_slowdown = {{"cold_ns", 2.0}};
-  const ScenarioSamples samples =
-      run_scenario("probe", options, [](Recorder& recorder) {
-        recorder.record_ns("cold_ns", 1000);
-        recorder.record_ns("warm_ns", 1000);
-      });
+  options.inject_slowdown = {{"probe.cold", 2.0}};
+  const ScenarioSamples samples = run_scenario("probe", options, [] {
+    obs::MetricsRegistry::instance().observe_ns("probe.cold", 1000);
+    obs::MetricsRegistry::instance().observe_ns("probe.warm", 1000);
+  });
   const auto& metrics = samples.samples.at(0).metrics;
-  EXPECT_EQ(metrics[0].second, 2000u);  // cold_ns doubled
-  EXPECT_EQ(metrics[1].second, 1000u);  // warm_ns untouched
+  ASSERT_EQ(metrics.size(), 2u);  // sorted: probe.cold, probe.warm
+  EXPECT_EQ(metrics[0].second, 2000u);  // probe.cold doubled
+  EXPECT_EQ(metrics[1].second, 1000u);  // probe.warm untouched
 }
 
 TEST(BenchHarness, BodyExceptionsPropagateAndDisarmTheRegistry) {
   BenchOptions options;
   options.warmup = 0;
   options.repetitions = 1;
-  EXPECT_THROW(run_scenario("probe", options,
-                            [](Recorder&) { throw std::runtime_error("x"); }),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_scenario("probe", options, [] { throw std::runtime_error("x"); }),
+      std::runtime_error);
   EXPECT_FALSE(obs::MetricsRegistry::instance().enabled());
 }
 
@@ -333,7 +309,7 @@ TEST(BenchScenarios, MeasuringACampaignIsObservationOnly) {
   bench.warmup = 0;
   bench.repetitions = 1;
   std::string measured;
-  run_scenario("obs.check", bench, [&](Recorder&) {
+  run_scenario("obs.check", bench, [&] {
     RunnerOptions inner;
     inner.threads = 1;
     inner.store.enabled = false;

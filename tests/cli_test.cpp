@@ -728,6 +728,47 @@ TEST_F(CliTest, BenchUsageErrors) {
       1);
 }
 
+// A numeric bench flag with a sign, a count beyond its cap or a
+// non-finite value is a usage error naming the flag, reported before any
+// scenario runs.
+TEST_F(CliTest, BenchRunRejectsASignedOrHugeRepetitionCount) {
+  for (const char* value : {"-1", "+3", "99999999999"}) {
+    const CliResult result = run_cli({"bench", "run", "--repetitions", value});
+    EXPECT_EQ(result.code, 2) << value;
+    EXPECT_NE(result.err.find("--repetitions wants"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST_F(CliTest, BenchRunRejectsASignedOrHugeWarmup) {
+  for (const char* value : {"-1", "99999999999"}) {
+    const CliResult result = run_cli({"bench", "run", "--warmup", value});
+    EXPECT_EQ(result.code, 2) << value;
+    EXPECT_NE(result.err.find("--warmup wants"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST_F(CliTest, BenchRunRejectsANonFiniteInjectedFactor) {
+  for (const char* value : {"wall_ns=nan", "wall_ns=inf", "wall_ns=1e300"}) {
+    const CliResult result =
+        run_cli({"bench", "run", "--inject-slowdown", value});
+    EXPECT_EQ(result.code, 2) << value;
+    EXPECT_NE(result.err.find("--inject-slowdown wants"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST_F(CliTest, BenchDiffRejectsANonFiniteThreshold) {
+  for (const char* value : {"nan", "inf", "-0.5"}) {
+    const CliResult result =
+        run_cli({"bench", "diff", "a.json", "b.json", "--threshold", value});
+    EXPECT_EQ(result.code, 2) << value;
+    EXPECT_NE(result.err.find("--threshold wants"), std::string::npos)
+        << result.err;
+  }
+}
+
 TEST_F(CliTest, ProfileTableCarriesPercentileColumns) {
   const CliResult result = run_cli({"run", tiny_spec_path(), "--threads",
                                     "1", "--profile"});

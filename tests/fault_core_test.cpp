@@ -141,11 +141,13 @@ TEST_P(AnalyzerInvariantsTest, PenaltyDistributionWellFormed) {
   const auto r = a.analyze(FaultModel(1e-4), Mechanism::kSharedReliableBuffer);
   EXPECT_NEAR(r.penalty.total_mass(), 1.0, 1e-6);
   EXPECT_GE(r.penalty.min_value(), 0);
-  // CCDF is monotone non-increasing.
-  const auto points = r.ccdf();
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].wcet, points[i - 1].wcet);
-    EXPECT_LE(points[i].exceedance, points[i - 1].exceedance + 1e-15);
+  // The CCDF is monotone non-increasing: one point per penalty atom, at
+  // the exceedance just below the atom (the tail including it).
+  const auto& atoms = r.penalty.atoms();
+  for (std::size_t i = 1; i < atoms.size(); ++i) {
+    EXPECT_GE(atoms[i].value, atoms[i - 1].value);
+    EXPECT_LE(r.penalty.exceedance(atoms[i].value - 1),
+              r.penalty.exceedance(atoms[i - 1].value - 1) + 1e-15);
   }
 }
 

@@ -88,41 +88,6 @@ TEST(Gumbel, KsSmallOnSelfFitLargeOnWrongModel) {
   EXPECT_GT(d_bad, 0.5);
 }
 
-TEST(Gpd, ExponentialTailHasZeroShape) {
-  // Exponential(1) excesses are GPD with xi = 0.
-  Rng rng(109);
-  std::vector<double> sample;
-  for (int i = 0; i < 20000; ++i)
-    sample.push_back(-std::log(1.0 - rng.next_double()));
-  const GpdFit fit = fit_gpd_pot(sample, 0.9);
-  EXPECT_NEAR(fit.xi, 0.0, 0.08);
-  EXPECT_NEAR(fit.sigma, 1.0, 0.1);
-  EXPECT_NEAR(fit.exceed_rate, 0.1, 0.01);
-}
-
-TEST(Gpd, ExceedanceAndQuantileConsistent) {
-  GpdFit fit;
-  fit.threshold = 50.0;
-  fit.sigma = 5.0;
-  fit.xi = 0.1;
-  fit.exceed_rate = 0.05;
-  for (double p : {1e-3, 1e-6, 1e-9}) {
-    const double x = fit.quantile_exceedance(p);
-    EXPECT_NEAR(fit.exceedance(x), p, p * 1e-6);
-  }
-  EXPECT_DOUBLE_EQ(fit.exceedance(fit.threshold), fit.exceed_rate);
-}
-
-TEST(Gpd, NegativeShapeHasFiniteEndpoint) {
-  GpdFit fit;
-  fit.threshold = 0.0;
-  fit.sigma = 10.0;
-  fit.xi = -0.5;  // right endpoint at sigma/|xi| = 20
-  fit.exceed_rate = 1.0;
-  EXPECT_GT(fit.exceedance(19.0), 0.0);
-  EXPECT_DOUBLE_EQ(fit.exceedance(25.0), 0.0);
-}
-
 TEST(BlockMaxima, WindowsAndRemainder) {
   const std::vector<double> v{1, 5, 2, 8, 3, 4, 9};
   const auto maxima = block_maxima(v, 2);

@@ -337,6 +337,37 @@ TEST_F(ObsTest, StructuralCountersAreDeterministicForSerialColdRuns) {
   EXPECT_GT(set_penalty, 0u);
 }
 
+TEST_F(ObsTest, ShardsCountOnlyTheJobsTheyOwn) {
+  // engine.jobs counts the jobs a run executes, so the shards of a 3-way
+  // split (one owns no group: tiny_spec has 2) sum to the whole run's.
+  const auto counted = [](const ShardSelector& shard) {
+    reset();
+    obs::MetricsRegistry::instance().enable();
+    RunnerOptions options;
+    options.threads = 1;
+    options.store.enabled = false;
+    options.shard = shard;
+    run_campaign(tiny_spec(), options);
+    obs::MetricsRegistry::instance().disable();
+    std::uint64_t jobs = 0, spta = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::instance().counters()) {
+      if (name == "engine.jobs") jobs = value;
+      if (name == "engine.jobs.spta") spta = value;
+    }
+    return std::pair{jobs, spta};
+  };
+  const std::uint64_t whole = counted(ShardSelector{0, 1}).first;
+  EXPECT_EQ(whole, 12u);
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto [jobs, spta] = counted(ShardSelector{i, 3});
+    EXPECT_EQ(jobs, spta) << "shard " << i + 1 << "/3";
+    sum += jobs;
+  }
+  EXPECT_EQ(sum, whole);
+}
+
 TEST_F(ObsTest, SerialQueueWaitIsBoundedByTheCampaignWall) {
   // Regression: engine.queue_wait once measured every group from the bulk
   // enqueue instant, so a serial campaign's backlog counted as "wait" and

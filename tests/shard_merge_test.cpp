@@ -438,6 +438,28 @@ TEST_F(ShardMergeRejectionTest, CorruptedFragmentArtifactIsNamed) {
   EXPECT_NE(error.find(victim), std::string::npos) << error;
 }
 
+TEST_F(ShardMergeRejectionTest, HostileSlotListsAreNamedBeforeExpansion) {
+  // A fragment re-stored through the artifact API passes the header and
+  // payload-hash checks, so its slot list is the last line of defence: a
+  // range past the job count or a signed number must be a named error,
+  // never a multi-gigabyte expansion.
+  const std::vector<std::string> dirs = run_shards(2);
+  const ArtifactStore store({dirs[0]});
+  const StoreKey key = shard_fragment_key(campaign_spec_key(doc_.spec), 0, 2);
+  const std::string original = store.load_text(kShardFragmentKind, key).value();
+  const std::size_t begin = original.find("\"slots\":\"") + 9;
+  const std::size_t end = original.find('"', begin);
+  ASSERT_LT(end, original.size());
+  for (const std::string hostile : {"0-3000000000", "0--1", "-1"}) {
+    std::string payload = original;
+    payload.replace(begin, end - begin, hostile);
+    ASSERT_TRUE(store.store_text(kShardFragmentKind, key, payload));
+    const std::string error = merge_error(dirs, 2);
+    EXPECT_NE(error.find("slot list '" + hostile + "'"), std::string::npos)
+        << error;
+  }
+}
+
 TEST_F(ShardMergeRejectionTest, StoreCollisionNamesKeyAndBothFiles) {
   const std::vector<std::string> dirs = run_shards(2);
   // Plant the same artifact key with different bytes in both stores.

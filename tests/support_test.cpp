@@ -126,13 +126,6 @@ TEST(Stats, EmpiricalExceedance) {
   EXPECT_DOUBLE_EQ(empirical_exceedance(v, 4.0), 0.0);
 }
 
-TEST(Stats, GeometricMean) {
-  const std::vector<double> v{1.0, 4.0};
-  EXPECT_NEAR(geometric_mean(v), 2.0, 1e-12);
-  const std::vector<double> same{3.0, 3.0, 3.0};
-  EXPECT_NEAR(geometric_mean(same), 3.0, 1e-12);
-}
-
 TEST(Stats, MedianOddEvenAndUnsorted) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median(std::vector<double>{4.0, 1.0, 3.0, 2.0}), 2.5);
