@@ -14,11 +14,10 @@
 
 namespace pwcet {
 
-/// Pfail-independent penalty scaffolding of one (pipeline core, per-domain
-/// mechanism assignment) pair — everything analyze() needs below the pwf
-/// weighting. A pfail sweep resolves every point to the same bundle
-/// ("pwcet-bundle-v1" deliberately omits the fault probability) and pays
-/// only the re-weighting and the final convolution fold per point.
+/// Pfail-independent penalty scaffolding of one per-domain mechanism
+/// assignment — everything analyze() needs below the pwf weighting. Every
+/// pfail point of a sweep resolves to the same bundle and pays only the
+/// re-weighting and the final convolution fold.
 struct PenaltyBundle {
   struct Domain {
     /// Distinct FMM rows, numbered in first-set order; `row_of_set` maps
@@ -108,15 +107,6 @@ DiscreteDistribution build_reweighted_penalty(
                                   pool);
 }
 
-/// Memo value of the pipeline-core layer: everything expensive the
-/// constructor produces. Cached all-or-nothing so the ILP engine's shared
-/// simplex sees the exact same maximize() sequence on every miss (partial
-/// reuse would perturb LP round-off; see wcet/fmm.hpp).
-struct PipelineCore {
-  Cycles fault_free_wcet = 0;
-  std::vector<FmmBundle> fmms;
-};
-
 /// Adds `other` into `total` term by term. Folding the domains' models
 /// this way reproduces the historical arithmetic exactly: a single-domain
 /// pipeline maximizes the primary model untouched, and a two-domain one
@@ -131,7 +121,7 @@ void add_cost_model(CostModel& total, const CostModel& other) {
 
 /// The chained core key. Compatibility contract (pipeline.hpp): the two
 /// shipped compositions reproduce the pre-pipeline analyzer recipes bit
-/// for bit so existing memo entries and disk artifacts keep resolving;
+/// for bit so existing disk artifacts keep resolving;
 /// any other composition gets its own sub-domain that additionally chains
 /// the domain count and names (two differently-shaped compositions whose
 /// config streams coincide must never alias).
@@ -170,76 +160,55 @@ PwcetPipeline::PwcetPipeline(
   PWCET_EXPECTS(domains_.front()->standalone());
   core_key_ = pipeline_core_key(program_, domains_, options_.engine);
 
-  // Everything below lives inside the compute path on purpose: on a core
-  // memo hit the constructor does no analysis work at all — not even the
-  // reference extraction — just the structural hashes above.
-  auto compute_core = [&] {
-    obs::ScopedPhase core_phase(obs::phase_name::kCore);
-    std::vector<ReferenceMap> refs;
-    {
-      obs::ScopedPhase phase(obs::phase_name::kExtract);
-      refs.reserve(domains_.size());
-      for (const auto& domain : domains_)
-        refs.push_back(domain->extract(program_));
-    }
+  obs::ScopedPhase core_phase(obs::phase_name::kCore);
+  std::vector<ReferenceMap> refs;
+  {
+    obs::ScopedPhase phase(obs::phase_name::kExtract);
+    refs.reserve(domains_.size());
+    for (const auto& domain : domains_)
+      refs.push_back(domain->extract(program_));
+  }
 
-    std::unique_ptr<IpetCalculator> ipet;
-    if (options_.engine == WcetEngine::kIlp)
-      ipet = std::make_unique<IpetCalculator>(program_);
+  std::unique_ptr<IpetCalculator> ipet;
+  if (options_.engine == WcetEngine::kIlp)
+    ipet = std::make_unique<IpetCalculator>(program_);
 
-    // One classification per domain, one summed time model, one phase-1
-    // maximization bounding the whole program.
-    CostModel total;
-    {
-      obs::ScopedPhase phase(obs::phase_name::kClassify);
-      for (std::size_t i = 0; i < domains_.size(); ++i) {
-        const ClassificationMap cls =
-            domains_[i]->classify(program_, refs[i]);
-        CostModel contribution =
-            domains_[i]->time_cost_model(program_, refs[i], cls);
-        if (i == 0)
-          total = std::move(contribution);
-        else
-          add_cost_model(total, contribution);
-      }
-    }
-
-    double wcet = 0.0;
-    {
-      obs::ScopedPhase phase(obs::phase_name::kMaximize);
-      if (options_.engine == WcetEngine::kIlp)
-        wcet = ipet->maximize(total).objective;
+  // One classification per domain, one summed time model, one phase-1
+  // maximization bounding the whole program.
+  CostModel total;
+  {
+    obs::ScopedPhase phase(obs::phase_name::kClassify);
+    for (std::size_t i = 0; i < domains_.size(); ++i) {
+      const ClassificationMap cls = domains_[i]->classify(program_, refs[i]);
+      CostModel contribution =
+          domains_[i]->time_cost_model(program_, refs[i], cls);
+      if (i == 0)
+        total = std::move(contribution);
       else
-        wcet = tree_maximize(program_, total);
+        add_cost_model(total, contribution);
     }
+  }
 
-    PipelineCore core;
-    // The time model is integral; ceil absorbs LP round-off soundly.
-    core.fault_free_wcet = static_cast<Cycles>(std::ceil(wcet - 1e-6));
-    {
-      obs::ScopedPhase phase(obs::phase_name::kFmm);
-      core.fmms.reserve(domains_.size());
-      for (std::size_t i = 0; i < domains_.size(); ++i) {
-        const StoreKey row_prefix =
-            domains_[i]->row_key_prefix(program_, options_.engine);
-        core.fmms.push_back(domains_[i]->fmm_bundle(
-            program_, refs[i], options_.engine, ipet.get(), options_.pool,
-            options_.store, &row_prefix));
-      }
-    }
-    return core;
-  };
+  double wcet = 0.0;
+  {
+    obs::ScopedPhase phase(obs::phase_name::kMaximize);
+    if (options_.engine == WcetEngine::kIlp)
+      wcet = ipet->maximize(total).objective;
+    else
+      wcet = tree_maximize(program_, total);
+  }
+  // The time model is integral; ceil absorbs LP round-off soundly.
+  fault_free_wcet_ = static_cast<Cycles>(std::ceil(wcet - 1e-6));
 
-  if (options_.store != nullptr) {
-    const std::shared_ptr<const PipelineCore> core =
-        options_.store->memo().get_or_compute<PipelineCore>(
-            core_key_, compute_core, "core");
-    fault_free_wcet_ = core->fault_free_wcet;
-    fmms_ = core->fmms;
-  } else {
-    PipelineCore core = compute_core();
-    fault_free_wcet_ = core.fault_free_wcet;
-    fmms_ = std::move(core.fmms);
+  obs::ScopedPhase phase(obs::phase_name::kFmm);
+  fmms_.reserve(domains_.size());
+  for (std::size_t i = 0; i < domains_.size(); ++i) {
+    const StoreKey row_prefix =
+        domains_[i]->row_key_prefix(program_, options_.engine);
+    fmms_.push_back(domains_[i]->fmm_bundle(program_, refs[i],
+                                            options_.engine, ipet.get(),
+                                            options_.pool, options_.store,
+                                            &row_prefix));
   }
 }
 
@@ -253,27 +222,13 @@ std::shared_ptr<const PenaltyBundle> PwcetPipeline::acquire_bundle(
     const std::vector<Mechanism>& mechanisms) const {
   std::lock_guard<std::mutex> lock(bundle_mutex_);
   std::shared_ptr<const PenaltyBundle>& slot = bundle_cache_[mechanisms];
-  if (slot != nullptr) return slot;
-  auto compute = [&] {
-    PenaltyBundle bundle;
-    bundle.domains.reserve(domains_.size());
+  if (slot == nullptr) {
+    auto bundle = std::make_shared<PenaltyBundle>();
+    bundle->domains.reserve(domains_.size());
     for (std::size_t i = 0; i < domains_.size(); ++i)
-      bundle.domains.push_back(build_domain_scaffold(
+      bundle->domains.push_back(build_domain_scaffold(
           fmms_[i].of(mechanisms[i]), domains_[i]->config()));
-    return bundle;
-  };
-  if (options_.store != nullptr) {
-    // Memo layer: pipelines with the same core (same program, domains,
-    // engine — e.g. every group of a pfail sweep sharing a geometry) share
-    // one bundle per mechanism assignment, across instances.
-    std::vector<std::uint64_t> mechanism_ids;
-    mechanism_ids.reserve(mechanisms.size());
-    for (const Mechanism mechanism : mechanisms)
-      mechanism_ids.push_back(static_cast<std::uint64_t>(mechanism));
-    slot = options_.store->memo().get_or_compute<PenaltyBundle>(
-        pwcet_bundle_key(core_key_, mechanism_ids), compute, "bundle");
-  } else {
-    slot = std::make_shared<const PenaltyBundle>(compute());
+    slot = std::move(bundle);
   }
   return slot;
 }
@@ -281,15 +236,23 @@ std::shared_ptr<const PenaltyBundle> PwcetPipeline::acquire_bundle(
 PwcetResult PwcetPipeline::analyze(
     const FaultModel& faults, const std::vector<Mechanism>& mechanisms) const {
   PWCET_EXPECTS(mechanisms.size() == domains_.size());
-  AnalysisStore* store = options_.store;
+  obs::ScopedPhase analyze_phase(obs::phase_name::kAnalyze);
+  PwcetResult result;
+  result.mechanism = mechanisms.front();
+  result.fault_free_wcet = fault_free_wcet_;
+  result.fmm = fmms_.front().of(mechanisms.front());
 
-  // Whole-analysis layer: one key per (core, mechanisms, pfail, coalescing
-  // budget) — everything this function reads. The single-domain tag is the
-  // historical per-mechanism result key, the multi-domain tag the combined
+  // Artifact tier: the penalty distribution (the only expensive part of
+  // the result) may survive from an earlier process or another spec. Its
+  // key covers everything this function reads: (core, mechanisms, pfail,
+  // coalescing budget). The single-domain tag is the historical
+  // per-mechanism result key, the multi-domain tag the combined
   // analyzer's; compositions of different shapes cannot alias because the
   // chained core key already separates them.
+  ArtifactStore* artifacts =
+      options_.store != nullptr ? options_.store->artifacts() : nullptr;
   StoreKey result_key;
-  if (store != nullptr) {
+  if (artifacts != nullptr) {
     KeyHasher hasher(domains_.size() == 1 ? "pwcet-result-v1"
                                           : "pwcet-dresult-v1");
     hasher.mix_key(core_key_);
@@ -298,29 +261,9 @@ PwcetResult PwcetPipeline::analyze(
     result_key = hasher.mix_double(faults.pfail())
                      .mix_u64(options_.max_distribution_points)
                      .finish();
-    if (const std::shared_ptr<const void> hit =
-            store->memo().get(result_key, "result"))
-      return *std::static_pointer_cast<const PwcetResult>(hit);
-  }
-
-  // The span covers the memo-miss path only: a memo hit does no analysis
-  // work worth a sample, and the artifact-load escape below is disk time
-  // the store counters already attribute.
-  obs::ScopedPhase analyze_phase(obs::phase_name::kAnalyze);
-  PwcetResult result;
-  result.mechanism = mechanisms.front();
-  result.fault_free_wcet = fault_free_wcet_;
-  result.fmm = fmms_.front().of(mechanisms.front());
-
-  // Artifact tier: the penalty distribution (the only expensive part of
-  // the result — the FMM and the fault-free WCET come from the core
-  // layer) may survive from an earlier process.
-  if (store != nullptr && store->artifacts() != nullptr) {
     if (std::optional<DiscreteDistribution> penalty =
-            store->artifacts()->load_distribution(result_key)) {
+            artifacts->load_distribution(result_key)) {
       result.penalty = *std::move(penalty);
-      store->memo().put(result_key,
-                        std::make_shared<const PwcetResult>(result), "result");
       return result;
     }
   }
@@ -337,8 +280,8 @@ PwcetResult PwcetPipeline::analyze(
   }
 
   // Each domain's penalty re-weights the shared pfail-independent bundle:
-  // the scaffold is fetched (or built once) under its pfail-free key, and
-  // only the per-row weighting + the convolution fold run per pfail.
+  // the scaffold is built once per mechanism assignment, and only the
+  // per-row weighting + the convolution fold run per pfail.
   // Domains are physically disjoint SRAM arrays — their fault counts are
   // independent — so the cross-domain penalty is the convolution, folded
   // in domain order with the same coalescing budget.
@@ -350,7 +293,7 @@ PwcetResult PwcetPipeline::analyze(
   auto domain_penalty = [&](std::size_t i) {
     return build_reweighted_penalty(
         bundle->domains[i], domains_[i]->config(), pwfs[i],
-        options_.max_distribution_points, options_.pool, store);
+        options_.max_distribution_points, options_.pool, options_.store);
   };
   DiscreteDistribution penalty = domain_penalty(0);
   for (std::size_t i = 1; i < domains_.size(); ++i) {
@@ -360,13 +303,8 @@ PwcetResult PwcetPipeline::analyze(
         options_.max_distribution_points);
   }
   result.penalty = std::move(penalty);
-
-  if (store != nullptr) {
-    if (store->artifacts() != nullptr)
-      store->artifacts()->store_distribution(result_key, result.penalty);
-    store->memo().put(result_key,
-                      std::make_shared<const PwcetResult>(result), "result");
-  }
+  if (artifacts != nullptr)
+    artifacts->store_distribution(result_key, result.penalty);
   return result;
 }
 

@@ -27,10 +27,11 @@
 /// Store-key compatibility contract: the pipeline core key of a
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
 /// recipe (pwcet_core_key), that of the [IcacheDomain, DcacheDomain] pair
-/// is the historical "pwcet-dcore-v1" recipe, and the per-result /
-/// per-set-penalty / per-row keys reproduce the keys of the original
-/// single-cache and I+D analyzers bit for bit — so memo and artifact stores
-/// written by earlier versions keep hitting (pinned by
+/// is the historical "pwcet-dcore-v1" recipe, and the keys chained from it
+/// — the per-result distribution artifact, the per-set-penalty and
+/// per-row memo entries — reproduce the keys of the original single-cache
+/// and I+D analyzers bit for bit, so artifact directories written by
+/// earlier versions keep hitting (pinned by
 /// tests/analysis_pipeline_test.cpp).
 #pragma once
 
@@ -64,17 +65,16 @@ struct PwcetOptions {
   /// convolution tree has a fixed shape. The pool must outlive the
   /// pipeline; nullptr runs everything on the calling thread.
   ThreadPool* pool = nullptr;
-  /// Optional content-addressed store (store/analysis_store.hpp), which
-  /// memoizes three layers: the pipeline core (fault-free WCET + all
-  /// domains' FMM bundles, including the tree engine's per-set rows),
-  /// per-set penalty distributions (content-addressed on the FMM row
+  /// Optional content-addressed store (store/analysis_store.hpp). Its memo
+  /// holds per-set penalty distributions (content-addressed on the FMM row
   /// itself, so identical rows share across sets, mechanisms, domains and
-  /// even tasks), and whole per-(mechanisms, pfail) results — the latter
-  /// also persisted to disk when the store has an artifact tier. Every key
-  /// captures all inputs of the computation it names and every computation
-  /// is deterministic, so results with a store are byte-identical to cold
-  /// recomputation at any thread count (asserted by tests/store_test.cpp).
-  /// The store must outlive the pipeline; nullptr computes from scratch.
+  /// even tasks) and the tree engine's per-set FMM rows; with an artifact
+  /// tier, each per-(mechanisms, pfail) penalty distribution is also
+  /// persisted to disk. Every key captures all inputs of the computation
+  /// it names and every computation is deterministic, so results with a
+  /// store are byte-identical to cold recomputation at any thread count
+  /// (asserted by tests/store_test.cpp). The store must outlive the
+  /// pipeline; nullptr computes from scratch.
   AnalysisStore* store = nullptr;
 };
 
@@ -100,8 +100,7 @@ struct PwcetResult {
 /// Pipeline bound to one (program, domain list) pair. The expensive
 /// shared work (reference extraction, fault-free classification, the
 /// single IPET/tree phase-1 maximization, all FMM bundles) is done once
-/// in the constructor — memoized all-or-nothing under the core key — and
-/// reused across mechanisms and pfail values.
+/// in the constructor and reused across mechanisms and pfail values.
 class PwcetPipeline {
  public:
   /// `domains` must be non-empty and its first entry standalone()
@@ -131,16 +130,15 @@ class PwcetPipeline {
   const FmmBundle& fmm(std::size_t i) const { return fmms_[i]; }
 
   /// Store key of the pipeline core: program content x every domain's
-  /// chained contribution x engine — the prefix every per-result key
-  /// chains from. See the header comment for the compatibility contract.
+  /// chained contribution x engine — the prefix the per-result
+  /// distribution key chains from. See the header comment for the
+  /// compatibility contract.
   const StoreKey& core_key() const { return core_key_; }
 
  private:
   /// The pfail-independent re-weighting bundle of one mechanism
-  /// assignment: per-domain penalty scaffolding ("pwcet-bundle-v1",
-  /// store/key.hpp) shared by every pfail point that analyze() sees.
-  /// Cached per instance (so store-less runs share too) and, with a
-  /// store, memoized across pipelines under the bundle key.
+  /// assignment: per-domain penalty scaffolding shared by every pfail
+  /// point that analyze() sees, built once per instance.
   std::shared_ptr<const PenaltyBundle> acquire_bundle(
       const std::vector<Mechanism>& mechanisms) const;
 

@@ -31,6 +31,8 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
+#include "store/analysis_store.hpp"
+#include "store/artifact_store.hpp"
 #include "support/json_doc.hpp"
 #include "support/table.hpp"
 #include "workloads/malardalen.hpp"
@@ -400,8 +402,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   // that requirement — the fragment travels independently.
   std::string shard_cache_dir = options.store.artifact_dir;
   if (shard_given && shard_cache_dir.empty()) {
-    const char* env_dir = std::getenv("PWCET_CACHE_DIR");
-    if (env_dir != nullptr && *env_dir != '\0') shard_cache_dir = env_dir;
+    shard_cache_dir = cache_dir_from_env();
     if (shard_cache_dir.empty()) {
       err << "pwcet: --shard needs a cache directory for its fragment "
              "artifact: pass --cache-dir or set PWCET_CACHE_DIR\n";
@@ -799,10 +800,7 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
       return 2;
     }
   }
-  if (dir.empty()) {
-    const char* env = std::getenv("PWCET_CACHE_DIR");
-    if (env != nullptr) dir = env;
-  }
+  if (dir.empty()) dir = cache_dir_from_env();
 
   // A metrics snapshot is self-contained: render it even without a cache
   // directory (the counters describe the memo tier too, which never
@@ -827,7 +825,7 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
   }
 
   // The artifact tier lays out one subdirectory per artifact kind with one
-  // "<key>.jsonl" file per artifact (store/artifact_store.cpp). Anything
+  // "<key>.jsonl" file per artifact (classify_artifact_file). Anything
   // else in the directory is not ours and is left untouched.
   struct KindStats {
     std::string kind;
@@ -852,7 +850,10 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
     KindStats stats;
     stats.kind = entry.path().filename().string();
     for (const fs::directory_entry& file : kind_it) {
-      if (!file.is_regular_file(ec) || file.path().extension() != ".jsonl")
+      if (!file.is_regular_file(ec) ||
+          classify_artifact_file(stats.kind,
+                                 file.path().filename().string()) !=
+              ArtifactFile::kArtifact)
         continue;
       // A file racing deletion by another process reads as an error here;
       // skip it rather than folding file_size's uintmax_t(-1) sentinel
@@ -884,11 +885,11 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
 
-  // clear: remove only artifact files — "<key>.jsonl" plus orphaned
-  // "<key>.jsonl.tmp*" left by a writer that died before its rename —
-  // and then-empty kind directories, so a mistyped --cache-dir cannot
-  // wipe unrelated data. Walks the directory afresh rather than the
-  // stats list, which skips kinds holding only orphans.
+  // clear: remove only artifacts and orphans (temp files of a writer that
+  // died before its rename), then the kind directories they leave empty,
+  // so a mistyped --cache-dir cannot wipe unrelated data. Walks the
+  // directory afresh rather than the stats list, which skips kinds holding
+  // only orphans.
   std::uint64_t removed = 0;
   const fs::directory_iterator kind_dirs(dir, ec);
   if (ec) {
@@ -904,13 +905,14 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
           << ec.message() << "\n";
       return 1;
     }
+    const std::string kind = entry.path().filename().string();
     for (const fs::directory_entry& file : files) {
       if (!file.is_regular_file(ec)) continue;
-      const std::string name = file.path().filename().string();
-      const bool artifact = file.path().extension() == ".jsonl";
-      const bool orphan = name.find(".jsonl.tmp") != std::string::npos;
-      if (!artifact && !orphan) continue;
-      if (fs::remove(file.path(), ec) && artifact) ++removed;
+      const ArtifactFile what =
+          classify_artifact_file(kind, file.path().filename().string());
+      if (what == ArtifactFile::kForeign) continue;
+      if (fs::remove(file.path(), ec) && what == ArtifactFile::kArtifact)
+        ++removed;
     }
     fs::remove(entry.path(), ec);  // succeeds only if now empty
   }

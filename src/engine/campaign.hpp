@@ -249,17 +249,19 @@ std::size_t campaign_job_index(const CampaignSpec& spec, std::size_t task_i,
                                std::size_t l2_i = 0);
 
 /// Shared store-key prefix of a job's analyzer group: the (task, geometry,
-/// engine, dcache) values that determine which memoized sub-results
-/// (analyzer core, FMM rows) the job can reuse. Derived from the axis
-/// *values* (task name, geometry fields), not indices, so duplicated or
-/// reordered axis entries land on the same key. The runner submits groups
+/// engine, dcache) values that determine which memoized sub-results (FMM
+/// rows, per-set penalty distributions) the job can reuse. Derived from
+/// the axis *values* (task name, geometry fields), not indices, so
+/// duplicated or reordered axis entries land on the same key. The runner submits groups
 /// ordered by this prefix (cache-aware ordering): groups about to touch
 /// the same memo entries run back to back, maximizing hit locality under a
 /// bounded LRU. Results are unaffected — collection is slot-indexed.
 StoreKey campaign_group_key(const CampaignJob& job);
 
-/// Content key of a whole spec; names the campaign-report artifact the
-/// runner persists when the store's disk tier is enabled.
+/// Content key of a whole spec: the key of the store's whole-campaign
+/// entry (engine/runner.hpp's load_campaign / save_campaign) — the
+/// memo's "campaign" results and the disk tier's campaign-report and
+/// campaign-dist artifacts.
 StoreKey campaign_spec_key(const CampaignSpec& spec);
 
 }  // namespace pwcet

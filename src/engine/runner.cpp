@@ -122,14 +122,6 @@ JobResult run_simulation_job(const CampaignJob& job, const Program& program,
   return r;
 }
 
-/// Numeric outcome of one slack (conservatism) measurement; memoized per
-/// (program, geometry, mechanism) since the pfail axis does not enter.
-struct SlackStats {
-  std::uint64_t fetches = 0, srb_hits = 0;
-  std::uint64_t sim_misses = 0, bound_misses = 0;
-  std::uint64_t sim_misses_1 = 0, bound_misses_1 = 0;
-};
-
 /// The E5 conservatism oracle (the two regimes of
 /// specs/srb_conservatism.json), generalized to the SRB-vs-RW pairing:
 ///
@@ -145,9 +137,10 @@ struct SlackStats {
 /// sets then retain state the conservative assumption must discard — the
 /// paper's a1 a2 b1 b2 a1 a2 situation, §III-B.2). The gap between the
 /// static bound and the simulated misses on the worst structural path is
-/// what a flow-sensitive analysis could reclaim.
-SlackStats compute_slack(const Program& program, const CacheConfig& config,
-                         Mechanism mechanism) {
+/// what a flow-sensitive analysis could reclaim. Fills the slack fields of
+/// the returned result only.
+JobResult compute_slack(const Program& program, const CacheConfig& config,
+                        Mechanism mechanism) {
   const ReferenceMap refs = extract_references(program.cfg(), config);
   const auto cls = classify_fault_free(program.cfg(), refs, config);
   const CostModel time_model =
@@ -170,7 +163,7 @@ SlackStats compute_slack(const Program& program, const CacheConfig& config,
     return one_way_cls[size_t(blk)][i].chmc == Chmc::kAlwaysHit ? 0 : 1;
   };
 
-  SlackStats out;
+  JobResult out;
 
   // Regime A: every set fully faulty (RW's hardened way is masked by the
   // simulator, leaving one usable way per set).
@@ -211,30 +204,9 @@ SlackStats compute_slack(const Program& program, const CacheConfig& config,
 }
 
 JobResult run_slack_job(const CampaignJob& job, const Program& program,
-                        const CampaignSpec& spec, AnalysisStore* store) {
-  JobResult r;
+                        const CampaignSpec& spec) {
+  JobResult r = compute_slack(program, job.geometry, job.mechanism);
   r.job = job;
-  SlackStats stats;
-  if (store != nullptr) {
-    const StoreKey key =
-        KeyHasher("slack-v1")
-            .mix_key(hash_program(program))
-            .mix_key(hash_cache_config(job.geometry))
-            .mix_u64(static_cast<std::uint64_t>(job.mechanism))
-            .finish();
-    stats = *store->memo().get_or_compute<SlackStats>(
-        key,
-        [&] { return compute_slack(program, job.geometry, job.mechanism); },
-        "slack");
-  } else {
-    stats = compute_slack(program, job.geometry, job.mechanism);
-  }
-  r.fetches = stats.fetches;
-  r.srb_hits = stats.srb_hits;
-  r.sim_misses = stats.sim_misses;
-  r.bound_misses = stats.bound_misses;
-  r.sim_misses_1 = stats.sim_misses_1;
-  r.bound_misses_1 = stats.bound_misses_1;
   // Slack cells have no pWCET curve; keep the distribution sink total
   // (jobs x points) so renders and the warm-load parser stay aligned.
   r.curve.assign(spec.ccdf_exceedances.size(), 0.0);
@@ -242,6 +214,46 @@ JobResult run_slack_job(const CampaignJob& job, const Program& program,
 }
 
 }  // namespace
+
+bool load_campaign(AnalysisStore& store, const StoreKey& spec_key,
+                   const std::vector<CampaignJob>& jobs,
+                   CampaignResult& campaign) {
+  if (const std::shared_ptr<const void> hit =
+          store.memo().get(spec_key, "campaign")) {
+    campaign.results =
+        *std::static_pointer_cast<const std::vector<JobResult>>(hit);
+    return true;
+  }
+  const ArtifactStore* artifacts = store.artifacts();
+  if (artifacts == nullptr) return false;
+  std::vector<std::size_t> all_slots(jobs.size());
+  std::iota(all_slots.begin(), all_slots.end(), 0);
+  const std::optional<std::string> report =
+      artifacts->load_text("campaign-report", spec_key);
+  if (!report ||
+      !parse_campaign_report_rows(*report, jobs, all_slots, campaign.results))
+    return false;
+  const std::size_t curve_points = campaign.spec.ccdf_exceedances.size();
+  if (curve_points == 0) return true;
+  const std::optional<std::string> dist =
+      artifacts->load_text("campaign-dist", spec_key);
+  return dist && parse_campaign_dist_rows(*dist, curve_points, all_slots,
+                                          campaign.results);
+}
+
+void save_campaign(AnalysisStore& store, const StoreKey& spec_key,
+                   const CampaignResult& campaign) {
+  store.memo().put(
+      spec_key,
+      std::make_shared<const std::vector<JobResult>>(campaign.results),
+      "campaign");
+  const ArtifactStore* artifacts = store.artifacts();
+  if (artifacts == nullptr) return;
+  artifacts->store_text("campaign-report", spec_key, report_jsonl(campaign));
+  if (!campaign.spec.ccdf_exceedances.empty())
+    artifacts->store_text("campaign-dist", spec_key,
+                          report_dist_jsonl(campaign));
+}
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerOptions& options) {
@@ -275,20 +287,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // one for warm reuse). Pool workers share it concurrently.
   std::unique_ptr<AnalysisStore> owned_store;
   AnalysisStore* store = options.shared_store;
-  if (store == nullptr) {
-    const StoreOptions store_options = store_options_from_env(options.store);
-    if (store_options.enabled) {
-      owned_store = std::make_unique<AnalysisStore>(store_options);
-      store = owned_store.get();
-    }
+  if (store == nullptr && options.store.enabled) {
+    StoreOptions store_options = options.store;
+    if (store_options.artifact_dir.empty())
+      store_options.artifact_dir = cache_dir_from_env();
+    owned_store = std::make_unique<AnalysisStore>(store_options);
+    store = owned_store.get();
   }
   const StoreStats stats_before =
       store != nullptr ? store->stats() : StoreStats{};
-  const bool disk = store != nullptr && store->artifacts() != nullptr;
-  // Hashing the spec builds every workload once; do it once and only when
-  // the disk tier that needs it (load below, persist at the end) exists.
-  const StoreKey spec_key = disk ? campaign_spec_key(spec) : StoreKey{};
-  const std::size_t curve_points = spec.ccdf_exceedances.size();
 
   CampaignResult campaign;
   campaign.spec = spec;
@@ -296,33 +303,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   campaign.threads_used = ThreadPool::resolve_thread_count(options.threads);
 
   // Whole-campaign load-or-compute, checked before the pool is spawned so
-  // the "near-instant" warm path starts no threads: an identical spec
-  // already answered by any process sharing this cache dir is served from
-  // its persisted report artifact(s) — the reconstruction renders
-  // byte-identically, so consumers cannot tell (except by the wall
-  // clock). Specs with a distribution sink additionally need the
-  // campaign-dist artifact; if either is missing or stale, everything is
-  // recomputed. Stale-cache safety: artifacts carry
-  // ArtifactStore::kFormatVersion, which must be bumped whenever analysis
-  // semantics change; workload content is hashed into the key.
-  if (disk) {
+  // the warm path starts no threads: an identical spec already answered in
+  // this store's memo, or by any process sharing its cache dir, is served
+  // whole — consumers cannot tell (except by the wall clock). Hashing the
+  // spec builds every workload once, so it is done only with a store.
+  StoreKey spec_key;
+  if (store != nullptr) {
     obs::ScopedPhase warm_phase(obs::engine_name::kWarmLoad, "engine");
-    std::vector<std::size_t> all_slots(jobs.size());
-    std::iota(all_slots.begin(), all_slots.end(), 0);
-    const std::optional<std::string> cached =
-        store->artifacts()->load_text("campaign-report", spec_key);
-    bool complete =
-        cached.has_value() &&
-        parse_campaign_report_rows(*cached, jobs, all_slots,
-                                   campaign.results);
-    if (complete && curve_points > 0) {
-      const std::optional<std::string> dist =
-          store->artifacts()->load_text("campaign-dist", spec_key);
-      complete = dist.has_value() &&
-                 parse_campaign_dist_rows(*dist, curve_points, all_slots,
-                                          campaign.results);
-    }
-    if (complete) {
+    spec_key = campaign_spec_key(spec);
+    if (load_campaign(*store, spec_key, jobs, campaign)) {
       campaign.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -418,8 +407,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             campaign.results[index] = run_simulation_job(job, program, spec);
             break;
           case AnalysisKind::kSlack:
-            campaign.results[index] = run_slack_job(job, program, spec,
-                                                    store);
+            campaign.results[index] = run_slack_job(job, program, spec);
             break;
         }
         if (options.on_job_finished) options.on_job_finished();
@@ -462,19 +450,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           .count();
   if (store != nullptr) {
     campaign.store_stats = store->stats().since(stats_before);
-    // Disk tier: persist the whole campaign's JSONL report (and, for
-    // distribution campaigns, the sink) under the spec's content key, so
-    // an identical future campaign (any process) can be answered — and
-    // cross-checked — without recomputation. A shard's results are
-    // incomplete by design, so it must not publish them as a whole
-    // campaign; `pwcet merge` persists the merged report instead.
-    if (disk && !sharded) {
-      store->artifacts()->store_text("campaign-report", spec_key,
-                                     report_jsonl(campaign));
-      if (curve_points > 0)
-        store->artifacts()->store_text("campaign-dist", spec_key,
-                                       report_dist_jsonl(campaign));
-    }
+    // A shard's results are incomplete by design, so it must not publish
+    // them as a whole campaign; `pwcet merge` saves the merged one instead.
+    if (!sharded) save_campaign(*store, spec_key, campaign);
   }
   return campaign;
 }

@@ -49,22 +49,22 @@ struct RunnerOptions {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
   /// Content-addressed store configuration (store/analysis_store.hpp).
-  /// Enabled by default: grid jobs sharing sub-problems (same core across
-  /// pfail values, same FMM rows across mechanisms) reuse each other's
-  /// results, byte-identically. The runner applies the PWCET_CACHE_DIR
-  /// fallback (store_options_from_env) before constructing the store.
+  /// Enabled by default: grid jobs sharing sub-problems (same per-set
+  /// penalty rows across sets, mechanisms and tasks) reuse each other's
+  /// results, byte-identically. An empty artifact_dir falls back to
+  /// cache_dir_from_env() before the store is constructed.
   StoreOptions store;
-  /// Reuse a caller-owned store instead of constructing one from `store`
-  /// — this is how warm re-runs are measured (the
-  /// `campaign.*.warm` bench scenarios, benchlib/scenarios.cpp) and how
-  /// long-lived services would share a cache across campaigns.
+  /// Reuse a caller-owned store instead of constructing one from `store`:
+  /// a re-run of an identical spec is then answered whole from its memo
+  /// (load_campaign). This is how warm re-runs are measured (the
+  /// `campaign.*.warm` bench scenarios, benchlib/scenarios.cpp).
   AnalysisStore* shared_store = nullptr;
   /// Which shard of the campaign to execute. {0, 1} (the default) runs
   /// everything. A proper shard runs only the analyzer groups its
   /// contiguous schedule-order range owns (engine/shard.hpp's partition
-  /// rule), leaves every other result slot untouched, and skips the
-  /// whole-campaign report persist (its results are incomplete by
-  /// design); per-sub-problem memo/disk artifacts are still shared, and
+  /// rule), leaves every other result slot untouched, and skips
+  /// save_campaign (its results are incomplete by design); per-sub-problem
+  /// memo entries and disk artifacts are still shared, and
   /// `on_job_finished` fires only for owned jobs. Results for the owned
   /// slots are byte-identical to a whole-campaign run — jobs carry
   /// key-derived seeds and groups are self-contained, so a group computes
@@ -72,7 +72,7 @@ struct RunnerOptions {
   ShardSelector shard;
   /// Observability hook: invoked once per completed job, from whichever
   /// thread finished it (the callee must be thread-safe). On the warm
-  /// whole-campaign disk path it fires once per job after the load, so a
+  /// whole-campaign path it fires once per job after the load, so a
   /// progress consumer always reaches jobs/jobs. Must not throw; results
   /// are not exposed — the hook cannot influence the campaign (the
   /// determinism contract above stays intact).
@@ -127,6 +127,26 @@ struct CampaignResult {
                                       l2_i)];
   }
 };
+
+/// The whole campaign is the store's unit of reuse across runs, under
+/// `spec_key` = campaign_spec_key(spec): the memo's "campaign" layer holds
+/// the results vector (in-process re-runs), and the disk tier holds the
+/// campaign-report artifact plus, for a spec with a distribution sink,
+/// campaign-dist — JSONL reports whose parse renders byte-identically
+/// (re-runs in any process sharing the cache directory).
+///
+/// load_campaign looks in the memo first, then on disk, and fills
+/// `campaign.results` (pre-sized to `jobs`, expansion order) for
+/// `campaign.spec`; false when neither tier holds a complete entry.
+/// Stale-cache safety: artifacts carry ArtifactStore::kFormatVersion, and
+/// workload content is hashed into the spec key.
+bool load_campaign(AnalysisStore& store, const StoreKey& spec_key,
+                   const std::vector<CampaignJob>& jobs,
+                   CampaignResult& campaign);
+
+/// Saves a complete campaign to every tier the store has.
+void save_campaign(AnalysisStore& store, const StoreKey& spec_key,
+                   const CampaignResult& campaign);
 
 /// Expands and executes the campaign. Exceptions thrown by jobs are
 /// rethrown (first in expansion order) after all jobs finished.

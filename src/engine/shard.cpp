@@ -431,14 +431,16 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
     const ArtifactStore store({dir});
     for (const fs::directory_entry& file : files) {
       if (!file.is_regular_file(ec)) continue;
-      const std::string name = file.path().filename().string();
-      if (file.path().extension() != ".jsonl" ||
-          name.find(".jsonl.tmp") != std::string::npos)
-        continue;  // writer-crash debris; swept elsewhere
-      StoreKey key;
-      if (!store_key_from_hex(file.path().stem().string(), key))
+      const ArtifactFile what = classify_artifact_file(
+          kShardFragmentKind, file.path().filename().string());
+      if (what == ArtifactFile::kOrphan) continue;  // swept elsewhere
+      if (what == ArtifactFile::kForeign) {
+        if (file.path().extension() != ".jsonl") continue;
         throw ShardMergeError("foreign file in fragment directory: " +
                               file.path().string());
+      }
+      StoreKey key;  // an artifact's file stem always parses
+      store_key_from_hex(file.path().stem().string(), key);
       const std::optional<std::string> payload =
           store.load_text(kShardFragmentKind, key);
       if (!payload)
@@ -560,8 +562,8 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
           "shard fragments do not partition the campaign: job slot " +
           std::to_string(slot) + " is covered by no shard");
 
-  // Store union, then publish the merged whole-campaign artifacts so a
-  // future `pwcet run` against the union answers from the warm path.
+  // Store union, then save the merged campaign into it so a future
+  // `pwcet run` against the union answers from the warm path.
   if (!options.into_dir.empty()) {
     try {
       const StoreMergeStats stats =
@@ -571,12 +573,8 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
     } catch (const StoreMergeError& e) {
       throw ShardMergeError(e.what());
     }
-    const ArtifactStore store({options.into_dir});
-    store.store_text("campaign-report", spec_key,
-                     report_jsonl(outcome.campaign));
-    if (points > 0)
-      store.store_text("campaign-dist", spec_key,
-                       report_dist_jsonl(outcome.campaign));
+    AnalysisStore into({.artifact_dir = options.into_dir});
+    save_campaign(into, spec_key, outcome.campaign);
   }
   return outcome;
 }

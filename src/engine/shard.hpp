@@ -32,8 +32,8 @@
 /// fragment rows (round-tripping formats make the re-render byte-identical
 /// to the single-process report), and optionally unions the shards' store
 /// directories (store/merge.hpp; same-key-different-bytes is a hard
-/// collision error) — finishing by persisting the merged campaign-report /
-/// campaign-dist artifacts so future runs warm-load from the union.
+/// collision error) — finishing by saving the merged campaign into the
+/// union (save_campaign) so future runs warm-load from it.
 #pragma once
 
 #include <cstddef>

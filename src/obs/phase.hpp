@@ -16,7 +16,7 @@ namespace pwcet::obs {
 /// Span + histogram names of the pWCET pipeline phases
 /// (analysis/pipeline.cpp), in execution order.
 namespace phase_name {
-/// Whole pipeline core (memo-miss path): extract..fmm under one span.
+/// Whole pipeline core: extract..fmm under one span.
 inline constexpr const char* kCore = "pipeline.core";
 /// Per-domain reference extraction against the cache geometry.
 inline constexpr const char* kExtract = "phase.extract";
@@ -26,11 +26,12 @@ inline constexpr const char* kClassify = "phase.classify";
 inline constexpr const char* kMaximize = "phase.maximize";
 /// Per-set FMM bundles (delta maximizations), all domains.
 inline constexpr const char* kFmm = "phase.fmm";
-/// One mechanisms x pfail analysis (memo-miss path of analyze()).
+/// One mechanisms x pfail analysis (analyze()).
 inline constexpr const char* kAnalyze = "pipeline.analyze";
 /// pwf weighting vectors (Eq. 2/3) for every domain.
 inline constexpr const char* kPwf = "phase.pwf";
-/// Pfail-independent penalty scaffold (bundle) build / fetch.
+/// Pfail-independent penalty scaffold (bundle) build, once per
+/// mechanism assignment of a pipeline.
 inline constexpr const char* kBundle = "phase.bundle";
 /// Per-set penalty distributions + their cross-set convolution.
 inline constexpr const char* kPenalty = "phase.penalty";
@@ -44,7 +45,7 @@ inline constexpr const char* kFold = "phase.fold";
 /// Span names of the campaign engine (engine/runner.cpp).
 namespace engine_name {
 inline constexpr const char* kCampaign = "campaign.run";
-/// Whole-campaign answer reconstructed from a persisted report artifact.
+/// Whole-campaign lookup (spec key, memo, then disk) before any job runs.
 inline constexpr const char* kWarmLoad = "campaign.warm_load";
 /// One analyzer group (jobs sharing task/geometry/engine/dcache).
 inline constexpr const char* kGroup = "engine.group";

@@ -4,16 +4,12 @@
 
 namespace pwcet {
 
-StoreOptions store_options_from_env(StoreOptions base) {
-  if (base.enabled && base.artifact_dir.empty()) {
-    const char* dir = std::getenv("PWCET_CACHE_DIR");
-    if (dir != nullptr && *dir != '\0') base.artifact_dir = dir;
-  }
-  return base;
+std::string cache_dir_from_env() {
+  const char* dir = std::getenv("PWCET_CACHE_DIR");
+  return dir != nullptr ? dir : "";
 }
 
-AnalysisStore::AnalysisStore(const StoreOptions& options)
-    : memo_(MemoCache::Config{options.capacity, options.shards}) {
+AnalysisStore::AnalysisStore(const StoreOptions& options) {
   if (!options.artifact_dir.empty())
     artifacts_ = std::make_unique<ArtifactStore>(
         ArtifactStore::Options{options.artifact_dir});

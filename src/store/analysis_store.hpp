@@ -2,10 +2,15 @@
 /// Facade over the two store tiers, shared by the analyzer and the
 /// campaign engine.
 ///
-/// One AnalysisStore instance serves a whole campaign (and, if the caller
-/// keeps it alive, any number of campaigns — that is how the
-/// `campaign.*.warm` bench scenarios measure warm re-runs). All methods
-/// are thread-safe; pool workers use the store concurrently.
+/// The memo holds what a campaign reads back: per-set penalty
+/// distributions ("set-penalty"), the tree engine's per-set FMM rows
+/// ("fmm-rows") and whole campaigns ("campaign", engine/runner.hpp's
+/// load_campaign). The disk tier holds per-result penalty distributions
+/// and whole-campaign reports. One AnalysisStore instance serves a whole
+/// campaign (and, if the caller keeps it alive, any number of campaigns —
+/// that is how the `campaign.*.warm` bench scenarios measure warm
+/// re-runs). All methods are thread-safe; pool workers use the store
+/// concurrently.
 ///
 /// Determinism: the store only ever returns bits some earlier invocation
 /// of the *same deterministic computation on the same inputs* produced, so
@@ -22,20 +27,19 @@
 
 namespace pwcet {
 
+/// The memo keeps MemoCache::Config's default 4,096 entries in 8 shards.
 struct StoreOptions {
   /// Master switch; disabled means no store object exists at all.
   bool enabled = true;
-  std::size_t capacity = 4096;  ///< memo entries kept (LRU beyond that)
-  std::size_t shards = 8;       ///< memo lock partitions
   /// Cache directory for the on-disk artifact tier; empty keeps the store
   /// purely in-memory (no file I/O).
   std::string artifact_dir;
 };
 
-/// The environment fallback run_campaign applies to its own store:
-/// `PWCET_CACHE_DIR=<dir>` enables the artifact tier when `base` is
-/// enabled and names no directory itself.
-StoreOptions store_options_from_env(StoreOptions base = {});
+/// The cache directory `PWCET_CACHE_DIR` names, or empty when it is unset
+/// or empty — the toolchain's one environment read, the fallback of every
+/// `--cache-dir`.
+std::string cache_dir_from_env();
 
 class AnalysisStore {
  public:

@@ -40,6 +40,20 @@ std::string payload_hash_hex(std::string_view payload) {
 
 }  // namespace
 
+ArtifactFile classify_artifact_file(std::string_view kind,
+                                    std::string_view file_name) {
+  if (!valid_kind(kind)) return ArtifactFile::kForeign;
+  if (file_name.find(".jsonl.tmp") != std::string_view::npos)
+    return ArtifactFile::kOrphan;
+  StoreKey key;
+  const std::string_view extension = ".jsonl";
+  return file_name.size() == 32 + extension.size() &&
+                 file_name.ends_with(extension) &&
+                 store_key_from_hex(file_name.substr(0, 32), key)
+             ? ArtifactFile::kArtifact
+             : ArtifactFile::kForeign;
+}
+
 ArtifactStore::ArtifactStore(Options options)
     : options_(std::move(options)) {}
 
@@ -136,17 +150,24 @@ bool ArtifactStore::store_text(std::string_view kind, const StoreKey& key,
 
 std::size_t ArtifactStore::sweep_orphans(std::chrono::seconds min_age) const {
   std::error_code ec;
-  fs::recursive_directory_iterator walk(options_.directory, ec);
+  fs::directory_iterator kinds(options_.directory, ec);
   if (ec) return 0;
   const fs::file_time_type cutoff = fs::file_time_type::clock::now() - min_age;
   std::size_t removed = 0;
-  for (const fs::directory_entry& entry : walk) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.find(".jsonl.tmp") == std::string::npos) continue;
-    const fs::file_time_type written = entry.last_write_time(ec);
-    if (ec || written > cutoff) continue;  // a live writer's file: keep it
-    if (fs::remove(entry.path(), ec)) ++removed;
+  for (const fs::directory_entry& kind : kinds) {
+    if (!kind.is_directory(ec)) continue;
+    fs::directory_iterator files(kind.path(), ec);
+    if (ec) continue;
+    for (const fs::directory_entry& entry : files) {
+      if (!entry.is_regular_file(ec) ||
+          classify_artifact_file(kind.path().filename().string(),
+                                 entry.path().filename().string()) !=
+              ArtifactFile::kOrphan)
+        continue;
+      const fs::file_time_type written = entry.last_write_time(ec);
+      if (ec || written > cutoff) continue;  // a live writer's file: keep it
+      if (fs::remove(entry.path(), ec)) ++removed;
+    }
   }
   return removed;
 }

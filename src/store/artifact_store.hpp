@@ -31,6 +31,16 @@
 
 namespace pwcet {
 
+/// What a file of a cache directory is to the artifact tier, judged by
+/// the name of its kind directory (directly under the cache directory)
+/// and its own name. An artifact is `<kind>/<32 lowercase hex>.jsonl`
+/// with a valid kind; an orphan is a `<kind>/*.jsonl.tmp*` temp file whose
+/// writer died before renaming it. Everything else is foreign: `pwcet
+/// cache`, `pwcet merge --into` and the orphan sweep leave it alone.
+enum class ArtifactFile { kForeign, kArtifact, kOrphan };
+ArtifactFile classify_artifact_file(std::string_view kind,
+                                    std::string_view file_name);
+
 class ArtifactStore {
  public:
   /// Bump when the header or any payload schema changes; old files then
@@ -62,7 +72,7 @@ class ArtifactStore {
   bool store_distribution(const StoreKey& key,
                           const DiscreteDistribution& distribution) const;
 
-  /// Removes "<key>.jsonl.tmp*" temp files older than `min_age` — the
+  /// Removes orphans (classify_artifact_file) older than `min_age` — the
   /// debris of writers that died between creating their temp file and
   /// renaming it into place. Live writers are protected by the age floor
   /// (a write is milliseconds; the default floor is an hour), so the sweep

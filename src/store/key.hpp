@@ -97,12 +97,4 @@ StoreKey hash_program(const Program& program);
 /// All geometry and timing fields of a cache configuration.
 StoreKey hash_cache_config(const CacheConfig& config);
 
-/// Key of the shared re-weighting bundle ("pwcet-bundle-v1"): the
-/// pfail-independent penalty scaffolding of one (pipeline core, per-domain
-/// mechanism assignment) pair — deliberately *without* the fault
-/// probability, so every pfail point of a sweep resolves to the same
-/// bundle and pays only the pwf re-weighting + convolution.
-StoreKey pwcet_bundle_key(const StoreKey& core_key,
-                          const std::vector<std::uint64_t>& mechanisms);
-
 }  // namespace pwcet

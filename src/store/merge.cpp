@@ -9,6 +9,8 @@
 #include <sstream>
 #include <system_error>
 
+#include "store/artifact_store.hpp"
+
 namespace pwcet {
 namespace {
 
@@ -85,14 +87,13 @@ StoreMergeStats merge_artifact_dirs(const std::vector<std::string>& from,
       if (ec)
         throw StoreMergeError("cannot read " + kind_entry.path().string() +
                               ": " + ec.message());
+      const std::string kind = kind_entry.path().filename().string();
       for (const fs::directory_entry& file : files) {
-        if (!file.is_regular_file(ec)) continue;
         const std::string name = file.path().filename().string();
-        if (file.path().extension() != ".jsonl" ||
-            name.find(".jsonl.tmp") != std::string::npos)
+        if (!file.is_regular_file(ec) ||
+            classify_artifact_file(kind, name) != ArtifactFile::kArtifact)
           continue;  // writer-crash debris or foreign file
-        const fs::path destination =
-            destination_root / kind_entry.path().filename() / name;
+        const fs::path destination = destination_root / kind / name;
         const std::string bytes = read_file(file.path());
         // Resolving to the same file (merging a directory into itself) is
         // a no-op, not a self-collision.
@@ -103,8 +104,7 @@ StoreMergeStats merge_artifact_dirs(const std::vector<std::string>& from,
           } else {
             throw StoreMergeError(
                 "store collision for key " +
-                file.path().stem().string() + " (kind " +
-                kind_entry.path().filename().string() + "): " +
+                file.path().stem().string() + " (kind " + kind + "): " +
                 file.path().string() + " and " + destination.string() +
                 " differ — equal keys must hold equal bytes");
           }

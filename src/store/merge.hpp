@@ -13,9 +13,9 @@
 /// (corruption, or a version skew between shard binaries), so it is a
 /// hard StoreMergeError naming the key and both files.
 ///
-/// Writer-crash debris (`*.jsonl.tmp*`) is never copied; anything that is
-/// not an artifact file is left alone, mirroring `pwcet cache clear`'s
-/// "only touch what is ours" rule.
+/// Only artifact files (classify_artifact_file) are copied: writer-crash
+/// debris and foreign files are left alone, the same "only touch what is
+/// ours" rule `pwcet cache` follows.
 #pragma once
 
 #include <cstddef>

@@ -207,16 +207,14 @@ FmmBundle compute_fmm_bundle(const Program& program,
   }
 
   // Tree-engine rows are pure in (program, config, set), so they memoize
-  // per set; see the header for why the ILP engine must not. This tier is
-  // only probed while (re)computing a whole bundle — a bundle-level memo
-  // hit at the analyzer-core layer short-circuits before reaching it —
-  // so its job is recovery: concurrent constructions of the same core
-  // share rows as they finish, and when the (large) bundle entry is
-  // evicted from its LRU shard, row entries surviving in *their* shards
-  // make the recomputation cheap. Unused sets are excluded: their
-  // all-zero rows cost nothing, and memoizing one entry per empty set
-  // would only crowd the cache. Duplicate sets are excluded too — they
-  // copy their representative's rows and never probe.
+  // per set; see the header for why the ILP engine must not. The key
+  // chains the domain's row prefix, not the pipeline core, so one
+  // domain's rows are shared by every composition it joins: a campaign
+  // crossing the icache with dcache, TLB and L2 axes computes each
+  // icache row once. Unused sets are excluded: their all-zero rows cost
+  // nothing, and memoizing one entry per empty set would only crowd the
+  // cache. Duplicate sets are excluded too — they copy their
+  // representative's rows and never probe.
   const bool memo_rows = store != nullptr && row_key_prefix != nullptr &&
                          engine == WcetEngine::kTree;
   auto set_rows = [&](SetIndex s, IpetCalculator* set_ipet) {

@@ -255,8 +255,8 @@ TEST(ThirdDomain, ByteIdenticalAtAnyThreadCountStoreOnOffColdWarm) {
   EXPECT_EQ(base.fault_free_wcet, wide.fault_free_wcet);
   EXPECT_EQ(base.penalty, wide.penalty);
 
-  // Store on: cold compute, then a warm pipeline whose core and result
-  // come entirely from the memo.
+  // Store on: cold compute, then a warm pipeline whose per-set penalty
+  // distributions come from the memo.
   AnalysisStore store;
   PwcetOptions stored_options;
   stored_options.store = &store;
@@ -424,18 +424,6 @@ TEST(Reweight, MultiDomainSweepMatchesFreshPipelines) {
         PwcetPipeline(p, domains).analyze(faults, kMixedMechanisms[0]);
     ASSERT_EQ(shared.penalty, fresh.penalty);
   }
-}
-
-TEST(Reweight, BundleKeyOmitsPfailAndIsPinned) {
-  // The bundle recipe must never drift (persisted memo semantics), and —
-  // its entire point — must not incorporate the fault probability: the
-  // key is a pure function of (core key, mechanism assignment).
-  const StoreKey core = KeyHasher("pinned-core").mix_u64(42).finish();
-  const StoreKey key = pwcet_bundle_key(core, {0, 2});
-  EXPECT_EQ(key.hex(), pwcet_bundle_key(core, {0, 2}).hex());
-  EXPECT_NE(key, pwcet_bundle_key(core, {0, 1}));
-  EXPECT_NE(key, pwcet_bundle_key(core, {0}));
-  EXPECT_EQ(key.hex(), "fc42a10a1ab4c875820a9ca3da302e2a");
 }
 
 }  // namespace

@@ -374,12 +374,17 @@ TEST_F(CliTest, CacheStatsAndClearManageTheArtifactDirectory) {
   EXPECT_EQ(result.code, 0);
   EXPECT_NE(result.out.find("does not exist"), std::string::npos);
 
-  // Populate it, then stats must see the artifacts.
+  // Populate it, then stats must see the artifacts — and not a foreign
+  // .jsonl file that merely sits in a kind-shaped directory.
   ASSERT_EQ(run_cli({"run", spec_path, "--cache-dir", cache}).code, 0);
+  const fs::path notes = fs::path(cache) / "notes" / "experiment.jsonl";
+  fs::create_directories(notes.parent_path());
+  std::ofstream(notes) << "{\"not\":\"an artifact\"}\n";
   result = run_cli({"cache", "stats", "--cache-dir", cache});
   EXPECT_EQ(result.code, 0);
   EXPECT_NE(result.out.find("campaign-report"), std::string::npos)
       << result.out;
+  EXPECT_EQ(result.out.find("notes"), std::string::npos) << result.out;
 
   // Clear, then stats must see an empty cache again.
   result = run_cli({"cache", "clear", "--cache-dir", cache});
@@ -402,6 +407,7 @@ TEST_F(CliTest, CacheStatsAndClearManageTheArtifactDirectory) {
   std::ofstream(orphan) << "partial write";
   ASSERT_EQ(run_cli({"cache", "clear", "--cache-dir", cache}).code, 0);
   EXPECT_TRUE(fs::exists(foreign));
+  EXPECT_TRUE(fs::exists(notes));
   EXPECT_FALSE(fs::exists(orphan));
 }
 

@@ -317,24 +317,67 @@ TEST_F(ObsTest, StructuralCountersAreDeterministicForSerialColdRuns) {
   EXPECT_EQ(first, second);
 
   // Spot-check the structural counts against the grid: 12 jobs in 2
-  // analyzer groups, each group one cold pipeline core.
-  std::uint64_t jobs = 0, spta = 0, core_misses = 0, result_misses = 0;
-  std::uint64_t set_penalty = 0;
+  // analyzer groups.
+  std::uint64_t jobs = 0, spta = 0, campaign_misses = 0, set_penalty = 0;
   for (const auto& [name, value] : first) {
     if (name == "engine.jobs") jobs = value;
     if (name == "engine.jobs.spta") spta = value;
-    if (name == "store.memo.core.misses") core_misses = value;
-    if (name == "store.memo.result.misses") result_misses = value;
+    if (name == "store.memo.campaign.misses") campaign_misses = value;
     if (name == "store.memo.set-penalty.misses") set_penalty = value;
+    // The memo holds only what a campaign reads back.
+    if (name.rfind("store.memo.", 0) == 0) {
+      EXPECT_TRUE(name.rfind("store.memo.campaign.", 0) == 0 ||
+                  name.rfind("store.memo.set-penalty.", 0) == 0 ||
+                  name.rfind("store.memo.fmm-rows.", 0) == 0)
+          << name;
+    }
   }
   EXPECT_EQ(jobs, 12u);
   EXPECT_EQ(spta, 12u);
-  // One core lookup per group (the group reuses its analyzer in-object,
-  // so a cold run sees exactly one miss per group and no hits); one
-  // result lookup per job, all cold misses.
-  EXPECT_EQ(core_misses, 2u);
-  EXPECT_EQ(result_misses, 12u);
+  // One whole-campaign lookup, a cold miss; the groups' per-set penalty
+  // rows miss at least once each.
+  EXPECT_EQ(campaign_misses, 1u);
   EXPECT_GT(set_penalty, 0u);
+}
+
+TEST_F(ObsTest, InProcessReRunExecutesNoJob) {
+  // Every job kind, twice on one in-memory store: the second run is
+  // answered whole from the memo's campaign entry — the same bytes, and
+  // not one job (nor one chip simulation) runs again.
+  CampaignSpec spec;
+  spec.tasks = {"fibcall", "bs"};
+  spec.geometries = {CacheConfig::paper_default()};
+  spec.pfails = {1e-4};
+  spec.mechanisms = {Mechanism::kSharedReliableBuffer,
+                     Mechanism::kReliableWay};
+  spec.kinds = {AnalysisKind::kSpta, AnalysisKind::kMbpta,
+                AnalysisKind::kSimulation, AnalysisKind::kSlack};
+  spec.mbpta.chips = 200;
+  spec.simulation_chips = 200;
+
+  AnalysisStore store;
+  RunnerOptions options;
+  options.threads = 2;
+  options.shared_store = &store;
+  obs::MetricsRegistry::instance().enable();
+  const std::string first = report_jsonl(run_campaign(spec, options));
+  const auto after_first = structural_counters();
+  const std::string second = report_jsonl(run_campaign(spec, options));
+  const auto after_second = structural_counters();
+  EXPECT_EQ(first, second);
+
+  const auto counter = [](const auto& counters, const std::string& name) {
+    for (const auto& [key, value] : counters)
+      if (key == name) return value;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter(after_second, "engine.warm_loads"), 1u);
+  for (const char* kind : {"spta", "mbpta", "sim", "slack"}) {
+    const std::string name = std::string("engine.jobs.") + kind;
+    EXPECT_EQ(counter(after_first, name), 4u) << name;
+    EXPECT_EQ(counter(after_second, name), counter(after_first, name))
+        << name;
+  }
 }
 
 TEST_F(ObsTest, ShardsCountOnlyTheJobsTheyOwn) {

@@ -258,6 +258,31 @@ TEST_F(ShardMergeTest, WarmShardRerunsMergeToTheSameBytes) {
   }
 }
 
+/// The store union copies artifacts only: a foreign .jsonl file in a
+/// shard's cache directory stays behind and is not counted.
+TEST_F(ShardMergeTest, StoreUnionLeavesForeignFilesBehind) {
+  const SpecDocument doc = load_spec(spec_path("geometry_sweep"));
+  const std::string cache_dir = subdir("foreign");
+  RunnerOptions options;
+  options.threads = 1;
+  options.store.artifact_dir = cache_dir;
+  run_campaign_shard(doc.spec, ShardSelector{0, 1}, options, cache_dir);
+  std::size_t artifacts = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(cache_dir))
+    artifacts += entry.is_regular_file() ? 1 : 0;
+  const fs::path notes = fs::path(cache_dir) / "notes" / "experiment.jsonl";
+  fs::create_directories(notes.parent_path());
+  std::ofstream(notes) << "{\"not\":\"an artifact\"}\n";
+
+  ShardMergeOptions merge_options;
+  merge_options.from_dirs = {cache_dir};
+  merge_options.into_dir = subdir("foreign_union");
+  const ShardMergeOutcome merged =
+      merge_campaign_shards(doc.spec, merge_options);
+  EXPECT_EQ(merged.artifacts_copied, artifacts);
+  EXPECT_FALSE(fs::exists(fs::path(merge_options.into_dir) / "notes"));
+}
+
 /// More shards than analyzer groups: the surplus shards own nothing, write
 /// (empty) fragments, and the merge still reassembles everything.
 TEST_F(ShardMergeTest, MoreShardsThanGroupsLeavesSurplusShardsEmpty) {

@@ -306,7 +306,8 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
   stored_options.store = &store;
   const PwcetPipeline stored(
       program, {std::make_shared<IcacheDomain>(config)}, stored_options);
-  // Second stored pipeline: core comes entirely from the memo.
+  // Second stored pipeline: its per-set penalty distributions come from
+  // the memo.
   const PwcetPipeline memoized(
       program, {std::make_shared<IcacheDomain>(config)}, stored_options);
 
@@ -318,7 +319,7 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
     EXPECT_EQ(plain.fmm(0).of(m).misses, memoized.fmm(0).of(m).misses);
     const PwcetResult a = plain.analyze(faults, m);
     const PwcetResult b = stored.analyze(faults, m);
-    const PwcetResult c = memoized.analyze(faults, m);  // memo hit path
+    const PwcetResult c = memoized.analyze(faults, m);  // set-penalty hits
     EXPECT_EQ(a.penalty, b.penalty);
     EXPECT_EQ(a.penalty, c.penalty);
     EXPECT_EQ(a.pwcet(1e-15), b.pwcet(1e-15));
@@ -387,8 +388,9 @@ TEST_F(ArtifactStoreTest, CampaignWarmFromDiskIsByteIdentical) {
   EXPECT_EQ(csv, report_csv(second));
   EXPECT_GT(second.store_stats.disk_hits, 0u);
   // The second run is answered entirely from the persisted campaign
-  // report (whole-campaign load-or-compute): no memoized computation ran.
-  EXPECT_EQ(second.store_stats.misses, 0u);
+  // report (whole-campaign load-or-compute): its one memo lookup is the
+  // campaign entry, a miss in run2's fresh memo, and nothing was computed.
+  EXPECT_EQ(second.store_stats.misses, 1u);
   EXPECT_EQ(report_jsonl(first), report_jsonl(second));
 
   // The campaign report itself is persisted as a versioned artifact whose
@@ -433,8 +435,7 @@ TEST(StoreIdentity, GroupKeyIsContentDerived) {
             campaign_spec_key(identity_spec()));
 
   // A job with the data cache enabled must land in a different analyzer
-  // group: the combined analyzer's memoized core depends on the dcache
-  // geometry.
+  // group: the combined analyzer's core depends on the dcache geometry.
   CampaignJob with_dcache = *first;
   with_dcache.dcache.enabled = true;
   with_dcache.dcache.geometry.sets = 8;
