@@ -1,39 +1,22 @@
 /// \file
-/// CacheDomain — the pluggable unit of the pWCET analysis pipeline.
+/// CacheDomain — one cache-like structure analyzed by the pWCET pipeline.
 ///
 /// The paper's analysis is one pipeline: classify a reference stream
 /// against a cache geometry, bound the fault-induced misses per (set,
 /// fault-count) cell (the FMM), weight the rows by the fault model's
 /// faulty-way distribution, and convolve the independent sets into a
-/// penalty distribution. Everything that varies between "the instruction
-/// cache" and "the data cache" — and between those and any future
-/// cache-like structure (shared L2, TLB, scratchpad, per-core split) — is
-/// *which references* are analyzed, *how they cost* into the fault-free
-/// time model, and *which store-key sub-domain* names the memoized
-/// results. A CacheDomain owns exactly those choices; PwcetPipeline
-/// (analysis/pipeline.hpp) owns everything they share.
+/// penalty distribution. A structure enters that pipeline only through its
+/// reference stream, its geometry and the price of a miss; classification,
+/// the FMM, the pwf weighting and the convolution are the same for all of
+/// them, and PwcetPipeline (analysis/pipeline.hpp) owns them.
 ///
-/// A domain therefore provides:
-///   * its reference stream (`extract`) and cache geometry (`config`);
-///   * its fault-free classification (`classify`; defaults to the Must/
-///     May/persistence analyses, which apply verbatim to any per-block
-///     ordered line-address stream);
-///   * its contribution to the fault-free time model (`time_cost_model`);
-///   * its FMM bundle (`fmm_bundle`; defaults to the shared per-set delta
-///     maximization of wcet/fmm.hpp);
-///   * its faulty-way weighting (`pwf`; defaults to the fault model's
-///     Eq. 2/3 pmf for its geometry);
-///   * its store-key sub-domain: the contribution it chains into the
-///     pipeline core key (`mix_core_key`) and the prefix under which its
-///     per-set FMM rows are memoized (`row_key_prefix`). Two domains whose
-///     reference streams differ for the same (program, config, engine)
-///     MUST NOT share either — see dcache_domain.hpp for how the shipped
-///     data-cache domain keeps its rows from aliasing instruction rows.
-///
-/// The two shipped plugins are IcacheDomain (analysis/icache_domain.hpp)
-/// and DcacheDomain (analysis/dcache_domain.hpp); a ~100-line subclass is
-/// all a new cache-like scenario needs (tests/analysis_pipeline_test.cpp
-/// registers a synthetic third domain to prove the composition).
+/// So the shipped structures are rows of one table (cache_domain_rows()),
+/// each naming which access streams form its reference stream, whether it
+/// is the primary domain, and the tag under which its per-set FMM rows are
+/// memoized. A CacheDomain binds one row to one geometry; the named
+/// constructors (IcacheDomain, DcacheDomain, WritebackDcacheDomain,
+/// TlbDomain, L2Domain) each pick their row. A new structure is a table
+/// row, its named constructor and its campaign axis.
 #pragma once
 
 #include <string_view>
@@ -41,93 +24,72 @@
 
 #include "cache/cache_config.hpp"
 #include "cache/references.hpp"
-#include "cfg/program.hpp"
-#include "fault/fault_model.hpp"
-#include "icache/chmc.hpp"
 #include "store/key.hpp"
-#include "wcet/cost_model.hpp"
 #include "wcet/fmm.hpp"
 
 namespace pwcet {
 
-class AnalysisStore;
-class ThreadPool;
+/// One row of the domain table.
+struct DomainRow {
+  /// Short stable identifier ("icache", "dcache", ...). Chained into the
+  /// core key of every composition beyond the two historical recipes
+  /// (pipeline.cpp), so it must never change once results are persisted.
+  const char* name;
+  /// The accesses that form the domain's reference stream.
+  AccessStreams streams;
+  /// A primary domain charges the full time model (hit latencies plus
+  /// misses) and may lead a pipeline. A secondary domain charges misses
+  /// only — the access's execution cycle is the primary domain's — and
+  /// cannot stand alone.
+  bool primary;
+  /// Store-key tag of the prefix the domain's FMM rows are memoized
+  /// under. Unique per reference-stream semantics: a data stream must
+  /// never alias an instruction one, even when the geometries coincide.
+  const char* row_tag;
+  const char* description;  ///< one-liner for `pwcet list`
+};
 
-/// One cache-like structure analyzed by the pipeline. Implementations must
-/// be immutable after construction and callable from multiple pool threads
-/// concurrently (every method is a pure function of its arguments and the
-/// construction-time configuration).
+/// The shipped domains, in pipeline composition order.
+const std::vector<DomainRow>& cache_domain_rows();
+
+/// Store key of a single-cache analyzer core: program content x cache
+/// config x engine. This is both the pipeline core key of an
+/// instruction-only analysis and the prefix under which icache FMM rows
+/// are memoized — shared bit-for-bit by every composition that includes an
+/// IcacheDomain of the same inputs.
+StoreKey pwcet_core_key(const Program& program, const CacheConfig& config,
+                        WcetEngine engine);
+
+/// One table row bound to one geometry. Immutable after construction, so
+/// pool threads may share it.
 class CacheDomain {
  public:
-  virtual ~CacheDomain() = default;
-
-  /// Short stable identifier ("icache", "dcache", ...). Used in
-  /// diagnostics and, for compositions beyond the two shipped recipes, in
-  /// the pipeline's chained core key (pipeline.cpp) — so the name must
-  /// never change once results are persisted under it.
-  virtual std::string_view name() const = 0;
+  std::string_view name() const { return row_->name; }
 
   /// The cache geometry this domain analyzes: sets/ways shape the FMM and
   /// the pwf, miss_penalty prices the per-set penalty atoms.
-  virtual const CacheConfig& config() const = 0;
+  const CacheConfig& config() const { return config_; }
 
-  /// Whether the domain may *lead* a pipeline (be its first — or only —
-  /// domain). Secondary domains (DcacheDomain) charge only incremental
-  /// miss penalties and rely on a primary domain for the execution-time
-  /// base costs, so composing them alone would be meaningless — and their
-  /// plain-config core-key contribution could alias a primary domain's.
-  virtual bool standalone() const { return true; }
+  AccessStreams streams() const { return row_->streams; }
 
-  /// Chains this domain's configuration into the pipeline core key.
-  /// The default mixes the full cache-config hash, which is what both
-  /// shipped recipes ("pwcet-core-v1", "pwcet-dcore-v1") expect — override
-  /// only to mix *additional* distinguishing content (a synthetic domain's
-  /// name, a partition mask, ...), never less.
-  virtual void mix_core_key(KeyHasher& hasher) const;
+  /// Whether the domain is primary and may lead a pipeline.
+  bool standalone() const { return row_->primary; }
 
   /// Store-key prefix under which this domain's per-set FMM rows are
-  /// memoized (chained with the set index; see compute_fmm_bundle). Must
-  /// cover program, config and engine, and must be unique to the domain's
-  /// reference-stream semantics: the shipped instruction domain uses the
-  /// single-cache analyzer-core recipe so both analyzer flavours share
-  /// rows, while the data domain owns a distinct "pwcet-dcache-rows-v1"
-  /// sub-domain (a data reference map must never alias an instruction one
-  /// even when the two cache configs coincide).
-  virtual StoreKey row_key_prefix(const Program& program,
-                                  WcetEngine engine) const = 0;
+  /// memoized (chained with the set index; see compute_fmm_bundle): the
+  /// row tag x program content x cache config x engine. The icache's is
+  /// pwcet_core_key, so both analyzer flavours share its rows.
+  StoreKey row_key_prefix(const Program& program, WcetEngine engine) const;
 
-  /// The domain's reference stream: per-block ordered line references.
-  virtual ReferenceMap extract(const Program& program) const = 0;
+ protected:
+  /// Binds the table row called `name` to `config`.
+  CacheDomain(std::string_view name, const CacheConfig& config);
+  /// Protected: a domain is never destroyed through a CacheDomain pointer.
+  ~CacheDomain() = default;
 
-  /// Fault-free classification of the domain's references. Default: the
-  /// Must/May/persistence analyses over `config()` (classify_fault_free),
-  /// which are stream-agnostic — they see only lines, sets and order.
-  virtual ClassificationMap classify(const Program& program,
-                                     const ReferenceMap& refs) const;
-
-  /// The domain's contribution to the fault-free time model. Contributions
-  /// of all domains are summed and maximized once (a single IPET/tree pass
-  /// bounds the whole program), so each domain must charge only the cycles
-  /// it owns: the primary domain charges fetch latencies plus its miss
-  /// penalties; secondary domains charge incremental miss penalties only.
-  virtual CostModel time_cost_model(const Program& program,
-                                    const ReferenceMap& refs,
-                                    const ClassificationMap& cls) const = 0;
-
-  /// Per-set fault-miss-map bundle (all three mechanisms). Default: the
-  /// shared delta-maximization machinery (compute_fmm_bundle) with this
-  /// domain's rows memoized under `row_prefix`.
-  virtual FmmBundle fmm_bundle(const Program& program,
-                               const ReferenceMap& refs, WcetEngine engine,
-                               IpetCalculator* ipet, ThreadPool* pool,
-                               AnalysisStore* store,
-                               const StoreKey* row_prefix) const;
-
-  /// Faulty-way weighting pwf(f) for one mechanism deployed on this
-  /// domain. Default: the fault model's per-set pmf over `config()`
-  /// (Eq. 2 for none/SRB, Eq. 3 for RW).
-  virtual std::vector<Probability> pwf(const FaultModel& faults,
-                                       Mechanism mechanism) const;
+ private:
+  const DomainRow* row_;
+  CacheConfig config_;
 };
 
 }  // namespace pwcet

@@ -1,48 +1,23 @@
 /// \file
-/// IcacheDomain — the instruction-cache plugin of the pWCET pipeline.
+/// IcacheDomain — the instruction-cache row of the pWCET pipeline.
 ///
 /// The paper's primary subject: the per-block instruction-fetch line
 /// stream analyzed against one cache geometry. As the pipeline's primary
 /// domain it charges the full time model (fetch latencies plus miss
 /// penalties); its per-set FMM rows are memoized under the single-cache
-/// analyzer-core key so a standalone instruction analysis and a combined
-/// I+D analysis of the same (program, config, engine) share every cached
-/// row — one recipe, defined once, no silent drift.
+/// analyzer-core key (pwcet_core_key) so a standalone instruction analysis
+/// and a combined I+D analysis of the same (program, config, engine) share
+/// every cached row — one recipe, defined once, no silent drift.
 #pragma once
 
 #include "analysis/cache_domain.hpp"
 
 namespace pwcet {
 
-/// Store key of a single-cache analyzer core: program content x cache
-/// config x engine. This is both the pipeline core key of an
-/// instruction-only analysis and the prefix under which icache FMM rows
-/// are memoized — shared bit-for-bit by every composition that includes an
-/// IcacheDomain of the same inputs.
-StoreKey pwcet_core_key(const Program& program, const CacheConfig& config,
-                        WcetEngine engine);
-
 class IcacheDomain final : public CacheDomain {
  public:
-  explicit IcacheDomain(const CacheConfig& config) : config_(config) {
-    config_.validate();
-  }
-
-  std::string_view name() const override { return "icache"; }
-  const CacheConfig& config() const override { return config_; }
-
-  StoreKey row_key_prefix(const Program& program,
-                          WcetEngine engine) const override {
-    return pwcet_core_key(program, config_, engine);
-  }
-
-  ReferenceMap extract(const Program& program) const override;
-
-  CostModel time_cost_model(const Program& program, const ReferenceMap& refs,
-                            const ClassificationMap& cls) const override;
-
- private:
-  CacheConfig config_;
+  explicit IcacheDomain(const CacheConfig& config)
+      : CacheDomain("icache", config) {}
 };
 
 }  // namespace pwcet

@@ -1,13 +1,12 @@
 /// \file
-/// L2Domain — shared second-level cache plugin.
+/// L2Domain — the shared second-level cache row.
 ///
 /// Models a lookup-through unified L2 behind the L1 domains: every
 /// reference the core issues — instruction fetch, load, store — probes
 /// the L2 in parallel with (or immediately after) its L1 access, and an
 /// L2 miss adds `miss_penalty` cycles for the memory refill. The stream
 /// is therefore the block's unified access sequence at L2 line
-/// granularity (extract_unified_references), independent of the L1s'
-/// hit/miss outcomes.
+/// granularity, independent of the L1s' hit/miss outcomes.
 ///
 /// That independence is what keeps the composition sound: filtering the
 /// L2 stream by L1 misses would couple the L2 classification to the L1
@@ -21,41 +20,18 @@
 ///
 /// The domain charges incremental L2 miss penalties only; L2 hit latency
 /// is folded into the L1 costs the primary domain charges. A secondary
-/// domain (standalone() == false); rows live under "pwcet-l2-rows-v1",
-/// and its core-key contribution rides the "pwcet-ncore-v1" chaining
-/// recipe.
+/// domain; rows live under "pwcet-l2-rows-v1", and its core-key
+/// contribution rides the "pwcet-ncore-v1" chaining recipe.
 #pragma once
 
 #include "analysis/cache_domain.hpp"
-#include "analysis/domain_support.hpp"
 
 namespace pwcet {
 
 class L2Domain final : public CacheDomain {
  public:
-  explicit L2Domain(const CacheConfig& geometry) : config_(geometry) {
-    config_.validate();
-  }
-
-  std::string_view name() const override { return "l2"; }
-  const CacheConfig& config() const override { return config_; }
-  bool standalone() const override { return false; }
-
-  StoreKey row_key_prefix(const Program& program,
-                          WcetEngine engine) const override;
-
-  ReferenceMap extract(const Program& program) const override {
-    return extract_unified_references(program.cfg(), config_);
-  }
-
-  CostModel time_cost_model(const Program& program, const ReferenceMap& refs,
-                            const ClassificationMap& cls) const override {
-    return secondary_miss_cost_model(program.cfg(), refs, cls,
-                                     config_.miss_penalty);
-  }
-
- private:
-  CacheConfig config_;
+  explicit L2Domain(const CacheConfig& geometry)
+      : CacheDomain("l2", geometry) {}
 };
 
 }  // namespace pwcet

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "analysis/icache_domain.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/phase.hpp"
 #include "store/analysis_store.hpp"
@@ -130,7 +129,7 @@ StoreKey pipeline_core_key(
     const std::vector<std::shared_ptr<const CacheDomain>>& domains,
     WcetEngine engine) {
   // Single icache composition: delegate to the one definition of the
-  // historical "pwcet-core-v1" recipe (analysis/icache_domain.cpp) so
+  // historical "pwcet-core-v1" recipe (analysis/cache_domain.cpp) so
   // there is no second copy to drift.
   if (domains.size() == 1 && domains[0]->name() == "icache")
     return pwcet_core_key(program, domains[0]->config(), engine);
@@ -143,7 +142,8 @@ StoreKey pipeline_core_key(
     hasher.mix_u64(domains.size());
     for (const auto& domain : domains) hasher.mix_string(domain->name());
   }
-  for (const auto& domain : domains) domain->mix_core_key(hasher);
+  for (const auto& domain : domains)
+    hasher.mix_key(hash_cache_config(domain->config()));
   hasher.mix_u64(static_cast<std::uint64_t>(engine));
   return hasher.finish();
 }
@@ -166,7 +166,8 @@ PwcetPipeline::PwcetPipeline(
     obs::ScopedPhase phase(obs::phase_name::kExtract);
     refs.reserve(domains_.size());
     for (const auto& domain : domains_)
-      refs.push_back(domain->extract(program_));
+      refs.push_back(extract_references(program_.cfg(), domain->config(),
+                                        domain->streams()));
   }
 
   std::unique_ptr<IpetCalculator> ipet;
@@ -174,14 +175,19 @@ PwcetPipeline::PwcetPipeline(
     ipet = std::make_unique<IpetCalculator>(program_);
 
   // One classification per domain, one summed time model, one phase-1
-  // maximization bounding the whole program.
+  // maximization bounding the whole program. A secondary domain charges
+  // misses only: the access's execution cycle is the primary domain's
+  // hit latency, so it is priced with none of its own.
   CostModel total;
   {
     obs::ScopedPhase phase(obs::phase_name::kClassify);
     for (std::size_t i = 0; i < domains_.size(); ++i) {
-      const ClassificationMap cls = domains_[i]->classify(program_, refs[i]);
+      const ClassificationMap cls =
+          classify_fault_free(program_.cfg(), refs[i], domains_[i]->config());
+      CacheConfig priced = domains_[i]->config();
+      if (!domains_[i]->standalone()) priced.hit_latency = 0;
       CostModel contribution =
-          domains_[i]->time_cost_model(program_, refs[i], cls);
+          build_time_cost_model(program_.cfg(), refs[i], cls, priced);
       if (i == 0)
         total = std::move(contribution);
       else
@@ -205,10 +211,9 @@ PwcetPipeline::PwcetPipeline(
   for (std::size_t i = 0; i < domains_.size(); ++i) {
     const StoreKey row_prefix =
         domains_[i]->row_key_prefix(program_, options_.engine);
-    fmms_.push_back(domains_[i]->fmm_bundle(program_, refs[i],
-                                            options_.engine, ipet.get(),
-                                            options_.pool, options_.store,
-                                            &row_prefix));
+    fmms_.push_back(compute_fmm_bundle(
+        program_, domains_[i]->config(), refs[i], options_.engine,
+        ipet.get(), options_.pool, options_.store, &row_prefix));
   }
 }
 
@@ -276,7 +281,8 @@ PwcetResult PwcetPipeline::analyze(
     obs::ScopedPhase phase(obs::phase_name::kPwf);
     pwfs.reserve(domains_.size());
     for (std::size_t i = 0; i < domains_.size(); ++i)
-      pwfs.push_back(domains_[i]->pwf(faults, mechanisms[i]));
+      pwfs.push_back(
+          faults.way_failure_pmf(domains_[i]->config(), mechanisms[i]));
   }
 
   // Each domain's penalty re-weights the shared pfail-independent bundle:

@@ -1,6 +1,5 @@
 /// \file
-/// TlbDomain — the translation-lookaside-buffer plugin of the pWCET
-/// pipeline.
+/// TlbDomain — the translation-lookaside-buffer row of the pWCET pipeline.
 ///
 /// The TLB is a cache of page translations: set-associative over the
 /// *page number*, so it is expressed here as a CacheConfig whose
@@ -8,10 +7,10 @@
 /// entry count (geometry axis: entries / ways / page_bytes). A TLB entry
 /// covers every instruction fetch, load and store to its page, so the
 /// domain's reference stream is the block's *unified* access sequence —
-/// fetches, then loads, then stores — at page granularity
-/// (extract_unified_references); consecutive same-page accesses merge
-/// into one reference whose `fetches` count prices the catastrophic
-/// fully-faulty case exactly like the instruction cache's.
+/// fetches, then loads, then stores — at page granularity; consecutive
+/// same-page accesses merge into one reference whose `fetches` count
+/// prices the catastrophic fully-faulty case exactly like the instruction
+/// cache's.
 ///
 /// With the stream fixed, the Must/May/persistence classification, the
 /// FMM delta machinery and the fault model's faulty-way weighting apply
@@ -20,15 +19,14 @@
 /// domain charges only incremental TLB miss penalties: a translation hit
 /// is folded into the fetch latency the primary domain already charges.
 ///
-/// A secondary domain (standalone() == false); its FMM rows live under
-/// the "pwcet-tlb-rows-v1" sub-domain so a page-granular stream can never
-/// alias an instruction- or data-line stream, and its core-key
-/// contribution rides the "pwcet-ncore-v1" chaining recipe (the pipeline
-/// mixes the domain *name*, so no shipped two-domain key can collide).
+/// A secondary domain; its FMM rows live under the "pwcet-tlb-rows-v1"
+/// sub-domain so a page-granular stream can never alias an instruction-
+/// or data-line stream, and its core-key contribution rides the
+/// "pwcet-ncore-v1" chaining recipe (the pipeline mixes the domain *name*,
+/// so no shipped two-domain key can collide).
 #pragma once
 
 #include "analysis/cache_domain.hpp"
-#include "analysis/domain_support.hpp"
 
 namespace pwcet {
 
@@ -36,29 +34,8 @@ class TlbDomain final : public CacheDomain {
  public:
   /// `geometry.line_bytes` is the page size; `geometry.sets * ways` the
   /// TLB entry count; `geometry.miss_penalty` the page-walk cost.
-  explicit TlbDomain(const CacheConfig& geometry) : config_(geometry) {
-    config_.validate();
-  }
-
-  std::string_view name() const override { return "tlb"; }
-  const CacheConfig& config() const override { return config_; }
-  bool standalone() const override { return false; }
-
-  StoreKey row_key_prefix(const Program& program,
-                          WcetEngine engine) const override;
-
-  ReferenceMap extract(const Program& program) const override {
-    return extract_unified_references(program.cfg(), config_);
-  }
-
-  CostModel time_cost_model(const Program& program, const ReferenceMap& refs,
-                            const ClassificationMap& cls) const override {
-    return secondary_miss_cost_model(program.cfg(), refs, cls,
-                                     config_.miss_penalty);
-  }
-
- private:
-  CacheConfig config_;
+  explicit TlbDomain(const CacheConfig& geometry)
+      : CacheDomain("tlb", geometry) {}
 };
 
 }  // namespace pwcet

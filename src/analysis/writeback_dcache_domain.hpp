@@ -1,5 +1,5 @@
 /// \file
-/// WritebackDcacheDomain — write-back, write-allocate data cache plugin.
+/// WritebackDcacheDomain — the write-back, write-allocate data-cache row.
 ///
 /// The shipped DcacheDomain models a write-through/no-allocate data cache:
 /// stores never touch it, so only loads appear in its stream. This domain
@@ -10,9 +10,9 @@
 /// Dirty state does not change *which* accesses hit — write-allocate LRU
 /// replacement is identical for loads and stores — so the fault-free
 /// classification and the FMM miss bounds are exactly the write-through
-/// machinery run over the loads-then-stores stream
-/// (extract_data_access_references). What changes is the *price* of a
-/// miss. The domain folds the write-back cost into an effective geometry:
+/// machinery run over the loads-then-stores stream. What changes is the
+/// *price* of a miss. The domain folds the write-back cost into an
+/// effective geometry:
 ///
 ///     effective miss_penalty = refill miss_penalty + writeback_penalty
 ///
@@ -30,14 +30,13 @@
 /// write-back simulator). Residual dirty lines at end of run are not
 /// flushed — the task's deadline covers its own accesses only.
 ///
-/// A secondary domain (standalone() == false); rows live under
-/// "pwcet-wbdcache-rows-v1" (a loads+stores stream must never alias the
-/// load-only "pwcet-dcache-rows-v1" rows, even for equal geometries), and
-/// its core-key contribution rides the "pwcet-ncore-v1" chaining recipe.
+/// A secondary domain; rows live under "pwcet-wbdcache-rows-v1" (a
+/// loads+stores stream must never alias the load-only
+/// "pwcet-dcache-rows-v1" rows, even for equal geometries), and its
+/// core-key contribution rides the "pwcet-ncore-v1" chaining recipe.
 #pragma once
 
 #include "analysis/cache_domain.hpp"
-#include "analysis/domain_support.hpp"
 
 namespace pwcet {
 
@@ -46,35 +45,15 @@ class WritebackDcacheDomain final : public CacheDomain {
   /// `geometry.miss_penalty` is the refill cost; `writeback_penalty` the
   /// extra cost of writing a dirty victim back to memory.
   WritebackDcacheDomain(const CacheConfig& geometry, Cycles writeback_penalty)
-      : effective_(geometry), writeback_penalty_(writeback_penalty) {
-    PWCET_EXPECTS(writeback_penalty >= 0);
-    effective_.miss_penalty += writeback_penalty;
-    effective_.validate();
-  }
-
-  std::string_view name() const override { return "wb-dcache"; }
-  /// Effective geometry: miss_penalty already includes writeback_penalty.
-  const CacheConfig& config() const override { return effective_; }
-  bool standalone() const override { return false; }
-
-  Cycles writeback_penalty() const { return writeback_penalty_; }
-
-  StoreKey row_key_prefix(const Program& program,
-                          WcetEngine engine) const override;
-
-  ReferenceMap extract(const Program& program) const override {
-    return extract_data_access_references(program.cfg(), effective_);
-  }
-
-  CostModel time_cost_model(const Program& program, const ReferenceMap& refs,
-                            const ClassificationMap& cls) const override {
-    return secondary_miss_cost_model(program.cfg(), refs, cls,
-                                     effective_.miss_penalty);
-  }
+      : CacheDomain("wb-dcache", effective(geometry, writeback_penalty)) {}
 
  private:
-  CacheConfig effective_;
-  Cycles writeback_penalty_;
+  static CacheConfig effective(CacheConfig geometry,
+                               Cycles writeback_penalty) {
+    PWCET_EXPECTS(writeback_penalty >= 0);
+    geometry.miss_penalty += writeback_penalty;
+    return geometry;
+  }
 };
 
 }  // namespace pwcet

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/cache_domain.hpp"
 #include "benchlib/diff.hpp"
 #include "benchlib/harness.hpp"
 #include "benchlib/report.hpp"
@@ -650,7 +651,8 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
     return 2;
   }
   // Axis values and their one-liners come from the single name registry
-  // (engine/names.hpp) — the same tables the spec loader parses against.
+  // (engine/names.hpp) — the same tables the spec loader parses against —
+  // and the cache domains from the domain table (analysis/cache_domain.hpp).
   const auto section = [&out](const char* title, const auto& names) {
     std::size_t width = 0;
     for (const auto& entry : names)
@@ -668,7 +670,7 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
   out << "\ntasks (extension kernels, data-cache study):\n";
   for (const std::string& name : workloads::extension_names())
     out << "  " << name << "\n";
-  section("cache domains", cache_domain_listings());
+  section("cache domains", cache_domain_rows());
   section("mechanisms", mechanism_names());
   section("dcache mechanisms", dcache_mechanism_names());
   section("write policies", write_policy_names());
@@ -680,12 +682,11 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
 // ---- pwcet cache ----------------------------------------------------------
 
 /// Renders the `store.<tier>.<layer>.<event>` counters of a --metrics-out
-/// snapshot as one per-layer table: memo rows (core / set-penalty / result
-/// / slack / fmm-rows) with hit/miss/eviction columns, disk rows (per
-/// artifact kind) with hit/miss/write columns. Histograms follow as a
-/// percentile table (the derived p50/p90/p99 fields, never the raw bucket
-/// arrays). Returns false (after a diagnostic) when the file does not load
-/// or parse.
+/// snapshot as one per-layer table: memo rows (campaign / set-penalty /
+/// fmm-rows) with hit/miss/eviction columns, disk rows (per artifact kind)
+/// with hit/miss/write columns. Histograms follow as a percentile table
+/// (the derived p50/p90/p99 fields, never the raw bucket arrays). Returns
+/// false (after a diagnostic) when the file does not load or parse.
 bool render_store_counters(const std::string& path, std::ostream& out,
                            std::ostream& err) {
   std::ifstream in(path, std::ios::binary);

@@ -94,18 +94,6 @@ const std::vector<AxisName<WritePolicy>>& write_policy_names() {
   return kNames;
 }
 
-const std::vector<DomainListing>& cache_domain_listings() {
-  static const std::vector<DomainListing> kListings = {
-      {"icache", "instruction cache (primary; the paper's pipeline)"},
-      {"dcache", "write-through data cache over statically known loads"},
-      {"wb-dcache",
-       "write-back data cache: stores allocate, dirty evictions priced"},
-      {"tlb", "translation lookaside buffer; page-granular unified stream"},
-      {"l2", "shared lookup-through L2 behind the L1 domains"},
-  };
-  return kListings;
-}
-
 namespace {
 
 template <typename Enum>

@@ -34,17 +34,6 @@ const std::vector<AxisName<AnalysisKind>>& analysis_kind_names();
 const std::vector<AxisName<DcacheMechanism>>& dcache_mechanism_names();
 const std::vector<AxisName<WritePolicy>>& write_policy_names();
 
-/// One registered CacheDomain plugin (not an enum axis — domains are
-/// selected through the dcache/tlb/l2 spec axes — but `pwcet list` prints
-/// them from the same registry spirit: one table, one source of truth).
-struct DomainListing {
-  const char* name;         ///< CacheDomain::name()
-  const char* description;  ///< one-liner for `pwcet list`
-};
-
-/// The shipped CacheDomain plugins, in pipeline composition order.
-const std::vector<DomainListing>& cache_domain_listings();
-
 /// The candidate closest to `word` by edit distance, for a "did you mean"
 /// hint on a misspelt key or name; "" when none is close enough.
 std::string closest_match(const std::string& word,

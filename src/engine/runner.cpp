@@ -423,19 +423,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // needed for nested waits *on* pool threads (map_indexed does that).
   //
   // Futures are iterated in cache-aware submission order, which is a
-  // hash order — and the members within a group are sibling-sorted, no
-  // longer in expansion order either — so the "first in expansion order"
-  // rethrow promise is kept by ranking failed groups by their *smallest*
-  // job expansion index, not by submission or member position.
+  // hash order, so the "first in expansion order" rethrow promise is kept
+  // by ranking failed groups by their first job's expansion index (members
+  // run in expansion order), not by submission position.
   std::exception_ptr first_error;
   std::size_t first_error_job = jobs.size();
   for (std::size_t g = 0; g < futures.size(); ++g) {
     try {
       futures[g].get();
     } catch (...) {
-      const std::vector<std::size_t>& members = schedule[shard_begin + g];
-      const std::size_t job_index =
-          *std::min_element(members.begin(), members.end());
+      const std::size_t job_index = schedule[shard_begin + g].front();
       if (!first_error || job_index < first_error_job) {
         first_error = std::current_exception();
         first_error_job = job_index;

@@ -177,27 +177,12 @@ std::vector<std::vector<std::size_t>> campaign_group_schedule(
       ordered.begin(), ordered.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // Within a group, run pfail-siblings back to back: cells differing only
-  // in pfail share the whole pfail-independent re-weighting bundle
-  // (analysis/pipeline.cpp), so ordering the mechanism axis outermost and
-  // pfail innermost lands every sibling on a bundle that is still hot.
-  // Expansion order puts pfail outside the mechanism axis, so without this
-  // the bundles would be cycled N_pfail times each. The sort key is a pure
-  // function of the spec; output is unaffected (slots are indexed).
+  // Members run in expansion order: every mechanism assignment's
+  // re-weighting bundle lives in the group's one pipeline for the whole
+  // group (analysis/pipeline.cpp), so member order changes no reuse.
   std::vector<std::vector<std::size_t>> schedule;
   schedule.reserve(ordered.size());
-  for (auto& [key, members] : ordered) {
-    std::stable_sort(members.begin(), members.end(),
-                     [&jobs](std::size_t a, std::size_t b) {
-                       const CampaignJob& x = jobs[a];
-                       const CampaignJob& y = jobs[b];
-                       return std::tie(x.kind_i, x.mechanism_i, x.dmech_i,
-                                       x.samples_i, x.pfail_i) <
-                              std::tie(y.kind_i, y.mechanism_i, y.dmech_i,
-                                       y.samples_i, y.pfail_i);
-                     });
-    schedule.push_back(std::move(members));
-  }
+  for (auto& [key, members] : ordered) schedule.push_back(std::move(members));
   return schedule;
 }
 
@@ -259,17 +244,7 @@ std::string render_shard_fragment(const ShardFragment& fragment) {
   meta += std::to_string(fragment.curve_points);
   meta += ",\"slots\":\"";
   meta += render_slot_ranges(fragment.slots);
-  meta += "\",\"memo_hits\":";
-  meta += std::to_string(fragment.store_stats.hits);
-  meta += ",\"memo_misses\":";
-  meta += std::to_string(fragment.store_stats.misses);
-  meta += ",\"disk_hits\":";
-  meta += std::to_string(fragment.store_stats.disk_hits);
-  meta += ",\"disk_misses\":";
-  meta += std::to_string(fragment.store_stats.disk_misses);
-  meta += ",\"disk_writes\":";
-  meta += std::to_string(fragment.store_stats.disk_writes);
-  meta += "}\n";
+  meta += "\"}\n";
   return meta + fragment.report_rows + fragment.dist_rows;
 }
 
@@ -318,19 +293,6 @@ bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
             std::to_string(fragment.job_count) + " jobs, one row each)";
     return false;
   }
-  // Store counters are informational; missing ones read as zero.
-  std::uint64_t value = 0;
-  fragment.store_stats = StoreStats{};
-  if (json_u64_field(meta, "memo_hits", value)) fragment.store_stats.hits = value;
-  if (json_u64_field(meta, "memo_misses", value))
-    fragment.store_stats.misses = value;
-  if (json_u64_field(meta, "disk_hits", value))
-    fragment.store_stats.disk_hits = value;
-  if (json_u64_field(meta, "disk_misses", value))
-    fragment.store_stats.disk_misses = value;
-  if (json_u64_field(meta, "disk_writes", value))
-    fragment.store_stats.disk_writes = value;
-
   std::size_t dist_lines = 0;
   if (!split_fragment_rows(payload, fragment.slots.size(),
                            fragment.report_rows, fragment.dist_rows,
@@ -372,7 +334,6 @@ ShardRunOutcome run_campaign_shard(const CampaignSpec& spec,
   fragment.job_count = jobs.size();
   fragment.curve_points = spec.ccdf_exceedances.size();
   fragment.slots = outcome.slots;
-  fragment.store_stats = outcome.campaign.store_stats;
   for (const std::size_t slot : outcome.slots) {
     fragment.report_rows +=
         report_jsonl_row(outcome.campaign, outcome.campaign.results[slot]);
@@ -548,13 +509,6 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
                                   outcome.campaign.results))
       throw ShardMergeError("fragment " + entry->path +
                             ": malformed distribution rows");
-    outcome.campaign.store_stats.hits += fragment.store_stats.hits;
-    outcome.campaign.store_stats.misses += fragment.store_stats.misses;
-    outcome.campaign.store_stats.disk_hits += fragment.store_stats.disk_hits;
-    outcome.campaign.store_stats.disk_misses +=
-        fragment.store_stats.disk_misses;
-    outcome.campaign.store_stats.disk_writes +=
-        fragment.store_stats.disk_writes;
   }
   for (std::size_t slot = 0; slot < covered.size(); ++slot)
     if (!covered[slot])

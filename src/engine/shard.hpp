@@ -6,22 +6,21 @@
 ///
 /// Partition rule. The unit of distribution is the *analyzer group* — the
 /// runner's (task, geometry, engine, dcache, tlb, l2) job grouping — taken
-/// in the runner's schedule order (cache-aware group order, pfail-sibling
-/// member order; see campaign_group_schedule). Shard i of N owns the
+/// in the runner's schedule order (cache-aware group order, members in
+/// expansion order; see campaign_group_schedule). Shard i of N owns the
 /// contiguous group range [floor(i*G/N), floor((i+1)*G/N)). Distributing
 /// whole groups in schedule order preserves everything the single-process
-/// runner optimizes: analyzer/FMM-bundle reuse inside a group, re-weighting
-/// bundle warmth across pfail siblings, memo locality between adjacent
-/// groups — and per-job seeds are key-derived, so results are unaffected
-/// by where a job runs. The schedule is a pure function of the expanded
+/// runner optimizes: analyzer, FMM-bundle and re-weighting-bundle reuse
+/// inside a group, memo locality between adjacent groups — and per-job
+/// seeds are key-derived, so results are unaffected by where a job runs. The schedule is a pure function of the expanded
 /// spec: shard assignment is spec-key-stable (the same spec content
 /// partitions identically on every host, under any file name).
 ///
 /// Fragment artifact. A shard run writes one "campaign-shard" artifact
 /// (schema pwcet-shard-fragment-v1) into its cache directory: a meta line
-/// naming the spec key, shard index/count, covered report slots and the
-/// shard's store stats, followed by the covered scalar report rows and
-/// distribution rows in slot order. The artifact travels through
+/// naming the spec key, shard index/count and covered report slots,
+/// followed by the covered scalar report rows and distribution rows in
+/// slot order. The artifact travels through
 /// ArtifactStore, so its header carries a payload content hash — a
 /// corrupted fragment is detected at merge time, not silently merged.
 ///
@@ -43,7 +42,6 @@
 
 #include "engine/campaign.hpp"
 #include "engine/runner.hpp"
-#include "store/memo_cache.hpp"
 
 namespace pwcet {
 
@@ -57,10 +55,9 @@ bool parse_shard_selector(const std::string& text, ShardSelector& shard);
 
 /// The runner's group schedule: jobs grouped by analyzer compatibility
 /// (task, geometry, engine, dcache, tlb, l2), groups in cache-aware order
-/// (sorted by campaign_group_key, axis order breaking ties), members
-/// sibling-sorted (mechanism axes outermost, pfail innermost) so
-/// re-weighting bundles stay hot. Extracted from run_campaign so the
-/// runner and the shard partitioner can never drift: both call this.
+/// (sorted by campaign_group_key, axis order breaking ties), members in
+/// expansion order. Extracted from run_campaign so the runner and the
+/// shard partitioner can never drift: both call this.
 std::vector<std::vector<std::size_t>> campaign_group_schedule(
     const std::vector<CampaignJob>& jobs);
 
@@ -111,7 +108,6 @@ struct ShardFragment {
   std::vector<std::size_t> slots;  ///< covered job indices, ascending
   std::string report_rows;  ///< scalar JSONL rows, one per slot, in order
   std::string dist_rows;    ///< dist JSONL rows, curve_points per slot
-  StoreStats store_stats;   ///< the shard run's store counters
 };
 
 /// Renders the fragment payload (meta line + rows).

@@ -46,7 +46,7 @@ PwcetPipeline combined_pipeline(const Program& p, const CacheConfig& icache,
 TEST(DataRefs, ExtractionMergesSameLine) {
   const Program p = data_program();
   CacheConfig d;  // 16 B lines
-  const auto drefs = extract_data_references(p.cfg(), d);
+  const auto drefs = extract_references(p.cfg(), d, {.loads = true});
   for (const auto& blk : p.cfg().blocks()) {
     if (blk.data_addresses.size() != 8) continue;
     // 4 scalar loads share one 16 B line; 4 table loads are 16 B apart.
@@ -59,7 +59,8 @@ TEST(DataRefs, BlocksWithoutLoadsAreEmpty) {
   ProgramBuilder b("noloads");
   b.add_function("main", b.code(16));
   const Program p = b.build(0);
-  const auto drefs = extract_data_references(p.cfg(), CacheConfig{});
+  const auto drefs =
+      extract_references(p.cfg(), CacheConfig{}, {.loads = true});
   for (const auto& refs : drefs) EXPECT_TRUE(refs.empty());
 }
 
@@ -130,7 +131,7 @@ TEST(Combined, DataFmmSoundVsSimulation) {
       combined_pipeline(p, CacheConfig::paper_default(), d, options);
 
   Rng rng(0xdcac);
-  const auto drefs = extract_data_references(p.cfg(), d);
+  const auto drefs = extract_references(p.cfg(), d, {.loads = true});
   for (int trial = 0; trial < 10; ++trial) {
     const BlockPath path = full_iteration_walk(p, rng);
     const FaultMap map = FaultMap::sample(d, 0.3, rng);

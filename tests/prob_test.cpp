@@ -583,7 +583,7 @@ DiscreteDistribution domain_penalty(const PwcetPipeline& pipeline,
   const FaultMissMap& fmm = pipeline.fmm(domain).of(mechanism);
   const Cycles miss_penalty = pipeline.domain(domain).config().miss_penalty;
   const std::vector<Probability> pwf =
-      pipeline.domain(domain).pwf(faults, mechanism);
+      faults.way_failure_pmf(pipeline.domain(domain).config(), mechanism);
   std::vector<DiscreteDistribution> per_set;
   for (const std::vector<double>& row : fmm.misses) {
     std::vector<ProbabilityAtom> atoms;

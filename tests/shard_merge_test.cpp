@@ -142,8 +142,6 @@ TEST(ShardFragmentCodec, RoundTripsThroughRenderAndParse) {
   fragment.dist_rows =
       "{\"d\":1}\n{\"d\":2}\n{\"d\":3}\n{\"d\":4}\n"
       "{\"d\":5}\n{\"d\":6}\n{\"d\":7}\n{\"d\":8}\n";
-  fragment.store_stats.hits = 5;
-  fragment.store_stats.disk_writes = 2;
 
   ShardFragment parsed;
   std::string error;
@@ -158,8 +156,6 @@ TEST(ShardFragmentCodec, RoundTripsThroughRenderAndParse) {
   EXPECT_EQ(parsed.slots, fragment.slots);
   EXPECT_EQ(parsed.report_rows, fragment.report_rows);
   EXPECT_EQ(parsed.dist_rows, fragment.dist_rows);
-  EXPECT_EQ(parsed.store_stats.hits, fragment.store_stats.hits);
-  EXPECT_EQ(parsed.store_stats.disk_writes, fragment.store_stats.disk_writes);
 }
 
 TEST(ShardFragmentCodec, RejectsForeignSchemaAndRowMiscounts) {
@@ -392,7 +388,11 @@ TEST_F(ShardMergeRejectionTest, DuplicateDifferingShardIsNamed) {
     ASSERT_TRUE(parse_shard_fragment(raw, fragment, parse_diagnostic))
         << parse_diagnostic;
   }
-  fragment.store_stats.hits += 1;  // differing bytes, still well-formed
+  // Differing bytes, still well-formed: one digit of the first report row.
+  const std::size_t digit =
+      fragment.report_rows.find_first_of("0123456789");
+  ASSERT_NE(digit, std::string::npos);
+  fragment.report_rows[digit] = fragment.report_rows[digit] == '9' ? '8' : '9';
   const ArtifactStore duplicate_store({dirs[1]});
   ASSERT_TRUE(duplicate_store.store_text(
       kShardFragmentKind,
@@ -415,6 +415,30 @@ TEST_F(ShardMergeRejectionTest, ByteIdenticalDuplicateFragmentsAreAccepted) {
   std::vector<std::string> all = dirs;
   all.push_back(copy_dir);
   EXPECT_EQ(merge_error(all, 3), "");
+}
+
+TEST_F(ShardMergeRejectionTest, StoreOffRetryOfAShardMergesBesideIt) {
+  std::vector<std::string> dirs = run_shards(3);
+  // Shard 1 retried without the store into its own directory: its rows
+  // match the original's, though the two runs' store traffic differs.
+  dirs.push_back(subdir("shard0_retry"));
+  RunnerOptions options;
+  options.threads = 1;
+  options.store.enabled = false;
+  run_campaign_shard(doc_.spec, ShardSelector{0, 3}, options, dirs.back());
+
+  ShardMergeOptions merge_options;
+  merge_options.from_dirs = dirs;
+  const ShardMergeOutcome merged =
+      merge_campaign_shards(doc_.spec, merge_options);
+  RunnerOptions reference_options;
+  reference_options.threads = 1;
+  reference_options.store.enabled = false;
+  const ReportBytes reference =
+      render(run_campaign(doc_.spec, reference_options));
+  const ReportBytes rebuilt = render(merged.campaign);
+  EXPECT_EQ(reference.scalar, rebuilt.scalar);
+  EXPECT_EQ(reference.dist, rebuilt.dist);
 }
 
 TEST_F(ShardMergeRejectionTest, SpecKeyMismatchIsNamed) {
