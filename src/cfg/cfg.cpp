@@ -14,7 +14,7 @@ BlockId ControlFlowGraph::add_block(Address first_address,
   b.first_address = first_address;
   b.instruction_count = instruction_count;
   blocks_.push_back(std::move(b));
-  innermost_cache_.clear();
+  innermost_.push_back(kNoLoop);
   return id;
 }
 
@@ -43,23 +43,15 @@ void ControlFlowGraph::set_store_addresses(BlockId b,
 LoopId ControlFlowGraph::add_loop(LoopInfo info) {
   const LoopId id = static_cast<LoopId>(loops_.size());
   info.id = id;
+  // Loops are registered outermost-first, after every block, by the
+  // builder; overwriting in registration order leaves the innermost loop
+  // id per block.
+  for (const BlockId b : info.blocks) {
+    PWCET_EXPECTS(b >= 0 && static_cast<size_t>(b) < blocks_.size());
+    innermost_[size_t(b)] = id;
+  }
   loops_.push_back(std::move(info));
-  innermost_cache_.clear();
   return id;
-}
-
-void ControlFlowGraph::build_innermost_cache() const {
-  innermost_cache_.assign(blocks_.size(), kNoLoop);
-  // Loops are registered outermost-first by the builder; overwriting in
-  // registration order leaves the innermost loop id per block. For detected
-  // loops the same property holds because detection emits parents first.
-  for (const LoopInfo& loop : loops_)
-    for (BlockId b : loop.blocks) innermost_cache_[size_t(b)] = loop.id;
-}
-
-LoopId ControlFlowGraph::innermost_loop(BlockId b) const {
-  if (innermost_cache_.size() != blocks_.size()) build_innermost_cache();
-  return innermost_cache_[size_t(b)];
 }
 
 bool ControlFlowGraph::loop_contains(LoopId outer, LoopId inner) const {

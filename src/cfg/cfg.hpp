@@ -58,7 +58,7 @@ class ControlFlowGraph {
   const LoopInfo& loop(LoopId l) const { return loops_[size_t(l)]; }
 
   /// Innermost loop containing the block, kNoLoop if none.
-  LoopId innermost_loop(BlockId b) const;
+  LoopId innermost_loop(BlockId b) const { return innermost_[size_t(b)]; }
 
   /// True if loop `outer` (or outer == inner) contains loop `inner`.
   bool loop_contains(LoopId outer, LoopId inner) const;
@@ -80,11 +80,9 @@ class ControlFlowGraph {
   std::vector<BasicBlock> blocks_;
   std::vector<CfgEdge> edges_;
   std::vector<LoopInfo> loops_;
-  mutable std::vector<LoopId> innermost_cache_;  // lazily built
+  std::vector<LoopId> innermost_;  ///< per block, kept by add_block/add_loop
   BlockId entry_ = kNoBlock;
   BlockId exit_ = kNoBlock;
-
-  void build_innermost_cache() const;
 };
 
 }  // namespace pwcet

@@ -339,18 +339,18 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     const std::vector<std::size_t>& entry = schedule[g];
     // Submission timestamp, taken on the submitting thread. The group's
     // queue wait is the time it sat *runnable with an idle worker*: from
-    // max(its own enqueue, the executing worker's previous group finish)
-    // to its first instruction. Measuring from enqueue alone counts the
-    // whole backlog ahead of a bulk-enqueued group as "wait" — a 1.7s
-    // serial campaign reported a 10s median — when that time is worked,
-    // not waited. With the clamp, serial waits sum to scheduler overhead
-    // only, so sum(queue_wait) <= wall holds (pinned by obs_test).
+    // max(its own enqueue, the executing worker's previous group or job
+    // finish) to its first instruction. Measuring from enqueue alone
+    // counts the whole backlog ahead of a bulk-enqueued group as "wait" —
+    // a 1.7s serial campaign reported a 10s median — when that time is
+    // worked, not waited. With the clamp, serial waits sum to scheduler
+    // overhead only, so sum(queue_wait) <= wall holds (pinned by obs_test).
     const std::uint64_t submitted_ns = observing ? obs::monotonic_ns() : 0;
     futures.push_back(pool.submit([&spec, &jobs, &campaign, &pool, &options,
                                    store, submitted_ns, observing,
                                    members = &entry] {
-      // Monotonic finish time of the previous group task on this worker
-      // thread; zero on a fresh thread. Stale values from an earlier
+      // Monotonic finish time of the previous group or job task on this
+      // worker thread; zero on a fresh thread. Stale values from an earlier
       // campaign in the same process are harmless — the clock is
       // monotonic, so max() discards anything before this submission.
       thread_local std::uint64_t worker_busy_until_ns = 0;
@@ -370,48 +370,65 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           group_span.annotate(args);
         }
       }
-      const CampaignJob& first = jobs[members->front()];
-      const Program program = workloads::build(first.task);
+      const Program program = workloads::build(jobs[members->front()].task);
 
-      // Built on the group's first SPTA cell; mechanism and pfail cells
-      // reuse it (the FMM bundles cover all mechanisms). The group key
-      // fixes one domain composition per group, so the first cell's
-      // domain list serves every SPTA cell of the group.
+      // The members share, read-only, the program and the pipeline of the
+      // group's first SPTA cell; mechanism and pfail cells reuse its FMM
+      // bundles. The group key fixes one domain composition per group, so
+      // the first SPTA cell's domain list serves every SPTA cell. Both are
+      // built here, before the members fan out and read them concurrently.
       std::optional<PwcetPipeline> pipeline;
-      PwcetOptions popts;
-      popts.engine = first.engine;
-      popts.max_distribution_points = spec.max_distribution_points;
-      popts.pool = &pool;
-      popts.store = store;
-
-      for (const std::size_t index : *members) {
-        const CampaignJob& job = jobs[index];
-        obs::TraceSpan job_span(obs::engine_name::kJob, "engine");
-        if (job_span.active())
-          job_span.annotate("\"kind\":\"" + analysis_kind_name(job.kind) +
-                            "\",\"task\":" + json_quote(job.task));
-        if (observing) {
-          obs::MetricsRegistry::instance().add(
-              "engine.jobs." + analysis_kind_name(job.kind));
-        }
-        switch (job.kind) {
-          case AnalysisKind::kSpta:
-            if (!pipeline)
-              pipeline.emplace(program, pipeline_domains(job), popts);
-            campaign.results[index] = run_spta(job, *pipeline, spec);
-            break;
-          case AnalysisKind::kMbpta:
-            campaign.results[index] = run_mbpta_job(job, program, spec);
-            break;
-          case AnalysisKind::kSimulation:
-            campaign.results[index] = run_simulation_job(job, program, spec);
-            break;
-          case AnalysisKind::kSlack:
-            campaign.results[index] = run_slack_job(job, program, spec);
-            break;
-        }
-        if (options.on_job_finished) options.on_job_finished();
+      const auto first_spta =
+          std::find_if(members->begin(), members->end(), [&](std::size_t i) {
+            return jobs[i].kind == AnalysisKind::kSpta;
+          });
+      if (first_spta != members->end()) {
+        const CampaignJob& spta = jobs[*first_spta];
+        PwcetOptions popts;
+        popts.engine = spta.engine;
+        popts.max_distribution_points = spec.max_distribution_points;
+        popts.pool = &pool;
+        popts.store = store;
+        pipeline.emplace(program, pipeline_domains(spta), popts);
       }
+
+      // Each member is a task of its own on the campaign's pool, so idle
+      // workers take jobs from whichever group still has some. Members
+      // run in any order and on any worker; the results land in their
+      // slots. map_indexed drains every member before it rethrows the
+      // first failure by member index.
+      std::vector<JobResult> results =
+          pool.map_indexed(members->size(), [&](std::size_t m) {
+            const CampaignJob& job = jobs[(*members)[m]];
+            obs::TraceSpan job_span(obs::engine_name::kJob, "engine");
+            if (job_span.active())
+              job_span.annotate("\"kind\":\"" + analysis_kind_name(job.kind) +
+                                "\",\"task\":" + json_quote(job.task));
+            if (observing) {
+              obs::MetricsRegistry::instance().add(
+                  "engine.jobs." + analysis_kind_name(job.kind));
+            }
+            JobResult r;
+            switch (job.kind) {
+              case AnalysisKind::kSpta:
+                r = run_spta(job, *pipeline, spec);
+                break;
+              case AnalysisKind::kMbpta:
+                r = run_mbpta_job(job, program, spec);
+                break;
+              case AnalysisKind::kSimulation:
+                r = run_simulation_job(job, program, spec);
+                break;
+              case AnalysisKind::kSlack:
+                r = run_slack_job(job, program, spec);
+                break;
+            }
+            if (options.on_job_finished) options.on_job_finished();
+            if (observing) worker_busy_until_ns = obs::monotonic_ns();
+            return r;
+          });
+      for (std::size_t m = 0; m < members->size(); ++m)
+        campaign.results[(*members)[m]] = std::move(results[m]);
       if (observing) worker_busy_until_ns = obs::monotonic_ns();
     }));
   }
@@ -424,8 +441,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   //
   // Futures are iterated in cache-aware submission order, which is a
   // hash order, so the "first in expansion order" rethrow promise is kept
-  // by ranking failed groups by their first job's expansion index (members
-  // run in expansion order), not by submission position.
+  // by ranking failed groups by their first job's expansion index, not by
+  // submission position. Inside a group, map_indexed rethrows the first
+  // failure by member index, and members are listed in expansion order.
   std::exception_ptr first_error;
   std::size_t first_error_job = jobs.size();
   for (std::size_t g = 0; g < futures.size(); ++g) {

@@ -3,10 +3,13 @@
 ///
 /// Jobs sharing a (task, geometry, engine) prefix also share the expensive
 /// analyzer state (reference extraction, fault-free IPET, FMM bundle), so
-/// the runner groups them: each group is one pool task that builds the
-/// analyzer once and walks its cells in expansion order, writing results
-/// into pre-sized slots indexed by job position. Inside a group, a single
-/// analysis additionally fans its per-set work out on the *same* pool
+/// the runner groups them: each group is one pool task that builds its
+/// shared state once (the program, and the pipeline when the group has an
+/// SPTA cell) and then fans its jobs out on the *same* pool, one task per
+/// job, writing results into pre-sized slots indexed by job position. A
+/// group's jobs may run in any order and on any worker, so idle workers
+/// take jobs from the largest group instead of waiting for it. A single
+/// analysis additionally fans its per-set work out on that pool too
 /// (workers help while waiting, so nesting cannot deadlock).
 ///
 /// Groups are submitted in *cache-aware order* — sorted by their shared

@@ -177,9 +177,10 @@ std::vector<std::vector<std::size_t>> campaign_group_schedule(
       ordered.begin(), ordered.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // Members run in expansion order: every mechanism assignment's
-  // re-weighting bundle lives in the group's one pipeline for the whole
-  // group (analysis/pipeline.cpp), so member order changes no reuse.
+  // Members are listed in expansion order and the runner runs them in
+  // any order: every mechanism assignment's re-weighting bundle lives in
+  // the group's one pipeline for the whole group (analysis/pipeline.cpp),
+  // so member order changes no reuse.
   std::vector<std::vector<std::size_t>> schedule;
   schedule.reserve(ordered.size());
   for (auto& [key, members] : ordered) schedule.push_back(std::move(members));

@@ -5,27 +5,33 @@
 #include "support/contracts.hpp"
 
 namespace pwcet {
+namespace {
 
-CacheSimulator::CacheSimulator(const CacheConfig& config, FaultMap faults,
-                               Mechanism mechanism)
-    : config_(config),
-      faults_(std::move(faults)),
-      mechanism_(mechanism),
-      lru_(config.sets) {
-  config_.validate();
-  PWCET_EXPECTS(faults_.sets() == config.sets &&
-                faults_.ways() == config.ways);
-  stats_.misses_per_set.assign(config.sets, 0);
+/// Usable ways of every set: the fault-free ways, plus way 0 under RW,
+/// whose hardening masks a fault recorded there.
+std::vector<std::uint32_t> count_usable_ways(const CacheConfig& config,
+                                             const FaultMap& faults,
+                                             Mechanism mechanism) {
+  PWCET_EXPECTS(faults.sets() == config.sets && faults.ways() == config.ways);
+  std::vector<std::uint32_t> usable(config.sets, 0);
+  for (SetIndex s = 0; s < config.sets; ++s)
+    for (std::uint32_t w = 0; w < config.ways; ++w) {
+      const bool masked_by_rw = mechanism == Mechanism::kReliableWay && w == 0;
+      if (masked_by_rw || !faults.is_faulty(s, w)) ++usable[s];
+    }
+  return usable;
 }
 
-std::uint32_t CacheSimulator::usable_ways(SetIndex s) const {
-  std::uint32_t usable = 0;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    const bool masked_by_rw =
-        mechanism_ == Mechanism::kReliableWay && w == 0;
-    if (masked_by_rw || !faults_.is_faulty(s, w)) ++usable;
-  }
-  return usable;
+}  // namespace
+
+CacheSimulator::CacheSimulator(const CacheConfig& config,
+                               const FaultMap& faults, Mechanism mechanism)
+    : config_(config),
+      mechanism_(mechanism),
+      usable_(count_usable_ways(config, faults, mechanism)),
+      lru_(config.sets) {
+  config_.validate();
+  stats_.misses_per_set.assign(config.sets, 0);
 }
 
 bool CacheSimulator::lookup_lru(SetIndex s, LineAddress line) {
@@ -33,20 +39,19 @@ bool CacheSimulator::lookup_lru(SetIndex s, LineAddress line) {
   const auto it = std::find(stack.begin(), stack.end(), line);
   if (it != stack.end()) {
     // Hit: move to MRU position.
-    stack.erase(it);
-    stack.insert(stack.begin(), line);
+    std::rotate(stack.begin(), it, it + 1);
     return true;
   }
   // Miss: insert at MRU, evict LRU if the usable capacity is exceeded.
   stack.insert(stack.begin(), line);
-  if (stack.size() > usable_ways(s)) stack.pop_back();
+  if (stack.size() > usable_[s]) stack.pop_back();
   return false;
 }
 
 bool CacheSimulator::fetch(Address address) {
   const LineAddress line = config_.line_of(address);
   const SetIndex s = config_.set_of_line(line);
-  const std::uint32_t usable = usable_ways(s);
+  const std::uint32_t usable = usable_[s];
 
   bool hit = false;
   if (usable > 0) {
@@ -86,31 +91,19 @@ SimStats simulate_trace(const CacheConfig& config, const FaultMap& faults,
 }
 
 WritebackCacheSimulator::WritebackCacheSimulator(const CacheConfig& config,
-                                                 FaultMap faults,
+                                                 const FaultMap& faults,
                                                  Mechanism mechanism)
     : config_(config),
-      faults_(std::move(faults)),
       mechanism_(mechanism),
+      usable_(count_usable_ways(config, faults, mechanism)),
       lru_(config.sets) {
   config_.validate();
-  PWCET_EXPECTS(faults_.sets() == config.sets &&
-                faults_.ways() == config.ways);
-}
-
-std::uint32_t WritebackCacheSimulator::usable_ways(SetIndex s) const {
-  std::uint32_t usable = 0;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    const bool masked_by_rw =
-        mechanism_ == Mechanism::kReliableWay && w == 0;
-    if (masked_by_rw || !faults_.is_faulty(s, w)) ++usable;
-  }
-  return usable;
 }
 
 bool WritebackCacheSimulator::access(Address address, bool is_store) {
   const LineAddress line = config_.line_of(address);
   const SetIndex s = config_.set_of_line(line);
-  const std::uint32_t usable = usable_ways(s);
+  const std::uint32_t usable = usable_[s];
 
   bool hit = false;
   if (usable > 0) {
@@ -119,10 +112,8 @@ bool WritebackCacheSimulator::access(Address address, bool is_store) {
         stack.begin(), stack.end(),
         [line](const Way& w) { return w.line == line; });
     if (it != stack.end()) {
-      Way way = *it;
-      way.dirty = way.dirty || is_store;
-      stack.erase(it);
-      stack.insert(stack.begin(), way);
+      it->dirty = it->dirty || is_store;
+      std::rotate(stack.begin(), it, it + 1);
       hit = true;
     } else {
       // Write-allocate: stores insert their line dirty.

@@ -36,7 +36,7 @@ struct SimStats {
 /// Stateful simulator; create one per run (starts with a cold cache).
 class CacheSimulator {
  public:
-  CacheSimulator(const CacheConfig& config, FaultMap faults,
+  CacheSimulator(const CacheConfig& config, const FaultMap& faults,
                  Mechanism mechanism);
 
   /// Simulates one instruction fetch; returns true on hit (cache or SRB).
@@ -48,14 +48,15 @@ class CacheSimulator {
   const SimStats& stats() const { return stats_; }
 
   /// Usable LRU depth of a set under the configured mechanism.
-  std::uint32_t usable_ways(SetIndex s) const;
+  std::uint32_t usable_ways(SetIndex s) const { return usable_[s]; }
 
  private:
   bool lookup_lru(SetIndex s, LineAddress line);
 
   CacheConfig config_;
-  FaultMap faults_;
   Mechanism mechanism_;
+  // Per set: usable ways, counted once from the fault map.
+  std::vector<std::uint32_t> usable_;
   // Per set: MRU-first stack of resident lines (size <= usable ways).
   std::vector<std::vector<LineAddress>> lru_;
   bool srb_valid_ = false;
@@ -85,7 +86,7 @@ struct WritebackSimStats {
 /// evicted (including a dirty SRB line displaced by an SRB refill).
 class WritebackCacheSimulator {
  public:
-  WritebackCacheSimulator(const CacheConfig& config, FaultMap faults,
+  WritebackCacheSimulator(const CacheConfig& config, const FaultMap& faults,
                           Mechanism mechanism);
 
   /// Simulates one data access; returns true on hit (cache or SRB).
@@ -94,11 +95,10 @@ class WritebackCacheSimulator {
   const WritebackSimStats& stats() const { return stats_; }
 
  private:
-  std::uint32_t usable_ways(SetIndex s) const;
-
   CacheConfig config_;
-  FaultMap faults_;
   Mechanism mechanism_;
+  // Per set: usable ways, counted once from the fault map.
+  std::vector<std::uint32_t> usable_;
   struct Way {
     LineAddress line = 0;
     bool dirty = false;

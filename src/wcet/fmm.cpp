@@ -234,9 +234,6 @@ FmmBundle compute_fmm_bundle(const Program& program,
 
   std::vector<SetRows> rows;
   if (pool != nullptr && engine == WcetEngine::kTree) {
-    // Warm the CFG's lazily built loop cache before sharing it read-only
-    // across pool threads (the build is not synchronized).
-    if (cfg.block_count() > 0) cfg.innermost_loop(cfg.entry());
     rows = pool->map_indexed(config.sets, [&](std::size_t s) {
       if (signatures[s].empty()) return zero_rows(config.ways);
       // A duplicate's representative may still be computing on another

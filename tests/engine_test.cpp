@@ -296,6 +296,67 @@ TEST(Runner, TwoThreadRunIsByteIdenticalToOneThread) {
   EXPECT_EQ(report_jsonl(a), report_jsonl(b));
 }
 
+TEST(Runner, EveryKindIsByteIdenticalAtEveryThreadCount) {
+  // A group's jobs run concurrently on the campaign pool and share its
+  // program and pipeline, so every kind must reproduce the serial bytes at
+  // any worker count, with the store off and on.
+  CampaignSpec all_kinds;
+  all_kinds.tasks = {"fibcall", "bs"};
+  CacheConfig tiny = CacheConfig::paper_default();
+  tiny.sets = 8;
+  tiny.ways = 2;
+  all_kinds.geometries = {CacheConfig::paper_default(), tiny};
+  all_kinds.pfails = {1e-3};
+  // Slack cells accept only the two reliability mechanisms.
+  all_kinds.mechanisms = {Mechanism::kReliableWay,
+                          Mechanism::kSharedReliableBuffer};
+  all_kinds.kinds = {AnalysisKind::kSpta, AnalysisKind::kMbpta,
+                     AnalysisKind::kSimulation, AnalysisKind::kSlack};
+  all_kinds.ccdf_exceedances = {1e-2, 1e-6};
+  all_kinds.mbpta.chips = 40;
+  all_kinds.mbpta.block_size = 10;
+  all_kinds.simulation_chips = 50;
+
+  // Shaped like specs/srb_conservatism.json: slack-only groups of two
+  // jobs, whose concurrent set analyses walk one CFG's loop table.
+  CampaignSpec slack_only;
+  slack_only.tasks = {"fibcall", "bs", "crc", "insertsort", "matmult",
+                      "expint"};
+  slack_only.geometries = {CacheConfig::paper_default()};
+  slack_only.pfails = {1e-4};
+  slack_only.mechanisms = {Mechanism::kSharedReliableBuffer,
+                           Mechanism::kReliableWay};
+  slack_only.kinds = {AnalysisKind::kSlack};
+
+  for (const CampaignSpec* spec : {&all_kinds, &slack_only}) {
+    RunnerOptions serial;
+    serial.threads = 1;
+    serial.store.enabled = false;
+    const CampaignResult reference = run_campaign(*spec, serial);
+    ASSERT_EQ(reference.results.size(), spec->job_count());
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
+      for (const bool store_on : {false, true}) {
+        // A fresh in-memory store, whatever PWCET_CACHE_DIR says, so every
+        // run computes its jobs instead of loading an earlier run's.
+        AnalysisStore store;
+        RunnerOptions options;
+        options.threads = threads;
+        options.store.enabled = false;
+        if (store_on) options.shared_store = &store;
+        const CampaignResult run = run_campaign(*spec, options);
+        EXPECT_EQ(run.threads_used, threads);
+        EXPECT_EQ(report_jsonl(run), report_jsonl(reference))
+            << spec->tasks.size() << " tasks, threads=" << threads
+            << " store=" << store_on;
+        EXPECT_EQ(report_dist_jsonl(run), report_dist_jsonl(reference))
+            << spec->tasks.size() << " tasks, threads=" << threads
+            << " store=" << store_on;
+      }
+    }
+  }
+}
+
 TEST(Runner, PooledAnalyzerMatchesSerialAnalyzer) {
   // The per-set fan-out and pooled tree reduction inside one analysis must
   // not change a single bit of the result.

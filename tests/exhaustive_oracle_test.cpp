@@ -279,8 +279,9 @@ workloads::RandomProgramParams oracle_params_with_stores() {
 }
 
 /// The unified per-path access stream — per block: instruction fetches,
-/// then loads, then stores — mirroring extract_unified_references' order
-/// (the TLB / shared-L2 reference stream, before line merging).
+/// then loads, then stores — mirroring extract_references' order with
+/// AccessStreams{.fetches, .loads, .stores} (the TLB / shared-L2
+/// reference stream, before line merging).
 std::vector<Address> unified_trace(const ControlFlowGraph& cfg,
                                    const std::vector<BlockId>& path) {
   std::vector<Address> out;
@@ -296,7 +297,8 @@ std::vector<Address> unified_trace(const ControlFlowGraph& cfg,
 }
 
 /// Per-path data accesses as (address, is_store), loads before stores per
-/// block — extract_data_access_references' order.
+/// block — extract_references' order with AccessStreams{.loads, .stores}
+/// (the write-back D-cache stream).
 std::vector<std::pair<Address, bool>> data_access_trace(
     const ControlFlowGraph& cfg, const std::vector<BlockId>& path) {
   std::vector<std::pair<Address, bool>> out;
