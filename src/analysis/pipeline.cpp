@@ -25,7 +25,7 @@ struct PenaltyBundle {
     /// one subtree per convolution round.
     std::vector<std::uint32_t> row_of_set;
     /// Raw per-row miss counts — kept verbatim because they are the
-    /// "set-penalty-v1" key material.
+    /// "domain-penalty-v1" key material.
     std::vector<std::vector<double>> rows;
     /// Precomputed atom values per row: ceil(misses) * miss_penalty
     /// (paper Fig. 1.b), one per possible fault count.
@@ -33,6 +33,13 @@ struct PenaltyBundle {
   };
   std::vector<Domain> domains;  ///< one per pipeline domain, in order
 };
+
+/// Payload bytes of a memoized penalty (see memo_cache.hpp); outside the
+/// unnamed namespace so that MemoCache finds it by argument-dependent
+/// lookup.
+static std::uint64_t payload_bytes(const DiscreteDistribution& penalty) {
+  return penalty.size() * sizeof(ProbabilityAtom);
+}
 
 namespace {
 
@@ -64,34 +71,20 @@ PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
 /// row's precomputed penalties, probabilities pwf[f] — and the independent
 /// sets combine through the deduplicating pairwise convolution tree, which
 /// keeps the fixed per-set tree shape (the rounds parallelize and the
-/// coalescing error stacks O(log S) deep instead of O(S)). With a store,
-/// each row's distribution is memoized under a content key (miss penalty,
-/// pwf, FMM row: "set-penalty-v1"), so identical rows share across sets,
-/// mechanisms, domains and tasks. Bit-identical at any thread count, store
-/// on or off, and to a from-scratch per-set build (pinned by
+/// coalescing error stacks O(log S) deep instead of O(S)). Bit-identical
+/// at any thread count and to a from-scratch per-set build (pinned by
 /// tests/analysis_pipeline_test.cpp).
 DiscreteDistribution build_reweighted_penalty(
-    const PenaltyBundle::Domain& domain, const CacheConfig& config,
-    const std::vector<Probability>& pwf, std::size_t max_points,
-    ThreadPool* pool, AnalysisStore* store) {
+    const PenaltyBundle::Domain& domain, const std::vector<Probability>& pwf,
+    std::size_t max_points, ThreadPool* pool) {
   obs::ScopedPhase penalty_phase(obs::phase_name::kPenalty);
-  auto build_row_cold = [&](std::size_t r) {
+  auto build_row = [&](std::size_t r) {
     PWCET_EXPECTS(pwf.size() <= domain.penalties[r].size());
     std::vector<ProbabilityAtom> atoms;
     atoms.reserve(pwf.size());
     for (std::size_t f = 0; f < pwf.size(); ++f)
       atoms.push_back({domain.penalties[r][f], pwf[f]});
     return DiscreteDistribution::from_atoms(std::move(atoms));
-  };
-  auto build_row = [&](std::size_t r) {
-    if (store == nullptr) return build_row_cold(r);
-    const StoreKey key = KeyHasher("set-penalty-v1")
-                             .mix_i64(config.miss_penalty)
-                             .mix_doubles(pwf)
-                             .mix_doubles(domain.rows[r])
-                             .finish();
-    return *store->memo().get_or_compute<DiscreteDistribution>(
-        key, [&] { return build_row_cold(r); }, "set-penalty");
   };
   std::vector<DiscreteDistribution> distinct;
   if (pool != nullptr) {
@@ -104,6 +97,24 @@ DiscreteDistribution build_reweighted_penalty(
   obs::ScopedPhase convolve_phase(obs::phase_name::kConvolve);
   return convolve_all_tree_shared(distinct, domain.row_of_set, max_points,
                                   pool);
+}
+
+/// Content key of one domain's penalty ("domain-penalty-v1"): every input
+/// of build_reweighted_penalty — the miss penalty and the distinct FMM
+/// rows (which fix the atom values), pwf, the coalescing budget and the
+/// set-to-row map (which fixes the convolution tree). Equal keys are
+/// equal penalties across compositions, engines and tasks.
+StoreKey domain_penalty_key(const PenaltyBundle::Domain& domain,
+                            Cycles miss_penalty,
+                            const std::vector<Probability>& pwf,
+                            std::size_t max_points) {
+  KeyHasher hasher("domain-penalty-v1");
+  hasher.mix_i64(miss_penalty).mix_doubles(pwf).mix_u64(max_points);
+  hasher.mix_u64(domain.rows.size());
+  for (const std::vector<double>& row : domain.rows) hasher.mix_doubles(row);
+  hasher.mix_u64(domain.row_of_set.size());
+  for (const std::uint32_t row : domain.row_of_set) hasher.mix_u64(row);
+  return hasher.finish();
 }
 
 /// Adds `other` into `total` term by term. Folding the domains' models
@@ -296,19 +307,66 @@ PwcetResult PwcetPipeline::analyze(
     obs::ScopedPhase bundle_phase(obs::phase_name::kBundle);
     bundle = acquire_bundle(mechanisms);
   }
+  const std::size_t budget = options_.max_distribution_points;
   auto domain_penalty = [&](std::size_t i) {
-    return build_reweighted_penalty(
-        bundle->domains[i], domains_[i]->config(), pwfs[i],
-        options_.max_distribution_points, options_.pool, options_.store);
+    return build_reweighted_penalty(bundle->domains[i], pwfs[i], budget,
+                                    options_.pool);
   };
-  DiscreteDistribution penalty = domain_penalty(0);
-  for (std::size_t i = 1; i < domains_.size(); ++i) {
-    const DiscreteDistribution next = domain_penalty(i);
+  auto fold = [&](const DiscreteDistribution& prefix,
+                  const DiscreteDistribution& next) {
     obs::ScopedPhase fold_phase(obs::phase_name::kFold);
-    penalty = penalty.convolve(next).coalesce_up(
-        options_.max_distribution_points);
+    return prefix.convolve(next).coalesce_up(budget);
+  };
+  if (options_.store == nullptr || domains_.size() == 1) {
+    // A single domain's penalty is the job's result, which nothing reads
+    // back from the memo: compute it directly, like a store-less pipeline.
+    DiscreteDistribution penalty = domain_penalty(0);
+    for (std::size_t i = 1; i < domains_.size(); ++i)
+      penalty = fold(penalty, domain_penalty(i));
+    result.penalty = std::move(penalty);
+  } else {
+    // Memoized fold. Each domain penalty is keyed on its content and each
+    // fold prefix chains "penalty-fold-v1" over (prefix, next domain,
+    // budget); prefix_keys[k] names the fold of domains 0..k, and
+    // prefix_keys[0] is domain 0's own key. The longest memoized prefix is
+    // looked up first, so a composition met before (or the other engine's
+    // twin of this cell) computes nothing, and one that extends a known
+    // prefix folds only its new domains.
+    MemoCache& memo = options_.store->memo();
+    std::vector<StoreKey> domain_keys, prefix_keys;
+    for (std::size_t i = 0; i < domains_.size(); ++i) {
+      domain_keys.push_back(domain_penalty_key(
+          bundle->domains[i], domains_[i]->config().miss_penalty, pwfs[i],
+          budget));
+      prefix_keys.push_back(i == 0 ? domain_keys[0]
+                                   : KeyHasher("penalty-fold-v1")
+                                         .mix_key(prefix_keys[i - 1])
+                                         .mix_key(domain_keys[i])
+                                         .mix_u64(budget)
+                                         .finish());
+    }
+    // `penalty` folds domains 0..last.
+    std::shared_ptr<const DiscreteDistribution> penalty;
+    std::size_t last = domains_.size();
+    while (last > 0 && penalty == nullptr)
+      penalty = std::static_pointer_cast<const DiscreteDistribution>(
+          memo.get(prefix_keys[--last], "penalty"));
+    if (penalty == nullptr) {
+      penalty = std::make_shared<const DiscreteDistribution>(
+          domain_penalty(0));
+      memo.put(prefix_keys[0], penalty, "penalty");
+    }
+    for (std::size_t i = last + 1; i < domains_.size(); ++i) {
+      const std::shared_ptr<const DiscreteDistribution> next =
+          memo.get_or_compute<DiscreteDistribution>(
+              domain_keys[i], [&] { return domain_penalty(i); }, "penalty");
+      auto folded =
+          std::make_shared<const DiscreteDistribution>(fold(*penalty, *next));
+      memo.put(prefix_keys[i], folded, "penalty");
+      penalty = std::move(folded);
+    }
+    result.penalty = *penalty;
   }
-  result.penalty = std::move(penalty);
   if (artifacts != nullptr)
     artifacts->store_distribution(result_key, result.penalty);
   return result;

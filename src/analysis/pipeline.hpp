@@ -28,11 +28,13 @@
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
 /// recipe (pwcet_core_key), that of the [IcacheDomain, DcacheDomain] pair
 /// is the historical "pwcet-dcore-v1" recipe, and the keys chained from it
-/// — the per-result distribution artifact, the per-set-penalty and
-/// per-row memo entries — reproduce the keys of the original single-cache
-/// and I+D analyzers bit for bit, so artifact directories written by
-/// earlier versions keep hitting (pinned by
-/// tests/analysis_pipeline_test.cpp).
+/// — the per-result distribution artifact and the per-row memo entries —
+/// reproduce the keys of the original single-cache and I+D analyzers bit
+/// for bit, so artifact directories written by earlier versions keep
+/// hitting. The in-memory penalty memo of a multi-domain composition is
+/// keyed on content instead: "domain-penalty-v1" per domain and
+/// "penalty-fold-v1" per fold prefix (see PwcetOptions::store). All of
+/// these recipes are pinned by tests/analysis_pipeline_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -66,15 +68,17 @@ struct PwcetOptions {
   /// pipeline; nullptr runs everything on the calling thread.
   ThreadPool* pool = nullptr;
   /// Optional content-addressed store (store/analysis_store.hpp). Its memo
-  /// holds per-set penalty distributions (content-addressed on the FMM row
-  /// itself, so identical rows share across sets, mechanisms, domains and
-  /// even tasks) and the tree engine's per-set FMM rows; with an artifact
-  /// tier, each per-(mechanisms, pfail) penalty distribution is also
-  /// persisted to disk. Every key captures all inputs of the computation
-  /// it names and every computation is deterministic, so results with a
-  /// store are byte-identical to cold recomputation at any thread count
-  /// (asserted by tests/store_test.cpp). The store must outlive the
-  /// pipeline; nullptr computes from scratch.
+  /// holds the tree engine's per-set FMM rows and, when the composition
+  /// has more than one domain, each domain's penalty and each fold prefix
+  /// under content keys, so compositions and engines with equal inputs
+  /// share them (a single-domain penalty is the job's result and is
+  /// computed directly). With an artifact tier, each per-(mechanisms,
+  /// pfail) penalty distribution is also persisted to disk. Every key
+  /// captures all inputs of the computation it names and every
+  /// computation is deterministic, so results with a store are
+  /// byte-identical to cold recomputation at any thread count (asserted
+  /// by tests/store_test.cpp and tests/analysis_pipeline_test.cpp). The
+  /// store must outlive the pipeline; nullptr computes from scratch.
   AnalysisStore* store = nullptr;
 };
 

@@ -682,9 +682,10 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
 // ---- pwcet cache ----------------------------------------------------------
 
 /// Renders the `store.<tier>.<layer>.<event>` counters of a --metrics-out
-/// snapshot as one per-layer table: memo rows (campaign / set-penalty /
-/// fmm-rows) with hit/miss/eviction columns, disk rows (per artifact kind)
-/// with hit/miss/write columns. Histograms follow as a percentile table
+/// snapshot as one per-layer table: memo rows (campaign / penalty /
+/// fmm-rows) with hit/miss/eviction columns and the payload bytes each
+/// layer inserted, disk rows (per artifact kind) with hit/miss/write
+/// columns. Histograms follow as a percentile table
 /// (the derived p50/p90/p99 fields, never the raw bucket arrays). Returns
 /// false (after a diagnostic) when the file does not load or parse.
 bool render_store_counters(const std::string& path, std::ostream& out,
@@ -697,7 +698,7 @@ bool render_store_counters(const std::string& path, std::ostream& out,
   std::ostringstream text;
   text << in.rdbuf();
 
-  const char* events[] = {"hits", "misses", "evictions", "writes"};
+  const char* events[] = {"hits", "misses", "evictions", "writes", "bytes"};
   // (tier, layer) -> event -> count; std::map keeps row order stable.
   std::map<std::pair<std::string, std::string>,
            std::map<std::string, std::uint64_t>>
@@ -755,7 +756,7 @@ bool render_store_counters(const std::string& path, std::ostream& out,
   }
 
   TextTable table({"tier", "layer", "hits", "misses", "evictions",
-                   "writes"});
+                   "writes", "bytes"});
   for (const auto& [key, counts] : rows) {
     std::vector<std::string> cells = {key.first, key.second};
     for (const char* event : events) {

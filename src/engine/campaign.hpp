@@ -250,7 +250,7 @@ std::size_t campaign_job_index(const CampaignSpec& spec, std::size_t task_i,
 
 /// Shared store-key prefix of a job's analyzer group: the (task, geometry,
 /// engine, dcache) values that determine which memoized sub-results (FMM
-/// rows, per-set penalty distributions) the job can reuse. Derived from
+/// rows, domain penalties and fold prefixes) the job can reuse. Derived from
 /// the axis *values* (task name, geometry fields), not indices, so
 /// duplicated or reordered axis entries land on the same key. The runner submits groups
 /// ordered by this prefix (cache-aware ordering): groups about to touch

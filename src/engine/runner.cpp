@@ -215,6 +215,16 @@ JobResult run_slack_job(const CampaignJob& job, const Program& program,
 
 }  // namespace
 
+/// Payload bytes of a campaign's memo entry (see memo_cache.hpp): the
+/// results and their distribution-sink curves. Outside the unnamed
+/// namespace so that MemoCache finds it by argument-dependent lookup.
+static std::uint64_t payload_bytes(const std::vector<JobResult>& results) {
+  std::uint64_t bytes = results.size() * sizeof(JobResult);
+  for (const JobResult& result : results)
+    bytes += result.curve.size() * sizeof(double);
+  return bytes;
+}
+
 bool load_campaign(AnalysisStore& store, const StoreKey& spec_key,
                    const std::vector<CampaignJob>& jobs,
                    CampaignResult& campaign) {

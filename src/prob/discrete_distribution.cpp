@@ -313,7 +313,8 @@ DiscreteDistribution DiscreteDistribution::shift(Cycles offset) const {
 }
 
 bool DiscreteDistribution::dominates(const DiscreteDistribution& other,
-                                     Probability tolerance) const {
+                                     Probability tolerance,
+                                     double relative) const {
   // Check at every support point of either distribution (the exceedance
   // functions are right-continuous step functions, so support points and
   // the points just before them cover all discontinuities).
@@ -326,8 +327,14 @@ bool DiscreteDistribution::dominates(const DiscreteDistribution& other,
     checkpoints.push_back(a.value);
     checkpoints.push_back(a.value - 1);
   }
-  for (Cycles v : checkpoints)
-    if (exceedance(v) + tolerance < other.exceedance(v)) return false;
+  for (Cycles v : checkpoints) {
+    const Probability theirs = other.exceedance(v);
+    // An empty tail needs no slack (and an infinite relative bound must
+    // not meet a zero).
+    const Probability slack =
+        theirs > 0.0 ? std::min(tolerance, relative * theirs) : tolerance;
+    if (exceedance(v) + slack < theirs) return false;
+  }
   return true;
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -88,10 +89,15 @@ class DiscreteDistribution {
   /// WCET to a penalty distribution).
   DiscreteDistribution shift(Cycles offset) const;
 
-  /// True if `this` stochastically dominates `other`:
-  /// exceedance_this(v) >= exceedance_other(v) - tolerance for all v.
+  /// True if `this` stochastically dominates `other`: for all v,
+  /// exceedance_this(v) + min(tolerance, relative * exceedance_other(v))
+  /// >= exceedance_other(v). The default relative bound is unlimited,
+  /// which leaves the absolute tolerance alone; a finite one keeps the
+  /// check strict in tails far below the absolute tolerance.
   bool dominates(const DiscreteDistribution& other,
-                 Probability tolerance = 1e-12) const;
+                 Probability tolerance = 1e-12,
+                 double relative =
+                     std::numeric_limits<double>::infinity()) const;
 
   friend bool operator==(const DiscreteDistribution&,
                          const DiscreteDistribution&) = default;

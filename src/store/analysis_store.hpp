@@ -2,8 +2,9 @@
 /// Facade over the two store tiers, shared by the analyzer and the
 /// campaign engine.
 ///
-/// The memo holds what a campaign reads back: per-set penalty
-/// distributions ("set-penalty"), the tree engine's per-set FMM rows
+/// The memo holds what a campaign reads back: a multi-domain
+/// composition's domain penalties and fold prefixes ("penalty",
+/// analysis/pipeline.cpp), the tree engine's per-set FMM rows
 /// ("fmm-rows") and whole campaigns ("campaign", engine/runner.hpp's
 /// load_campaign). The disk tier holds per-result penalty distributions
 /// and whole-campaign reports. One AnalysisStore instance serves a whole

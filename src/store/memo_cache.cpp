@@ -14,6 +14,7 @@ struct MemoCache::Shard {
   struct Entry {
     StoreKey key;
     std::shared_ptr<const void> value;
+    std::uint64_t bytes;  ///< payload bytes, released on eviction
     // Layer tag for metrics attribution; call sites pass string literals,
     // so storing the pointer is enough.
     const char* layer;
@@ -25,6 +26,7 @@ struct MemoCache::Shard {
   std::unordered_map<StoreKey, std::list<Entry>::iterator, StoreKeyHash>
       index;
   std::uint64_t hits = 0, misses = 0, evictions = 0;
+  std::uint64_t bytes = 0;  ///< resident payload bytes
 };
 
 MemoCache::MemoCache() : MemoCache(Config{}) {}
@@ -67,8 +69,9 @@ std::shared_ptr<const void> MemoCache::get(const StoreKey& key,
   return it->second->value;
 }
 
-void MemoCache::put(const StoreKey& key, std::shared_ptr<const void> value,
-                    const char* layer) {
+void MemoCache::insert(const StoreKey& key,
+                       std::shared_ptr<const void> value, std::uint64_t bytes,
+                       const char* layer) {
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
@@ -79,11 +82,15 @@ void MemoCache::put(const StoreKey& key, std::shared_ptr<const void> value,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(Shard::Entry{key, std::move(value), layer});
+  shard.lru.emplace_front(Shard::Entry{key, std::move(value), bytes, layer});
   shard.index.emplace(key, shard.lru.begin());
+  shard.bytes += bytes;
+  obs::count_store("memo", layer, "bytes", bytes);
   while (shard.lru.size() > shard.capacity) {
-    shard.index.erase(shard.lru.back().key);
-    obs::count_store("memo", shard.lru.back().layer, "evictions");
+    const Shard::Entry& victim = shard.lru.back();
+    shard.index.erase(victim.key);
+    shard.bytes -= victim.bytes;
+    obs::count_store("memo", victim.layer, "evictions");
     shard.lru.pop_back();
     ++shard.evictions;
   }
@@ -97,6 +104,7 @@ StoreStats MemoCache::stats() const {
     total.misses += shard->misses;
     total.evictions += shard->evictions;
     total.entries += shard->lru.size();
+    total.bytes += shard->bytes;
   }
   return total;
 }
@@ -106,6 +114,7 @@ void MemoCache::clear() {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->lru.clear();
     shard->index.clear();
+    shard->bytes = 0;
   }
 }
 

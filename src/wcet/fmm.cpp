@@ -88,6 +88,12 @@ struct SetRows {
   std::vector<double> none, rw, srb;
 };
 
+/// Payload bytes of a memoized SetRows (see memo_cache.hpp).
+std::uint64_t payload_bytes(const SetRows& rows) {
+  return (rows.none.size() + rows.rw.size() + rows.srb.size()) *
+         sizeof(double);
+}
+
 SetRows zero_rows(std::uint32_t ways) {
   return SetRows{std::vector<double>(ways + 1, 0.0),
                  std::vector<double>(ways + 1, 0.0),

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "analysis/writeback_dcache_domain.hpp"
 #include "engine/campaign.hpp"
 #include "engine/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "store/analysis_store.hpp"
 #include "store/artifact_store.hpp"
 #include "workloads/malardalen.hpp"
@@ -49,6 +51,40 @@ std::vector<std::shared_ptr<const CacheDomain>> icache_dcache(
     const CacheConfig& ic, const CacheConfig& dc) {
   return {std::make_shared<const IcacheDomain>(ic),
           std::make_shared<const DcacheDomain>(dc)};
+}
+
+/// The "domain-penalty-v1" recipe spelled out from a raw FMM: the
+/// distinct rows in first-set order and each set's row index.
+StoreKey domain_penalty_recipe(const FaultMissMap& fmm, Cycles miss_penalty,
+                               const std::vector<Probability>& pwf,
+                               std::size_t budget) {
+  std::vector<std::vector<double>> rows;
+  std::vector<std::uint32_t> row_of_set;
+  std::map<std::vector<double>, std::uint32_t> seen;
+  for (const std::vector<double>& misses : fmm.misses) {
+    const auto [it, inserted] =
+        seen.emplace(misses, static_cast<std::uint32_t>(rows.size()));
+    if (inserted) rows.push_back(misses);
+    row_of_set.push_back(it->second);
+  }
+  KeyHasher hasher("domain-penalty-v1");
+  hasher.mix_i64(miss_penalty).mix_doubles(pwf).mix_u64(budget);
+  hasher.mix_u64(rows.size());
+  for (const std::vector<double>& row : rows) hasher.mix_doubles(row);
+  hasher.mix_u64(row_of_set.size());
+  for (const std::uint32_t row : row_of_set) hasher.mix_u64(row);
+  return hasher.finish();
+}
+
+/// The "penalty-fold-v1" recipe: a fold prefix chained with the next
+/// domain's penalty key.
+StoreKey penalty_fold_recipe(const StoreKey& prefix, const StoreKey& next,
+                             std::size_t budget) {
+  return KeyHasher("penalty-fold-v1")
+      .mix_key(prefix)
+      .mix_key(next)
+      .mix_u64(budget)
+      .finish();
 }
 
 // ---- pre-refactor golden keys ----------------------------------------------
@@ -87,15 +123,46 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
                 .hex(),
             "7b8a4afc2cfa84fd06e74c06e57244f1");
 
-  // Per-set penalty layer: content-addressed on (miss penalty, pwf, FMM
-  // row) — the recipe the per-row penalty memo is keyed with.
-  EXPECT_EQ(KeyHasher("set-penalty-v1")
-                .mix_i64(10)
-                .mix_doubles({0.5, 0.25, 0.25})
-                .mix_doubles({0.0, 2.0, 5.0})
-                .finish()
-                .hex(),
-            "160e51255b1fffc3311d0ddc4463cf24");
+  // Penalty layer: a domain's penalty is content-addressed on (miss
+  // penalty, pwf, coalescing budget, distinct FMM rows, row_of_set), and
+  // a fold prefix chains (prefix key, next domain key, budget).
+  // PenaltyMemoEntriesLandOnThePinnedRecipes checks that analyze() keys
+  // its entries with exactly these recipes.
+  const StoreKey domain = domain_penalty_recipe(
+      FaultMissMap{{{0.0, 2.0, 5.0}, {0.0, 0.0, 0.0}, {0.0, 2.0, 5.0}}}, 10,
+      {0.5, 0.25, 0.25}, 2048);
+  EXPECT_EQ(domain.hex(), "8bbfabbb66a35ac404aca82ce4d0d9f7");
+  EXPECT_EQ(penalty_fold_recipe(domain, domain, 2048).hex(), "254c0305b21c15b42ef329b860babc29");
+}
+
+TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
+  const Program p = workloads::build("fibcall");
+  const FaultModel faults(1e-3);
+  const std::vector<Mechanism> mechanisms = {
+      Mechanism::kReliableWay, Mechanism::kSharedReliableBuffer};
+  AnalysisStore store;
+  PwcetOptions options;
+  options.store = &store;
+  const PwcetPipeline combined(
+      p, icache_dcache(CacheConfig::paper_default(), small_dcache()),
+      options);
+  const PwcetResult result = combined.analyze(faults, mechanisms);
+
+  std::vector<StoreKey> domain_keys;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const CacheConfig& config = combined.domain(i).config();
+    domain_keys.push_back(domain_penalty_recipe(
+        combined.fmm(i).of(mechanisms[i]), config.miss_penalty,
+        faults.way_failure_pmf(config, mechanisms[i]), 2048));
+  }
+  const StoreKey fold = penalty_fold_recipe(domain_keys[0], domain_keys[1],
+                                            2048);
+  for (const StoreKey& key : domain_keys)
+    EXPECT_NE(store.memo().get(key), nullptr);
+  const auto folded = std::static_pointer_cast<const DiscreteDistribution>(
+      store.memo().get(fold));
+  ASSERT_NE(folded, nullptr);
+  EXPECT_EQ(*folded, result.penalty);
 }
 
 TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
@@ -264,8 +331,8 @@ TEST(ThirdDomain, ByteIdenticalAtAnyThreadCountStoreOnOffColdWarm) {
   EXPECT_EQ(base.fault_free_wcet, wide.fault_free_wcet);
   EXPECT_EQ(base.penalty, wide.penalty);
 
-  // Store on: cold compute, then a warm pipeline whose per-set penalty
-  // distributions come from the memo.
+  // Store on: cold compute, then a warm pipeline whose penalty comes from
+  // the memo.
   AnalysisStore store;
   PwcetOptions stored_options;
   stored_options.store = &store;
@@ -434,6 +501,126 @@ TEST(Reweight, MultiDomainSweepMatchesFreshPipelines) {
         PwcetPipeline(p, domains).analyze(faults, kMixedMechanisms[0]);
     ASSERT_EQ(shared.penalty, fresh.penalty);
   }
+}
+
+// ---- the memoized penalty layer ----------------------------------------------
+
+/// The 12 domain compositions of campaignbench's multi_domain workload:
+/// the icache with {no, write-through, write-back} dcache x {no, a} TLB x
+/// {no, a shared} L2, in the runner's composition order.
+std::vector<std::vector<std::shared_ptr<const CacheDomain>>>
+multi_domain_compositions() {
+  CacheConfig dcache;
+  dcache.sets = 8;
+  dcache.ways = 4;
+  TlbAxis tlb;
+  tlb.entries = 16;
+  tlb.ways = 2;
+  tlb.page_bytes = 64;
+  CacheConfig l2;
+  l2.sets = 64;
+  l2.ways = 4;
+  l2.line_bytes = 32;
+  l2.hit_latency = 0;
+  l2.miss_penalty = 80;
+  std::vector<std::vector<std::shared_ptr<const CacheDomain>>> compositions;
+  for (int d = 0; d < 3; ++d) {
+    for (const bool with_tlb : {false, true}) {
+      for (const bool with_l2 : {false, true}) {
+        std::vector<std::shared_ptr<const CacheDomain>> domains;
+        domains.push_back(
+            std::make_shared<const IcacheDomain>(CacheConfig::paper_default()));
+        if (d == 1)
+          domains.push_back(std::make_shared<const DcacheDomain>(dcache));
+        if (d == 2)
+          domains.push_back(
+              std::make_shared<const WritebackDcacheDomain>(dcache, 40));
+        if (with_tlb)
+          domains.push_back(std::make_shared<const TlbDomain>(tlb.geometry()));
+        if (with_l2) domains.push_back(std::make_shared<const L2Domain>(l2));
+        compositions.push_back(std::move(domains));
+      }
+    }
+  }
+  return compositions;
+}
+
+TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
+  // Every cell of 12 compositions x 2 tasks x 2 engines runs its three
+  // mechanisms concurrently on one shared store and a 4-worker pool,
+  // so cells of both engines race on shared penalty keys. Each penalty
+  // must equal the store-less serial pipeline's, and a second pass over
+  // fresh pipelines on the same store must be answered without a single
+  // penalty miss.
+  const auto compositions = multi_domain_compositions();
+  const std::vector<Program> programs = {workloads::build("fibcall"),
+                                         workloads::build("ringbuf")};
+  const std::vector<WcetEngine> engines = {WcetEngine::kIlp,
+                                           WcetEngine::kTree};
+  const FaultModel faults(1e-4);
+  const std::size_t cells =
+      compositions.size() * programs.size() * engines.size();
+
+  ThreadPool pool(4);
+  AnalysisStore store;
+  auto run_pass = [&] {
+    return pool.map_indexed(cells, [&](std::size_t cell) {
+      PwcetOptions options;
+      options.engine = engines[cell % engines.size()];
+      options.pool = &pool;
+      options.store = &store;
+      const PwcetPipeline pipeline(
+          programs[cell / engines.size() % programs.size()],
+          compositions[cell / engines.size() / programs.size()], options);
+      std::vector<DiscreteDistribution> penalties;
+      for (const Mechanism mechanism : kAllMechanisms)
+        penalties.push_back(pipeline.analyze(faults, mechanism).penalty);
+      return penalties;
+    });
+  };
+
+  const auto memoized = run_pass();
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    PwcetOptions options;
+    options.engine = engines[cell % engines.size()];
+    const PwcetPipeline twin(
+        programs[cell / engines.size() % programs.size()],
+        compositions[cell / engines.size() / programs.size()], options);
+    for (std::size_t m = 0; m < kAllMechanisms.size(); ++m)
+      ASSERT_EQ(memoized[cell][m],
+                twin.analyze(faults, kAllMechanisms[m]).penalty)
+          << "cell " << cell << ", mechanism " << m;
+  }
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  metrics.clear();
+  metrics.enable();
+  const auto again = run_pass();
+  metrics.disable();
+  EXPECT_EQ(again, memoized);
+  EXPECT_EQ(metrics.counter("store.memo.penalty.misses").value(), 0u);
+  EXPECT_GT(metrics.counter("store.memo.penalty.hits").value(), 0u);
+  metrics.clear();
+}
+
+TEST(MemoizedPenalty, SingleDomainAndStorelessPipelinesMakeNoLookup) {
+  const Program p = workloads::build("fibcall");
+  const FaultModel faults(1e-4);
+  AnalysisStore store;
+  PwcetOptions stored;
+  stored.store = &store;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  metrics.clear();
+  metrics.enable();
+  PwcetPipeline(p, icache_only(CacheConfig::paper_default()), stored)
+      .analyze(faults, Mechanism::kReliableWay);
+  PwcetPipeline(p, three_domains()).analyze(faults, kMixedMechanisms);
+  metrics.disable();
+  EXPECT_EQ(metrics.counter("store.memo.penalty.hits").value() +
+                metrics.counter("store.memo.penalty.misses").value(),
+            0u);
+  EXPECT_EQ(store.stats().entries, 0u);
+  metrics.clear();
 }
 
 }  // namespace

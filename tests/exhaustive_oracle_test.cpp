@@ -221,7 +221,7 @@ TEST(ExhaustiveOracle, ExactPenaltyDistributionDominated) {
         {static_cast<Cycles>(misses) * c.miss_penalty, prob});
   }
   const auto exact = DiscreteDistribution::from_atoms(atoms);
-  EXPECT_TRUE(result.penalty.dominates(exact, 1e-9));
+  EXPECT_TRUE(result.penalty.dominates(exact, 1e-9, 1e-9));
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ TEST_P(RandomOracleTest, IcachePwcetDominatesExhaustiveDistribution) {
       const PwcetResult result = analyzer.analyze(faults, mech);
       const DiscreteDistribution analytic =
           result.penalty.shift(result.fault_free_wcet);
-      EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+      EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
           << "mech=" << mechanism_name(mech) << " pfail=" << pfail
           << " paths=" << paths.size();
     }
@@ -444,7 +444,7 @@ TEST_P(RandomOracleTest, ReweightedPfailSweepDominatesExhaustive) {
       const PwcetResult result = pipeline.analyze(faults, mech);
       const DiscreteDistribution analytic =
           result.penalty.shift(result.fault_free_wcet);
-      EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+      EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
           << "mech=" << mechanism_name(mech) << " pfail=" << pfail
           << " paths=" << paths.size();
     }
@@ -550,7 +550,7 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
     const PwcetResult result = analyzer.analyze(faults, {imech, dmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
-    EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+    EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
         << "imech=" << mechanism_name(imech)
         << " dmech=" << mechanism_name(dmech) << " paths=" << paths.size();
   }
@@ -662,7 +662,7 @@ TEST_P(RandomOracleTest, WritebackDcachePwcetDominatesExhaustive) {
     const PwcetResult result = pipeline.analyze(faults, {imech, dmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
-    EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+    EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
         << "imech=" << mechanism_name(imech)
         << " dmech=" << mechanism_name(dmech) << " paths=" << paths.size();
   }
@@ -753,7 +753,7 @@ TEST_P(RandomOracleTest, TlbPwcetDominatesExhaustive) {
     const PwcetResult result = pipeline.analyze(faults, {imech, tmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
-    EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+    EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
         << "imech=" << mechanism_name(imech)
         << " tmech=" << mechanism_name(tmech) << " paths=" << paths.size();
   }
@@ -841,7 +841,7 @@ TEST_P(RandomOracleTest, SharedL2PwcetDominatesExhaustive) {
     const PwcetResult result = pipeline.analyze(faults, {imech, lmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
-    EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+    EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
         << "imech=" << mechanism_name(imech)
         << " lmech=" << mechanism_name(lmech) << " paths=" << paths.size();
   }
@@ -956,7 +956,7 @@ TEST_P(ComposedOracleTest, TriplePwcetDominatesExhaustive) {
         pipeline.analyze(faults, {imech, dmech, lmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
-    EXPECT_TRUE(analytic.dominates(exact, 1e-9))
+    EXPECT_TRUE(analytic.dominates(exact, 1e-9, 1e-9))
         << "imech=" << mechanism_name(imech)
         << " dmech=" << mechanism_name(dmech)
         << " lmech=" << mechanism_name(lmech) << " paths=" << paths.size();

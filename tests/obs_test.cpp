@@ -318,26 +318,68 @@ TEST_F(ObsTest, StructuralCountersAreDeterministicForSerialColdRuns) {
 
   // Spot-check the structural counts against the grid: 12 jobs in 2
   // analyzer groups.
-  std::uint64_t jobs = 0, spta = 0, campaign_misses = 0, set_penalty = 0;
+  std::uint64_t jobs = 0, spta = 0, campaign_misses = 0,
+                penalty_lookups = 0;
   for (const auto& [name, value] : first) {
     if (name == "engine.jobs") jobs = value;
     if (name == "engine.jobs.spta") spta = value;
     if (name == "store.memo.campaign.misses") campaign_misses = value;
-    if (name == "store.memo.set-penalty.misses") set_penalty = value;
+    if (name == "store.memo.penalty.hits" ||
+        name == "store.memo.penalty.misses")
+      penalty_lookups += value;
     // The memo holds only what a campaign reads back.
     if (name.rfind("store.memo.", 0) == 0) {
       EXPECT_TRUE(name.rfind("store.memo.campaign.", 0) == 0 ||
-                  name.rfind("store.memo.set-penalty.", 0) == 0 ||
+                  name.rfind("store.memo.penalty.", 0) == 0 ||
                   name.rfind("store.memo.fmm-rows.", 0) == 0)
           << name;
     }
   }
   EXPECT_EQ(jobs, 12u);
   EXPECT_EQ(spta, 12u);
-  // One whole-campaign lookup, a cold miss; the groups' per-set penalty
-  // rows miss at least once each.
+  // One whole-campaign lookup, a cold miss; this single-domain spec makes
+  // no penalty lookup (its penalty is the job's result).
   EXPECT_EQ(campaign_misses, 1u);
-  EXPECT_GT(set_penalty, 0u);
+  EXPECT_EQ(penalty_lookups, 0u);
+}
+
+TEST_F(ObsTest, MemoBytesAreDeterministicForSerialColdRuns) {
+  // With a dcache the tiny grid memoizes its penalties. Two cold serial
+  // runs insert the same payload bytes, and with nothing evicted the
+  // store's resident bytes are exactly what the layers inserted.
+  CampaignSpec spec = tiny_spec();
+  DcacheAxis dcache;
+  dcache.enabled = true;
+  dcache.geometry.sets = 8;
+  dcache.geometry.ways = 2;
+  spec.dcaches = {dcache};
+  RunnerOptions options;
+  options.threads = 1;
+
+  const auto run_once = [&] {
+    reset();
+    obs::MetricsRegistry::instance().enable();
+    AnalysisStore store;
+    options.shared_store = &store;
+    run_campaign(spec, options);
+    obs::MetricsRegistry::instance().disable();
+    std::uint64_t penalty_bytes = 0, inserted = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::instance().counters()) {
+      if (name == "store.memo.penalty.bytes") penalty_bytes = value;
+      if (name.rfind("store.memo.", 0) == 0 &&
+          name.size() > 6 && name.rfind(".bytes") == name.size() - 6)
+        inserted += value;
+    }
+    const StoreStats stats = store.stats();
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.bytes, inserted);
+    return penalty_bytes;
+  };
+
+  const std::uint64_t first = run_once();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, run_once());
 }
 
 TEST_F(ObsTest, InProcessReRunExecutesNoJob) {

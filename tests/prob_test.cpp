@@ -194,6 +194,20 @@ TEST(Distribution, DominatesIsReflexiveAndDetectsViolation) {
   EXPECT_FALSE(a.dominates(b));
 }
 
+TEST(Distribution, RelativeBoundCatchesAShortTailBelowTheAbsoluteOne) {
+  // The candidate's tail is half the reference's at the 1e-12 level: an
+  // absolute 1e-9 tolerance forgives the shortfall, the relative 1e-9
+  // bound does not.
+  const auto reference =
+      DiscreteDistribution::from_atoms({{0, 1.0 - 2e-12}, {100, 2e-12}});
+  const auto short_tail =
+      DiscreteDistribution::from_atoms({{0, 1.0 - 1e-12}, {100, 1e-12}});
+  EXPECT_TRUE(short_tail.dominates(reference, 1e-9));
+  EXPECT_FALSE(short_tail.dominates(reference, 1e-9, 1e-9));
+  EXPECT_TRUE(reference.dominates(short_tail, 1e-9, 1e-9));
+  EXPECT_TRUE(reference.dominates(reference, 1e-9, 1e-9));
+}
+
 TEST(Distribution, ConvolveAllWithCoalescing) {
   // 16 independent 3-point distributions (like 16 cache sets).
   std::vector<DiscreteDistribution> parts;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
 #include "engine/campaign.hpp"
@@ -107,7 +108,7 @@ TEST(StoreKey, ProgramHashIsContentAddressed) {
 
 // ---- memo cache ------------------------------------------------------------
 
-std::shared_ptr<const void> boxed(int v) {
+std::shared_ptr<const int> boxed(int v) {
   return std::make_shared<const int>(v);
 }
 
@@ -158,6 +159,28 @@ TEST(MemoCache, DuplicatePutKeepsFirstValueAndCounts) {
   cache.put(key, boxed(2));  // benign compute race: first insert wins
   EXPECT_EQ(*std::static_pointer_cast<const int>(cache.get(key)), 1);
   EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(MemoCache, BytesAreAResidentLevel) {
+  MemoCache cache(MemoCache::Config{2, 1});
+  const StoreKey a{0, 1}, b{0, 2}, c{0, 3};
+  cache.put(a, std::make_shared<const std::uint64_t>(1));
+  cache.put(b, std::make_shared<const std::uint64_t>(2));
+  cache.put(b, std::make_shared<const std::uint64_t>(3));  // not re-counted
+  const StoreStats full = cache.stats();
+  EXPECT_EQ(full.bytes, 2 * sizeof(std::uint64_t));
+
+  // Evicting a releases its bytes; c's are added.
+  cache.put(c, boxed(4));
+  const StoreStats after = cache.stats();
+  EXPECT_EQ(after.evictions, 1u);
+  EXPECT_EQ(after.bytes, sizeof(std::uint64_t) + sizeof(int));
+  EXPECT_LT(after.bytes, full.bytes);
+  // A level, like entries: a delta keeps it absolute.
+  EXPECT_EQ(after.since(full).bytes, after.bytes);
+
+  cache.clear();
+  EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 TEST(MemoCache, ConcurrentAccessFromEnginePool) {
@@ -298,18 +321,22 @@ CampaignSpec identity_spec() {
 TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
   const Program program = workloads::build("fibcall");
   const CacheConfig config = CacheConfig::paper_default();
+  CacheConfig dcache = config;
+  dcache.sets = 8;
+  dcache.ways = 2;
   const FaultModel faults(1e-3);
+  // Icache + dcache: only multi-domain compositions memoize penalties.
+  const std::vector<std::shared_ptr<const CacheDomain>> domains = {
+      std::make_shared<IcacheDomain>(config),
+      std::make_shared<DcacheDomain>(dcache)};
 
-  const PwcetPipeline plain(program, {std::make_shared<IcacheDomain>(config)});
+  const PwcetPipeline plain(program, domains);
   AnalysisStore store;
   PwcetOptions stored_options;
   stored_options.store = &store;
-  const PwcetPipeline stored(
-      program, {std::make_shared<IcacheDomain>(config)}, stored_options);
-  // Second stored pipeline: its per-set penalty distributions come from
-  // the memo.
-  const PwcetPipeline memoized(
-      program, {std::make_shared<IcacheDomain>(config)}, stored_options);
+  const PwcetPipeline stored(program, domains, stored_options);
+  // Second stored pipeline: its penalties come from the memo.
+  const PwcetPipeline memoized(program, domains, stored_options);
 
   EXPECT_EQ(plain.fault_free_wcet(), stored.fault_free_wcet());
   EXPECT_EQ(plain.fault_free_wcet(), memoized.fault_free_wcet());
@@ -319,7 +346,7 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
     EXPECT_EQ(plain.fmm(0).of(m).misses, memoized.fmm(0).of(m).misses);
     const PwcetResult a = plain.analyze(faults, m);
     const PwcetResult b = stored.analyze(faults, m);
-    const PwcetResult c = memoized.analyze(faults, m);  // set-penalty hits
+    const PwcetResult c = memoized.analyze(faults, m);  // penalty hits
     EXPECT_EQ(a.penalty, b.penalty);
     EXPECT_EQ(a.penalty, c.penalty);
     EXPECT_EQ(a.pwcet(1e-15), b.pwcet(1e-15));

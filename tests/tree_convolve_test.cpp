@@ -66,7 +66,7 @@ TEST(TreeConvolve, DominatesExactUnderCoalescing) {
       EXPECT_LE(tree.size(), max_points);
       // The coalescing contract: the kept exceedance function is a
       // pointwise upper bound of the exact one.
-      EXPECT_TRUE(tree.dominates(exact, 1e-9))
+      EXPECT_TRUE(tree.dominates(exact, 1e-9, 1e-9))
           << "trial " << trial << " max_points " << max_points;
       // Mass moves, it is never created or destroyed.
       EXPECT_NEAR(tree.total_mass(), 1.0, 1e-9);
@@ -84,7 +84,7 @@ TEST(TreeConvolve, FoldAlsoDominatesExact) {
   const auto parts = random_parts(rng, 12);
   const auto exact = convolve_all(parts, kNoCoalescing);
   const auto fold = convolve_all(parts, 16);
-  EXPECT_TRUE(fold.dominates(exact, 1e-9));
+  EXPECT_TRUE(fold.dominates(exact, 1e-9, 1e-9));
 }
 
 TEST(TreeConvolve, TreeQuantilesNoLooserThanFoldOnLongChains) {
