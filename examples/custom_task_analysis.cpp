@@ -63,13 +63,15 @@ int main() {
 
   // --- 4. Inspect the fault miss map (paper Fig. 1.a) -----------------
   std::printf("fault miss map (misses, rows = sets, cols = faulty ways):\n");
+  const FaultMissMap& srb_fmm =
+      pipeline.fmm(0).of(Mechanism::kSharedReliableBuffer);
   TextTable fmm({"set", "f=1", "f=2", "f=3", "f=4"});
   for (SetIndex s = 0; s < config.sets; ++s) {
     fmm.add_row({std::to_string(s),
-                 fmt_double(result.fmm.at(s, 1), 0),
-                 fmt_double(result.fmm.at(s, 2), 0),
-                 fmt_double(result.fmm.at(s, 3), 0),
-                 fmt_double(result.fmm.at(s, 4), 0)});
+                 fmt_double(srb_fmm.at(s, 1), 0),
+                 fmt_double(srb_fmm.at(s, 2), 0),
+                 fmt_double(srb_fmm.at(s, 3), 0),
+                 fmt_double(srb_fmm.at(s, 4), 0)});
   }
   std::printf("%s", fmm.to_string().c_str());
   std::printf(

@@ -34,11 +34,14 @@ struct PenaltyBundle {
   std::vector<Domain> domains;  ///< one per pipeline domain, in order
 };
 
-/// Payload bytes of a memoized penalty (see memo_cache.hpp); outside the
-/// unnamed namespace so that MemoCache finds it by argument-dependent
-/// lookup.
+/// Payload bytes of a memoized penalty and of a memoized age profile (see
+/// memo_cache.hpp); outside the unnamed namespace so that MemoCache finds
+/// them by argument-dependent lookup.
 static std::uint64_t payload_bytes(const DiscreteDistribution& penalty) {
   return penalty.size() * sizeof(ProbabilityAtom);
+}
+static std::uint64_t payload_bytes(const AgeProfile& profile) {
+  return profile.payload_bytes();
 }
 
 namespace {
@@ -117,6 +120,46 @@ StoreKey domain_penalty_key(const PenaltyBundle::Domain& domain,
   return hasher.finish();
 }
 
+/// Content key of one fold step ("penalty-fold-content-v1"): both input
+/// distributions atom by atom and the coalescing budget, which fix the
+/// convolution and its coalescing. Fold steps whose chained keys differ
+/// but whose inputs coincide share one fold: the ILP and tree twins of a
+/// cell whose FMM rows differ only below the penalty's rounding, and
+/// compositions with and without a domain whose penalty is the point mass
+/// at zero.
+StoreKey fold_content_key(const DiscreteDistribution& prefix,
+                          const DiscreteDistribution& next,
+                          std::size_t max_points) {
+  KeyHasher hasher("penalty-fold-content-v1");
+  hasher.mix_u64(max_points);
+  for (const DiscreteDistribution* part : {&prefix, &next}) {
+    hasher.mix_u64(part->size());
+    for (const ProbabilityAtom& atom : part->atoms())
+      hasher.mix_i64(atom.value).mix_double(atom.probability);
+  }
+  return hasher.finish();
+}
+
+/// Content key of one domain's age profile ("age-profile-v1"): the program
+/// and what fixes its reference stream and its fixpoints — the access
+/// streams, sets, line size and full associativity. No engine, no
+/// composition and no timing, so every pipeline of a campaign that shares
+/// a (task, domain) shares its profile.
+StoreKey age_profile_key(const StoreKey& program_key,
+                         const CacheDomain& domain) {
+  const AccessStreams streams = domain.streams();
+  const CacheConfig& config = domain.config();
+  return KeyHasher("age-profile-v1")
+      .mix_key(program_key)
+      .mix_u64(streams.fetches)
+      .mix_u64(streams.loads)
+      .mix_u64(streams.stores)
+      .mix_u64(config.sets)
+      .mix_u64(config.ways)
+      .mix_u64(config.line_bytes)
+      .finish();
+}
+
 /// Adds `other` into `total` term by term. Folding the domains' models
 /// this way reproduces the historical arithmetic exactly: a single-domain
 /// pipeline maximizes the primary model untouched, and a two-domain one
@@ -185,6 +228,14 @@ PwcetPipeline::PwcetPipeline(
   if (options_.engine == WcetEngine::kIlp)
     ipet = std::make_unique<IpetCalculator>(program_);
 
+  // One age profile per domain serves its fault-free classification and
+  // every FMM column. With a store and more than one domain, the profiles
+  // are memoized on content, so every composition and engine of a
+  // campaign that shares a (task, domain) analyzes it once; like the
+  // penalty memo, a single-domain or store-less pipeline builds its own.
+  std::vector<std::shared_ptr<const AgeProfile>> profiles;
+  profiles.reserve(domains_.size());
+
   // One classification per domain, one summed time model, one phase-1
   // maximization bounding the whole program. A secondary domain charges
   // misses only: the access's execution cycle is the primary domain's
@@ -192,9 +243,21 @@ PwcetPipeline::PwcetPipeline(
   CostModel total;
   {
     obs::ScopedPhase phase(obs::phase_name::kClassify);
+    const bool memo_profiles =
+        options_.store != nullptr && domains_.size() > 1;
+    const StoreKey program_key =
+        memo_profiles ? hash_program(program_) : StoreKey{};
     for (std::size_t i = 0; i < domains_.size(); ++i) {
-      const ClassificationMap cls =
-          classify_fault_free(program_.cfg(), refs[i], domains_[i]->config());
+      auto build = [&] {
+        return AgeProfile(program_.cfg(), refs[i], domains_[i]->config());
+      };
+      profiles.push_back(
+          memo_profiles
+              ? options_.store->memo().get_or_compute<AgeProfile>(
+                    age_profile_key(program_key, *domains_[i]), build,
+                    "profile")
+              : std::make_shared<const AgeProfile>(build()));
+      const ClassificationMap cls = classify_fault_free(*profiles[i]);
       CacheConfig priced = domains_[i]->config();
       if (!domains_[i]->standalone()) priced.hit_latency = 0;
       CostModel contribution =
@@ -223,8 +286,9 @@ PwcetPipeline::PwcetPipeline(
     const StoreKey row_prefix =
         domains_[i]->row_key_prefix(program_, options_.engine);
     fmms_.push_back(compute_fmm_bundle(
-        program_, domains_[i]->config(), refs[i], options_.engine,
-        ipet.get(), options_.pool, options_.store, &row_prefix));
+        program_, domains_[i]->config(), refs[i], *profiles[i],
+        options_.engine, ipet.get(), options_.pool, options_.store,
+        &row_prefix));
   }
 }
 
@@ -256,7 +320,6 @@ PwcetResult PwcetPipeline::analyze(
   PwcetResult result;
   result.mechanism = mechanisms.front();
   result.fault_free_wcet = fault_free_wcet_;
-  result.fmm = fmms_.front().of(mechanisms.front());
 
   // Artifact tier: the penalty distribution (the only expensive part of
   // the result) may survive from an earlier process or another spec. Its
@@ -331,7 +394,8 @@ PwcetResult PwcetPipeline::analyze(
     // prefix_keys[0] is domain 0's own key. The longest memoized prefix is
     // looked up first, so a composition met before (or the other engine's
     // twin of this cell) computes nothing, and one that extends a known
-    // prefix folds only its new domains.
+    // prefix folds only its new domains. A fold step the chain misses is
+    // looked up by the content of its two inputs before it convolves.
     MemoCache& memo = options_.store->memo();
     std::vector<StoreKey> domain_keys, prefix_keys;
     for (std::size_t i = 0; i < domains_.size(); ++i) {
@@ -360,8 +424,19 @@ PwcetResult PwcetPipeline::analyze(
       const std::shared_ptr<const DiscreteDistribution> next =
           memo.get_or_compute<DiscreteDistribution>(
               domain_keys[i], [&] { return domain_penalty(i); }, "penalty");
-      auto folded =
-          std::make_shared<const DiscreteDistribution>(fold(*penalty, *next));
+      // The point mass at zero — the penalty of an all-zero FMM wherever
+      // its pwf sums to exactly 1.0 — is the convolution's neutral
+      // element, and every penalty already fits the budget, so folding it
+      // in returns the other side bit for bit.
+      std::shared_ptr<const DiscreteDistribution> folded;
+      if (*next == DiscreteDistribution())
+        folded = penalty;
+      else if (*penalty == DiscreteDistribution())
+        folded = next;
+      else
+        folded = memo.get_or_compute<DiscreteDistribution>(
+            fold_content_key(*penalty, *next, budget),
+            [&] { return fold(*penalty, *next); }, "penalty");
       memo.put(prefix_keys[i], folded, "penalty");
       penalty = std::move(folded);
     }

@@ -6,12 +6,14 @@
 /// cell failure probability and per-domain reliability mechanisms,
 /// produces the pWCET distribution:
 ///
-///   1. fault-free WCET: each domain's reference stream is classified
-///      against its geometry, the per-domain time models are summed, and a
-///      single static maximization (IPET §II-B or the loop-tree engine)
-///      bounds the whole program;
+///   1. fault-free WCET: each domain's reference stream is analyzed once
+///      per used set at full associativity (its age profile) and
+///      classified, the per-domain time models are summed, and a single
+///      static maximization (IPET §II-B or the loop-tree engine) bounds
+///      the whole program;
 ///   2. per-domain FMM via per-(set, fault-count) delta maximization
-///      (§II-C, §III-B);
+///      (§II-C, §III-B), each degraded column classified by thresholding
+///      the same profile;
 ///   3. per-set penalty distributions {(miss_penalty * FMM[s][f], pwf(f))}
 ///      with pwf from Eq. (2) (none/SRB) or Eq. (3) (RW);
 ///   4. convolution across independent sets (Fig. 1.b), then across
@@ -31,10 +33,12 @@
 /// — the per-result distribution artifact and the per-row memo entries —
 /// reproduce the keys of the original single-cache and I+D analyzers bit
 /// for bit, so artifact directories written by earlier versions keep
-/// hitting. The in-memory penalty memo of a multi-domain composition is
-/// keyed on content instead: "domain-penalty-v1" per domain and
-/// "penalty-fold-v1" per fold prefix (see PwcetOptions::store). All of
-/// these recipes are pinned by tests/analysis_pipeline_test.cpp.
+/// hitting. The in-memory memo entries of a multi-domain composition are
+/// keyed on content instead: "age-profile-v1" per domain profile,
+/// "domain-penalty-v1" per domain penalty, "penalty-fold-v1" per fold
+/// prefix and "penalty-fold-content-v1" per fold step's input pair (see
+/// PwcetOptions::store). All of these recipes are pinned by
+/// tests/analysis_pipeline_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +73,13 @@ struct PwcetOptions {
   ThreadPool* pool = nullptr;
   /// Optional content-addressed store (store/analysis_store.hpp). Its memo
   /// holds the tree engine's per-set FMM rows and, when the composition
-  /// has more than one domain, each domain's penalty and each fold prefix
-  /// under content keys, so compositions and engines with equal inputs
-  /// share them (a single-domain penalty is the job's result and is
-  /// computed directly). With an artifact tier, each per-(mechanisms,
-  /// pfail) penalty distribution is also persisted to disk. Every key
-  /// captures all inputs of the computation it names and every
-  /// computation is deterministic, so results with a store are
+  /// has more than one domain, each domain's age profile and penalty and
+  /// each fold under content keys, so compositions and engines with equal
+  /// inputs share them (a single domain's profile and penalty serve one
+  /// pipeline only and are computed directly). With an artifact tier,
+  /// each per-(mechanisms, pfail) penalty distribution is also persisted
+  /// to disk. Every key captures all inputs of the computation it names
+  /// and every computation is deterministic, so results with a store are
   /// byte-identical to cold recomputation at any thread count (asserted
   /// by tests/store_test.cpp and tests/analysis_pipeline_test.cpp). The
   /// store must outlive the pipeline; nullptr computes from scratch.
@@ -87,7 +91,6 @@ struct PwcetResult {
   Mechanism mechanism = Mechanism::kNone;  ///< primary domain's mechanism
   Cycles fault_free_wcet = 0;
   DiscreteDistribution penalty;  ///< fault-induced penalty (cycles)
-  FaultMissMap fmm;              ///< primary domain's FMM for `mechanism`
 
   /// pWCET at exceedance probability p: the value the WCET random variable
   /// exceeds with probability at most p (e.g. p = 1e-15 for Fig. 4).
@@ -102,9 +105,10 @@ struct PwcetResult {
 };
 
 /// Pipeline bound to one (program, domain list) pair. The expensive
-/// shared work (reference extraction, fault-free classification, the
-/// single IPET/tree phase-1 maximization, all FMM bundles) is done once
-/// in the constructor and reused across mechanisms and pfail values.
+/// shared work (reference extraction, one age profile per domain, the
+/// fault-free classification, the single IPET/tree phase-1 maximization,
+/// all FMM bundles) is done once in the constructor and reused across
+/// mechanisms and pfail values.
 class PwcetPipeline {
  public:
   /// `domains` must be non-empty and its first entry standalone()

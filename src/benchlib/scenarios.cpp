@@ -81,8 +81,8 @@ struct AdpcmFixture {
   Program program = workloads::build("adpcm");
   CacheConfig config = CacheConfig::paper_default();
   ReferenceMap refs = extract_references(program.cfg(), config);
-  ClassificationMap classification =
-      classify_fault_free(program.cfg(), refs, config);
+  AgeProfile profile{program.cfg(), refs, config};
+  ClassificationMap classification = classify_fault_free(profile);
   CostModel model =
       build_time_cost_model(program.cfg(), refs, classification, config);
 };
@@ -313,12 +313,13 @@ std::vector<Scenario> builtin_scenarios() {
                          }});
     scenarios.push_back(
         {"micro.classify",
-         "fault-free CHMC classification on adpcm (100 iterations)",
+         "age profile + fault-free CHMC classification on adpcm (100 "
+         "iterations)",
          {},
          [fixture](const ScenarioOptions&) {
            for (int i = 0; i < 100; ++i)
-             keep(classify_fault_free(fixture->program.cfg(), fixture->refs,
-                                      fixture->config));
+             keep(classify_fault_free(AgeProfile(
+                 fixture->program.cfg(), fixture->refs, fixture->config)));
          }});
     scenarios.push_back({"micro.maximize.tree",
                          "loop-tree WCET maximization on adpcm (100 "
@@ -346,8 +347,8 @@ std::vector<Scenario> builtin_scenarios() {
          [fixture](const ScenarioOptions&) {
            for (int i = 0; i < 10; ++i)
              keep(compute_fmm_bundle(fixture->program, fixture->config,
-                                     fixture->refs, WcetEngine::kTree,
-                                     nullptr));
+                                     fixture->refs, fixture->profile,
+                                     WcetEngine::kTree, nullptr));
          }});
   }
 

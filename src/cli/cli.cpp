@@ -683,9 +683,9 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
 
 /// Renders the `store.<tier>.<layer>.<event>` counters of a --metrics-out
 /// snapshot as one per-layer table: memo rows (campaign / penalty /
-/// fmm-rows) with hit/miss/eviction columns and the payload bytes each
-/// layer inserted, disk rows (per artifact kind) with hit/miss/write
-/// columns. Histograms follow as a percentile table
+/// profile / fmm-rows) with hit/miss/eviction columns and the payload
+/// bytes each layer inserted, disk rows (per artifact kind) with
+/// hit/miss/write columns. Histograms follow as a percentile table
 /// (the derived p50/p90/p99 fields, never the raw bucket arrays). Returns
 /// false (after a diagnostic) when the file does not load or parse.
 bool render_store_counters(const std::string& path, std::ostream& out,

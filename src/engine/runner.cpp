@@ -142,25 +142,21 @@ JobResult run_simulation_job(const CampaignJob& job, const Program& program,
 JobResult compute_slack(const Program& program, const CacheConfig& config,
                         Mechanism mechanism) {
   const ReferenceMap refs = extract_references(program.cfg(), config);
-  const auto cls = classify_fault_free(program.cfg(), refs, config);
-  const CostModel time_model =
-      build_time_cost_model(program.cfg(), refs, cls, config);
+  const AgeProfile profile(program.cfg(), refs, config);
+  const CostModel time_model = build_time_cost_model(
+      program.cfg(), refs, classify_fault_free(profile), config);
   const BlockPath path = tree_worst_path(program, time_model);
 
   SrbHitMap srb_always_hit;
-  ClassificationMap one_way_cls;
-  if (mechanism == Mechanism::kSharedReliableBuffer) {
+  if (mechanism == Mechanism::kSharedReliableBuffer)
     srb_always_hit = analyze_srb(program.cfg(), refs);
-  } else {
-    CacheConfig one_way = config;
-    one_way.ways = 1;
-    one_way_cls = classify_fault_free(program.cfg(), refs, one_way);
-  }
-  // Misses charged to one executed occurrence of reference i in blk.
+  // Misses charged to one executed occurrence of reference i in blk; RW
+  // reads the one-way cache's classification off the profile.
   auto charged = [&](BlockId blk, std::size_t i) -> std::uint64_t {
     if (mechanism == Mechanism::kSharedReliableBuffer)
       return srb_always_hit[size_t(blk)][i] ? 0 : 1;
-    return one_way_cls[size_t(blk)][i].chmc == Chmc::kAlwaysHit ? 0 : 1;
+    return profile.classification(blk, i, 1).chmc == Chmc::kAlwaysHit ? 0
+                                                                       : 1;
   };
 
   JobResult out;

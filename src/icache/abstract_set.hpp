@@ -1,8 +1,10 @@
 // Abstract cache-set states for the Must and May analyses (paper §II-B.1,
 // Ferdinand-style abstract interpretation restricted to one cache set —
 // LRU sets age independently, so the whole-cache analysis decomposes into
-// per-set analyses with a per-set effective associativity; this is what
-// makes the FMM computation cheap: degrading set s only re-analyzes set s).
+// per-set analyses with a per-set effective associativity). Both updates
+// and both joins commute with dropping every age >= A, so the states at
+// associativity A are those at W >= A truncated: one analysis at W
+// answers every degraded set (icache/age_profile.hpp).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,9 @@ class MustState {
   /// True if the line is guaranteed resident.
   bool contains(LineAddress line) const;
 
+  /// The line's maximum age, or `absent` if it is not guaranteed resident.
+  std::uint32_t age_of(LineAddress line, std::uint32_t absent) const;
+
   /// Greatest lower bound: lines present in both, with the max age.
   static MustState join(const MustState& a, const MustState& b);
 
@@ -43,7 +48,6 @@ class MustState {
   friend bool operator==(const MustState&, const MustState&) = default;
 
  private:
-  std::uint32_t age_of(LineAddress line, std::uint32_t absent) const;
   std::vector<AgedLine> lines_;  // sorted by line address
 };
 
@@ -56,6 +60,9 @@ class MayState {
   void access(LineAddress line, std::uint32_t associativity);
   bool contains(LineAddress line) const;
 
+  /// The line's minimum age, or `absent` if it is definitely not resident.
+  std::uint32_t age_of(LineAddress line, std::uint32_t absent) const;
+
   /// Least upper bound: union of lines, with the min age.
   static MayState join(const MayState& a, const MayState& b);
 
@@ -63,7 +70,6 @@ class MayState {
   friend bool operator==(const MayState&, const MayState&) = default;
 
  private:
-  std::uint32_t age_of(LineAddress line, std::uint32_t absent) const;
   std::vector<AgedLine> lines_;  // sorted by line address
 };
 

@@ -13,14 +13,16 @@ SetAnalysis::SetAnalysis(const ControlFlowGraph& cfg, const ReferenceMap& refs,
                          SetIndex set, std::uint32_t associativity)
     : set_(set), associativity_(associativity) {
   const std::size_t n = cfg.block_count();
-  must_hit_.resize(n);
-  may_present_.resize(n);
+  must_age_.resize(n);
+  may_age_.resize(n);
   persistent_scope_.resize(n);
   result_.resize(n);
   for (std::size_t b = 0; b < n; ++b) {
     const std::size_t r = refs[b].size();
-    must_hit_[b].assign(r, 0);
-    may_present_[b].assign(r, 1);
+    // Unreached references keep "may be absent" (Must) and "may be
+    // present" (May): neither a hit nor a miss is guaranteed.
+    must_age_[b].assign(r, associativity_);
+    may_age_[b].assign(r, 0);
     persistent_scope_[b].assign(r, kNoScope);
     result_[b].assign(r, RefClass{});
   }
@@ -108,8 +110,8 @@ void SetAnalysis::run_fixpoints(const ControlFlowGraph& cfg,
     for (std::size_t i = 0; i < block_refs.size(); ++i) {
       const LineRef& r = block_refs[i];
       if (r.set != set_) continue;
-      must_hit_[size_t(b)][i] = must.contains(r.line) ? 1 : 0;
-      may_present_[size_t(b)][i] = may.contains(r.line) ? 1 : 0;
+      must_age_[size_t(b)][i] = must.age_of(r.line, associativity_);
+      may_age_[size_t(b)][i] = may.age_of(r.line, associativity_);
       must.access(r.line, associativity_);
       may.access(r.line, associativity_);
     }
@@ -173,13 +175,12 @@ void SetAnalysis::classify(const ControlFlowGraph& cfg,
     for (std::size_t i = 0; i < refs[size_t(block.id)].size(); ++i) {
       if (refs[size_t(block.id)][i].set != set_) continue;
       RefClass& out = result_[size_t(block.id)][i];
-      if (associativity_ > 0 && must_hit_[size_t(block.id)][i]) {
+      if (must_age_[size_t(block.id)][i] < associativity_) {
         out = {Chmc::kAlwaysHit, kNoLoop};
       } else if (associativity_ > 0 &&
                  persistent_scope_[size_t(block.id)][i] != kNoScope) {
         out = {Chmc::kFirstMiss, persistent_scope_[size_t(block.id)][i]};
-      } else if (associativity_ == 0 ||
-                 !may_present_[size_t(block.id)][i]) {
+      } else if (may_age_[size_t(block.id)][i] >= associativity_) {
         out = {Chmc::kAlwaysMiss, kNoLoop};
       } else {
         out = {Chmc::kNotClassified, kNoLoop};

@@ -20,7 +20,8 @@ namespace phase_name {
 inline constexpr const char* kCore = "pipeline.core";
 /// Per-domain reference extraction against the cache geometry.
 inline constexpr const char* kExtract = "phase.extract";
-/// Fault-free CHMC classification + per-domain time cost models.
+/// Per-domain age profiles, fault-free CHMC classification + per-domain
+/// time cost models.
 inline constexpr const char* kClassify = "phase.classify";
 /// Phase-1 maximization of the summed model (IPET or loop tree).
 inline constexpr const char* kMaximize = "phase.maximize";
@@ -38,7 +39,9 @@ inline constexpr const char* kPenalty = "phase.penalty";
 /// The fixed-shape pairwise convolution tree inside kPenalty.
 inline constexpr const char* kConvolve = "phase.convolve";
 /// One cross-domain fold step: convolve the running penalty with the next
-/// domain's and coalesce (domains - 1 per analysis, none for one domain).
+/// domain's and coalesce (domains - 1 per analysis, none for one domain;
+/// with a store, none for a memoized step or one with the point mass at
+/// zero on either side).
 inline constexpr const char* kFold = "phase.fold";
 }  // namespace phase_name
 

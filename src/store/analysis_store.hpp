@@ -3,8 +3,10 @@
 /// campaign engine.
 ///
 /// The memo holds what a campaign reads back: a multi-domain
-/// composition's domain penalties and fold prefixes ("penalty",
-/// analysis/pipeline.cpp), the tree engine's per-set FMM rows
+/// composition's domain penalties and folds ("penalty",
+/// analysis/pipeline.cpp) and its domains' age profiles ("profile", the
+/// per-set Must/May ages every classification and FMM column of a
+/// (task, domain) derives from), the tree engine's per-set FMM rows
 /// ("fmm-rows") and whole campaigns ("campaign", engine/runner.hpp's
 /// load_campaign). The disk tier holds per-result penalty distributions
 /// and whole-campaign reports. One AnalysisStore instance serves a whole

@@ -17,7 +17,8 @@
 /// Memory: the bound is an entry count, not bytes, but every entry records
 /// its payload size, so StoreStats::bytes and the per-layer
 /// `store.memo.<layer>.bytes` counters show what each layer holds. The
-/// layers are "campaign", "penalty" and "fmm-rows" (store/analysis_store.hpp).
+/// layers are "campaign", "penalty", "profile" and "fmm-rows"
+/// (store/analysis_store.hpp).
 #pragma once
 
 #include <cstddef>
@@ -93,8 +94,8 @@ class MemoCache {
   MemoCache& operator=(const MemoCache&) = delete;
 
   /// Looks up a key; a hit refreshes its LRU position. `layer` is an
-  /// observability-only attribution tag ("campaign", "penalty" or
-  /// "fmm-rows") for the per-layer metrics counters — it never affects
+  /// observability-only attribution tag ("campaign", "penalty", "profile"
+  /// or "fmm-rows") for the per-layer metrics counters — it never affects
   /// lookup.
   std::shared_ptr<const void> get(const StoreKey& key,
                                   const char* layer = "other");

@@ -48,12 +48,10 @@ CostModel build_time_cost_model(const ControlFlowGraph& cfg,
 
 CostModel build_delta_miss_model(const ControlFlowGraph& cfg,
                                  const ReferenceMap& refs, SetIndex set,
-                                 const SetAnalysis& fault_free,
-                                 const SetAnalysis* faulty,
+                                 const ClassificationMap& fault_free,
+                                 const ClassificationMap* faulty,
                                  FullFaultSemantics semantics,
                                  const SrbHitMap* srb_hits) {
-  PWCET_EXPECTS(fault_free.set() == set);
-  if (faulty != nullptr) PWCET_EXPECTS(faulty->set() == set);
   if (semantics == FullFaultSemantics::kSrb && faulty == nullptr)
     PWCET_EXPECTS(srb_hits != nullptr);
 
@@ -68,7 +66,7 @@ CostModel build_delta_miss_model(const ControlFlowGraph& cfg,
       // Faulty-side misses (positive terms).
       if (faulty != nullptr) {
         // Partially degraded set: line granularity (spatial hits survive).
-        add_miss_expression(model, b, faulty->classification(b, i), 1.0);
+        add_miss_expression(model, b, (*faulty)[size_t(b)][i], 1.0);
       } else if (semantics == FullFaultSemantics::kUnprotected) {
         // Fully faulty, no protection: every fetch of the reference misses.
         model.block_cost[size_t(b)] += static_cast<double>(r.fetches);
@@ -80,28 +78,14 @@ CostModel build_delta_miss_model(const ControlFlowGraph& cfg,
 
       // Fault-free-side misses (negative terms — the exact expression the
       // fault-free IPET charged for this reference).
-      add_miss_expression(model, b, fault_free.classification(b, i), -1.0);
+      add_miss_expression(model, b, fault_free[size_t(b)][i], -1.0);
     }
   }
   return model;
 }
 
-ClassificationMap classify_fault_free(const ControlFlowGraph& cfg,
-                                      const ReferenceMap& refs,
-                                      const CacheConfig& config) {
-  ClassificationMap out(cfg.block_count());
-  for (std::size_t b = 0; b < cfg.block_count(); ++b)
-    out[b].assign(refs[b].size(), RefClass{});
-  for (SetIndex s = 0; s < config.sets; ++s) {
-    const SetAnalysis analysis(cfg, refs, s, config.ways);
-    for (const BasicBlock& block : cfg.blocks()) {
-      const auto& block_refs = refs[size_t(block.id)];
-      for (std::size_t i = 0; i < block_refs.size(); ++i)
-        if (block_refs[i].set == s)
-          out[size_t(block.id)][i] = analysis.classification(block.id, i);
-    }
-  }
-  return out;
+ClassificationMap classify_fault_free(const AgeProfile& profile) {
+  return profile.classify(profile.ways());
 }
 
 }  // namespace pwcet

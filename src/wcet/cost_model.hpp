@@ -21,7 +21,7 @@
 #include "cache/references.hpp"
 #include "cfg/cfg.hpp"
 #include "icache/chmc.hpp"
-#include "icache/set_analysis.hpp"
+#include "icache/age_profile.hpp"
 #include "icache/srb_analysis.hpp"
 
 namespace pwcet {
@@ -60,20 +60,19 @@ enum class FullFaultSemantics {
 /// the exact terms the corresponding IPET objectives use, so that
 /// WCET_faulty(P) <= WCET_ff + penalty * delta(P) holds path-wise.
 ///
-/// `faulty` must be the analysis of the same set at associativity W - f for
-/// f < W; for f == W pass nullptr and choose the semantics (`kUnprotected`
-/// counts every fetch, `kSrb` consults `srb_hits`).
+/// Both maps are read only at `set`'s references. `faulty` must classify
+/// them at associativity W - f for f < W; for f == W pass nullptr and
+/// choose the semantics (`kUnprotected` counts every fetch, `kSrb` consults
+/// `srb_hits`).
 CostModel build_delta_miss_model(const ControlFlowGraph& cfg,
                                  const ReferenceMap& refs, SetIndex set,
-                                 const SetAnalysis& fault_free,
-                                 const SetAnalysis* faulty,
+                                 const ClassificationMap& fault_free,
+                                 const ClassificationMap* faulty,
                                  FullFaultSemantics semantics,
                                  const SrbHitMap* srb_hits);
 
 /// Classification of every reference under a fault-free cache
 /// (associativity W in every set).
-ClassificationMap classify_fault_free(const ControlFlowGraph& cfg,
-                                      const ReferenceMap& refs,
-                                      const CacheConfig& config);
+ClassificationMap classify_fault_free(const AgeProfile& profile);
 
 }  // namespace pwcet

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "engine/thread_pool.hpp"
-#include "icache/set_analysis.hpp"
 #include "icache/srb_analysis.hpp"
 #include "store/analysis_store.hpp"
 #include "support/contracts.hpp"
@@ -40,11 +39,11 @@ double maximize_delta(const Program& program, const CostModel& model,
 /// block-major order, each reference flattened to (block, first-occurrence
 /// ordinal of its line within the stream, fetches, SRB-always-hit bit).
 /// Everything the per-set row computation consumes is a function of this
-/// signature: SetAnalysis touches line addresses only through equality
-/// (Must/May abstract states and distinct-line counts), and
-/// build_delta_miss_model reads only (block, classification, fetches, SRB
-/// bit) — so equal signatures imply bit-identical cost models, built by the
-/// identical sequence of identical floating-point adds, and hence
+/// signature: the set's ages in the profile touch line addresses only
+/// through equality (Must/May abstract states and distinct-line counts),
+/// and build_delta_miss_model reads only (block, classification, fetches,
+/// SRB bit) — so equal signatures imply bit-identical cost models, built
+/// by the identical sequence of identical floating-point adds, and hence
 /// bit-identical rows. Two sets whose streams differ only in which concrete
 /// lines they touch (the common case for straight-line code spread across a
 /// cache) therefore share one row computation.
@@ -111,16 +110,19 @@ struct SetModels {
 
 SetModels build_set_models(const Program& program, const CacheConfig& config,
                            const ReferenceMap& refs,
-                           const SrbHitMap& srb_hits, SetIndex s) {
+                           const SrbHitMap& srb_hits,
+                           const AgeProfile& profile,
+                           const ClassificationMap& fault_free, SetIndex s) {
   const ControlFlowGraph& cfg = program.cfg();
   const std::uint32_t ways = config.ways;
   SetModels models;
-  const SetAnalysis fault_free(cfg, refs, s, ways);
 
-  // Shared partial-fault columns f = 1 .. W-1 (line granularity).
+  // Shared partial-fault columns f = 1 .. W-1 (line granularity), each
+  // classified by thresholding the profile at W - f.
+  ClassificationMap degraded = fault_free;
   models.partial.reserve(ways - 1);
   for (std::uint32_t f = 1; f < ways; ++f) {
-    const SetAnalysis degraded(cfg, refs, s, ways - f);
+    profile.classify_set(s, ways - f, degraded);
     models.partial.push_back(
         build_delta_miss_model(cfg, refs, s, fault_free, &degraded,
                                FullFaultSemantics::kUnprotected, nullptr));
@@ -168,25 +170,31 @@ SetRows rows_from_models(const Program& program, const SetModels& models,
 /// ILP engine mutates `ipet`.
 SetRows compute_set_rows(const Program& program, const CacheConfig& config,
                          const ReferenceMap& refs, const SrbHitMap& srb_hits,
-                         SetIndex s, WcetEngine engine,
-                         IpetCalculator* ipet) {
-  return rows_from_models(program,
-                          build_set_models(program, config, refs, srb_hits, s),
-                          config.ways, engine, ipet);
+                         const AgeProfile& profile,
+                         const ClassificationMap& fault_free, SetIndex s,
+                         WcetEngine engine, IpetCalculator* ipet) {
+  return rows_from_models(
+      program,
+      build_set_models(program, config, refs, srb_hits, profile, fault_free,
+                       s),
+      config.ways, engine, ipet);
 }
 
 }  // namespace
 
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
-                             const ReferenceMap& refs, WcetEngine engine,
+                             const ReferenceMap& refs,
+                             const AgeProfile& profile, WcetEngine engine,
                              IpetCalculator* ipet, ThreadPool* pool,
                              AnalysisStore* store,
                              const StoreKey* row_key_prefix) {
   config.validate();
+  PWCET_EXPECTS(profile.ways() == config.ways);
   const ControlFlowGraph& cfg = program.cfg();
 
   const SrbHitMap srb_hits = analyze_srb(cfg, refs);
+  const ClassificationMap fault_free = classify_fault_free(profile);
   const std::vector<SetSignature> signatures =
       build_set_signatures(refs, srb_hits, config.sets);
 
@@ -225,15 +233,15 @@ FmmBundle compute_fmm_bundle(const Program& program,
                          engine == WcetEngine::kTree;
   auto set_rows = [&](SetIndex s, IpetCalculator* set_ipet) {
     if (!memo_rows)
-      return compute_set_rows(program, config, refs, srb_hits, s, engine,
-                              set_ipet);
+      return compute_set_rows(program, config, refs, srb_hits, profile,
+                              fault_free, s, engine, set_ipet);
     const StoreKey key =
         KeyHasher("fmm-rows-v1").mix_key(*row_key_prefix).mix_u64(s).finish();
     return *store->memo().get_or_compute<SetRows>(
         key,
         [&] {
-          return compute_set_rows(program, config, refs, srb_hits, s, engine,
-                                  set_ipet);
+          return compute_set_rows(program, config, refs, srb_hits, profile,
+                                  fault_free, s, engine, set_ipet);
         },
         "fmm-rows");
   };
@@ -265,8 +273,8 @@ FmmBundle compute_fmm_bundle(const Program& program,
         continue;
       }
       if (rep == s) {
-        SetModels models =
-            build_set_models(program, config, refs, srb_hits, s);
+        SetModels models = build_set_models(program, config, refs, srb_hits,
+                                            profile, fault_free, s);
         rows.push_back(
             rows_from_models(program, models, config.ways, engine, ipet));
         if (has_duplicate[size_t(s)])

@@ -66,6 +66,10 @@ struct FmmBundle {
 
 /// Computes the FMMs of all three mechanisms.
 ///
+/// `profile` must be the age profile of `refs` at `config.ways`: every
+/// column's classification is derived from it by threshold, so no set is
+/// re-analyzed per fault count.
+///
 /// The `ipet` calculator must belong to `program`; it is reused across all
 /// (set, f) objectives (one phase-1 total). Pass nullptr with
 /// `engine == kTree`.
@@ -91,7 +95,8 @@ struct FmmBundle {
 /// the exact call sequence.
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
-                             const ReferenceMap& refs, WcetEngine engine,
+                             const ReferenceMap& refs,
+                             const AgeProfile& profile, WcetEngine engine,
                              IpetCalculator* ipet, ThreadPool* pool = nullptr,
                              AnalysisStore* store = nullptr,
                              const StoreKey* row_key_prefix = nullptr);

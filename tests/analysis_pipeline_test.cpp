@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "engine/campaign.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 #include "store/analysis_store.hpp"
 #include "store/artifact_store.hpp"
 #include "workloads/malardalen.hpp"
@@ -87,6 +89,39 @@ StoreKey penalty_fold_recipe(const StoreKey& prefix, const StoreKey& next,
       .finish();
 }
 
+/// The "penalty-fold-content-v1" recipe: the budget, then both inputs of
+/// one fold step atom by atom.
+StoreKey fold_content_recipe(const DiscreteDistribution& prefix,
+                             const DiscreteDistribution& next,
+                             std::size_t budget) {
+  KeyHasher hasher("penalty-fold-content-v1");
+  hasher.mix_u64(budget);
+  for (const DiscreteDistribution* part : {&prefix, &next}) {
+    hasher.mix_u64(part->size());
+    for (const ProbabilityAtom& atom : part->atoms())
+      hasher.mix_i64(atom.value).mix_double(atom.probability);
+  }
+  return hasher.finish();
+}
+
+/// The "age-profile-v1" recipe: program content, the domain's access
+/// streams, sets, ways and line size — no engine, no composition, no
+/// timing.
+StoreKey age_profile_recipe(const Program& program,
+                            const CacheDomain& domain) {
+  const AccessStreams streams = domain.streams();
+  const CacheConfig& config = domain.config();
+  return KeyHasher("age-profile-v1")
+      .mix_key(hash_program(program))
+      .mix_u64(streams.fetches)
+      .mix_u64(streams.loads)
+      .mix_u64(streams.stores)
+      .mix_u64(config.sets)
+      .mix_u64(config.ways)
+      .mix_u64(config.line_bytes)
+      .finish();
+}
+
 // ---- pre-refactor golden keys ----------------------------------------------
 
 // Hex values captured from the original single-cache and combined I+D
@@ -133,6 +168,20 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
       {0.5, 0.25, 0.25}, 2048);
   EXPECT_EQ(domain.hex(), "8bbfabbb66a35ac404aca82ce4d0d9f7");
   EXPECT_EQ(penalty_fold_recipe(domain, domain, 2048).hex(), "254c0305b21c15b42ef329b860babc29");
+
+  // Profile layer: a domain's age profile is keyed on what fixes its
+  // stream and fixpoints; a fold step is also looked up by the content of
+  // its two inputs.
+  EXPECT_EQ(age_profile_recipe(p, IcacheDomain(ic)).hex(),
+            "fcfd9a8538dde4259bd0df9c79782912");
+  EXPECT_EQ(age_profile_recipe(p, DcacheDomain(small_dcache())).hex(),
+            "737f309535d85335250f802f0dceb0b7");
+  EXPECT_EQ(fold_content_recipe(
+                DiscreteDistribution::from_atoms({{0, 0.5}, {20, 0.5}}),
+                DiscreteDistribution::from_atoms({{0, 0.75}, {100, 0.25}}),
+                2048)
+                .hex(),
+            "190ef28b9d83615bd4fb26817c67bd3a");
 }
 
 TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
@@ -163,6 +212,44 @@ TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
       store.memo().get(fold));
   ASSERT_NE(folded, nullptr);
   EXPECT_EQ(*folded, result.penalty);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_NE(store.memo().get(age_profile_recipe(p, combined.domain(i))),
+              nullptr);
+
+  // fibcall loads nothing, so the dcache's penalty is the point mass at
+  // zero and that fold step convolves nothing. A fold step that convolves
+  // is also stored under the content of its two inputs: take the icache
+  // with a TLB over the same fetches.
+  CacheConfig tlb;
+  tlb.sets = 4;
+  tlb.ways = 2;
+  tlb.line_bytes = 32;
+  tlb.hit_latency = 0;
+  tlb.miss_penalty = 7;
+  const PwcetPipeline with_tlb(
+      p,
+      {std::make_shared<const IcacheDomain>(CacheConfig::paper_default()),
+       std::make_shared<const TlbDomain>(tlb)},
+      options);
+  const PwcetResult tlb_result = with_tlb.analyze(faults, mechanisms);
+  std::vector<DiscreteDistribution> penalties;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const CacheConfig& config = with_tlb.domain(i).config();
+    const auto penalty = std::static_pointer_cast<const DiscreteDistribution>(
+        store.memo().get(domain_penalty_recipe(
+            with_tlb.fmm(i).of(mechanisms[i]), config.miss_penalty,
+            faults.way_failure_pmf(config, mechanisms[i]), 2048)));
+    ASSERT_NE(penalty, nullptr);
+    ASSERT_NE(*penalty, DiscreteDistribution());
+    penalties.push_back(*penalty);
+  }
+  const auto by_content =
+      std::static_pointer_cast<const DiscreteDistribution>(store.memo().get(
+          fold_content_recipe(penalties[0], penalties[1], 2048)));
+  ASSERT_NE(by_content, nullptr);
+  EXPECT_EQ(*by_content, tlb_result.penalty);
+  EXPECT_NE(store.memo().get(age_profile_recipe(p, with_tlb.domain(1))),
+            nullptr);
 }
 
 TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
@@ -600,7 +687,153 @@ TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
   EXPECT_EQ(again, memoized);
   EXPECT_EQ(metrics.counter("store.memo.penalty.misses").value(), 0u);
   EXPECT_GT(metrics.counter("store.memo.penalty.hits").value(), 0u);
+  // Every multi-domain pipeline looked each of its domains' age profiles
+  // up once, and the first pass left all of them in the store: one per
+  // (task, domain), shared by every composition and both engines.
+  std::uint64_t profile_lookups = 0;
+  for (const auto& domains : compositions)
+    if (domains.size() > 1)
+      profile_lookups += domains.size() * programs.size() * engines.size();
+  EXPECT_EQ(metrics.counter("store.memo.profile.misses").value(), 0u);
+  EXPECT_EQ(metrics.counter("store.memo.profile.hits").value(),
+            profile_lookups);
   metrics.clear();
+
+  // A serial pass on a fresh store is deterministic: it convolves exactly
+  // once per distinct pair of fold inputs, over every composition and both
+  // engines. Its chain keys, read back from the store, give each step's
+  // inputs; steps with the point mass at zero on either side convolve
+  // nothing. Fewer distinct input pairs than distinct chain keys means the
+  // content lookup served folds the chain missed.
+  AnalysisStore serial_store;
+  std::set<StoreKey> input_pairs, chain_steps;
+  metrics.enable();
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    PwcetOptions options;
+    options.engine = engines[cell % engines.size()];
+    options.store = &serial_store;
+    const PwcetPipeline pipeline(
+        programs[cell / engines.size() % programs.size()],
+        compositions[cell / engines.size() / programs.size()], options);
+    if (pipeline.domain_count() == 1) continue;
+    for (const Mechanism mechanism : kAllMechanisms) {
+      pipeline.analyze(faults, mechanism);
+      auto penalty_at = [&](const StoreKey& key) {
+        const auto value =
+            std::static_pointer_cast<const DiscreteDistribution>(
+                serial_store.memo().get(key));
+        EXPECT_NE(value, nullptr);
+        return value != nullptr ? *value : DiscreteDistribution();
+      };
+      auto domain_key = [&](std::size_t i) {
+        const CacheConfig& config = pipeline.domain(i).config();
+        return domain_penalty_recipe(
+            pipeline.fmm(i).of(mechanism), config.miss_penalty,
+            faults.way_failure_pmf(config, mechanism), 2048);
+      };
+      StoreKey chain = domain_key(0);
+      for (std::size_t i = 1; i < pipeline.domain_count(); ++i) {
+        const DiscreteDistribution prefix = penalty_at(chain);
+        const DiscreteDistribution next = penalty_at(domain_key(i));
+        chain = penalty_fold_recipe(chain, domain_key(i), 2048);
+        if (prefix == DiscreteDistribution() ||
+            next == DiscreteDistribution())
+          continue;
+        input_pairs.insert(fold_content_recipe(prefix, next, 2048));
+        chain_steps.insert(chain);
+      }
+    }
+  }
+  metrics.disable();
+  EXPECT_EQ(metrics.histogram(obs::phase_name::kFold).snapshot().count,
+            input_pairs.size());
+  EXPECT_LT(input_pairs.size(), chain_steps.size());
+  metrics.clear();
+}
+
+TEST(MemoizedPenalty, AZeroFmmDomainAddsNoFold) {
+  // fibcall makes no data access, so a data cache sees an empty stream:
+  // its FMM is all zero and its penalty the point mass at zero, the
+  // neutral element of convolution. With a store, composing it adds no
+  // fold: on a fresh store [icache, dcache, L2] folds as often as
+  // [icache, L2], and after [icache, L2] it folds nothing — on both
+  // engines, with the bytes of its store-less twin. (The point mass is
+  // exact only where the pwf sums to exactly 1.0, as for this 8x2 dcache
+  // at pfail 1e-4; elsewhere the all-zero penalty is one atom at 0 of
+  // probability 1 +- a few ulp, which rescales what it folds into.)
+  const Program p = workloads::build("fibcall");
+  const FaultModel faults(1e-4);
+  CacheConfig l2;
+  l2.sets = 64;
+  l2.ways = 4;
+  l2.line_bytes = 32;
+  l2.hit_latency = 0;
+  l2.miss_penalty = 80;
+  const auto icache =
+      std::make_shared<const IcacheDomain>(CacheConfig::paper_default());
+  const auto dcache = std::make_shared<const DcacheDomain>(small_dcache());
+  const auto shared_l2 = std::make_shared<const L2Domain>(l2);
+  const std::vector<std::shared_ptr<const CacheDomain>> without = {icache,
+                                                                   shared_l2};
+  const std::vector<std::shared_ptr<const CacheDomain>> with = {
+      icache, dcache, shared_l2};
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  metrics.clear();
+  metrics.enable();
+  auto folds = [&] {
+    return metrics.histogram(obs::phase_name::kFold).snapshot().count;
+  };
+  std::uint64_t total_folds = 0;
+  for (const WcetEngine engine : {WcetEngine::kIlp, WcetEngine::kTree}) {
+    PwcetOptions plain;
+    plain.engine = engine;
+    const PwcetPipeline twin(p, with, plain);
+    for (const Mechanism mechanism : kAllMechanisms) {
+      const std::vector<Mechanism> mechanisms(3, mechanism);
+      for (const std::vector<double>& row : twin.fmm(1).of(mechanism).misses)
+        for (const double misses : row) ASSERT_EQ(misses, 0.0);
+      const DiscreteDistribution expected =
+          twin.analyze(faults, mechanisms).penalty;
+
+      auto analyze = [&](AnalysisStore& store,
+                         const std::vector<std::shared_ptr<const CacheDomain>>&
+                             domains) {
+        PwcetOptions options = plain;
+        options.store = &store;
+        const std::uint64_t before = folds();
+        const DiscreteDistribution penalty =
+            PwcetPipeline(p, domains, options)
+                .analyze(faults, std::vector<Mechanism>(domains.size(),
+                                                        mechanism))
+                .penalty;
+        return std::make_pair(penalty, folds() - before);
+      };
+      AnalysisStore fresh_without, fresh_with, shared;
+      const auto [penalty_without, folds_without] =
+          analyze(fresh_without, without);
+      const auto [penalty_with, folds_with] = analyze(fresh_with, with);
+      const auto zero = std::static_pointer_cast<const DiscreteDistribution>(
+          fresh_with.memo().get(domain_penalty_recipe(
+              twin.fmm(1).of(mechanism), small_dcache().miss_penalty,
+              faults.way_failure_pmf(small_dcache(), mechanism), 2048)));
+      ASSERT_NE(zero, nullptr);
+      ASSERT_EQ(*zero, DiscreteDistribution());
+      EXPECT_EQ(penalty_without, expected);
+      EXPECT_EQ(penalty_with, expected);
+      EXPECT_EQ(folds_with, folds_without);
+      total_folds += folds_without;
+
+      analyze(shared, without);
+      const auto [penalty_after, folds_after] = analyze(shared, with);
+      EXPECT_EQ(penalty_after, expected);
+      EXPECT_EQ(folds_after, 0u);
+    }
+  }
+  metrics.disable();
+  metrics.clear();
+  // The compositions do fold: the L2's penalty is not the point mass.
+  EXPECT_GT(total_folds, 0u);
 }
 
 TEST(MemoizedPenalty, SingleDomainAndStorelessPipelinesMakeNoLookup) {

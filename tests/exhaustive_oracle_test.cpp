@@ -143,7 +143,8 @@ TEST(ExhaustiveOracle, FaultFreeWcetIsExactMaximum) {
   const Program p = tiny_program();
   const CacheConfig c = tiny_cache();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const double wcet = tree_maximize(p, build_time_cost_model(p.cfg(), refs,
                                                              cls, c));
   double exact_worst = 0.0;
@@ -163,11 +164,12 @@ TEST(ExhaustiveOracle, PenaltyBoundSoundForAllPathsAndFaultPatterns) {
   const Program p = tiny_program();
   const CacheConfig c = tiny_cache();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const double wcet_ff = tree_maximize(
       p, build_time_cost_model(p.cfg(), refs, cls, c));
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
 
   const auto paths = paths_of(p, p.tree_root());
   for (const FaultMap& map : all_fault_maps(c)) {

@@ -4,14 +4,18 @@
 // simulator.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/references.hpp"
 #include "icache/abstract_set.hpp"
+#include "icache/age_profile.hpp"
 #include "icache/set_analysis.hpp"
 #include "icache/srb_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
 #include "workloads/malardalen.hpp"
+#include "workloads/random_program.hpp"
 
 namespace pwcet {
 namespace {
@@ -264,6 +268,96 @@ TEST(SetAnalysis, FirstMissBoundSoundVsSimulation) {
     }
   }
   for (const auto& [key, count] : misses) EXPECT_LE(count, 1);
+}
+
+// ---- the age profile against per-associativity analyses --------------------
+
+CacheConfig geometry(std::uint32_t sets, std::uint32_t ways) {
+  CacheConfig c = CacheConfig::paper_default();
+  c.sets = sets;
+  c.ways = ways;
+  return c;
+}
+
+/// Counts the references whose profile classification at some A in 0..W
+/// differs from a SetAnalysis built directly at A, over every used set;
+/// reports the first difference. The profile's whole-map classify() is
+/// the path the pipeline reads.
+std::size_t profile_mismatches(const Program& p, const CacheConfig& c,
+                               const std::string& label) {
+  const ReferenceMap refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  std::vector<bool> used(c.sets, false);
+  for (const auto& block_refs : refs)
+    for (const LineRef& r : block_refs) used[r.set] = true;
+  std::size_t mismatches = 0;
+  for (std::uint32_t a = 0; a <= c.ways; ++a) {
+    const ClassificationMap derived = profile.classify(a);
+    for (SetIndex s = 0; s < c.sets; ++s) {
+      if (!used[s]) continue;
+      const SetAnalysis reference(p.cfg(), refs, s, a);
+      for (const auto& blk : p.cfg().blocks()) {
+        for (std::size_t i = 0; i < refs[size_t(blk.id)].size(); ++i) {
+          if (refs[size_t(blk.id)][i].set != s) continue;
+          const RefClass want = reference.classification(blk.id, i);
+          const RefClass got = derived[size_t(blk.id)][i];
+          if (got == want) continue;
+          if (mismatches++ == 0)
+            ADD_FAILURE() << label << " " << c.sets << "x" << c.ways
+                          << " set " << s << " A=" << a << " block "
+                          << blk.id << " ref " << i << ": chmc "
+                          << int(got.chmc) << " scope " << got.scope
+                          << ", SetAnalysis chmc " << int(want.chmc)
+                          << " scope " << want.scope;
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+// One fixpoint at W answers every associativity: the profile's threshold
+// classification equals a SetAnalysis run at each A in 0..W, on every set
+// of every shipped task, from 8 sets of 8 ways to 4 sets of 256.
+TEST(AgeProfile, MatchesSetAnalysisAtEveryAssociativityOnEveryTask) {
+  for (const auto& [sets, ways] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {16, 4}, {32, 2}, {8, 8}, {1, 8}, {16, 64}, {4, 256}}) {
+    for (const std::string& name : workloads::names())
+      EXPECT_EQ(profile_mismatches(workloads::build(name),
+                                   geometry(sets, ways), name),
+                0u);
+  }
+}
+
+TEST(AgeProfile, MatchesSetAnalysisOnRandomPrograms) {
+  const std::vector<CacheConfig> geometries = {
+      geometry(16, 4), geometry(16, 8), geometry(8, 16), geometry(32, 2),
+      geometry(1, 8)};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(0xa9e0000 + seed);
+    const Program p = workloads::random_program(rng);
+    EXPECT_EQ(profile_mismatches(p, geometries[seed % geometries.size()],
+                                 "random seed " + std::to_string(seed)),
+              0u);
+  }
+}
+
+TEST(AgeProfile, ClassifySetOverwritesOnlyItsSet) {
+  const Program p = workloads::build("ud");
+  const CacheConfig c = CacheConfig::paper_default();
+  const ReferenceMap refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const ClassificationMap fault_free = profile.classify(c.ways);
+  const ClassificationMap one_way = profile.classify(1);
+  for (SetIndex s = 0; s < c.sets; ++s) {
+    ClassificationMap mixed = fault_free;
+    profile.classify_set(s, 1, mixed);
+    for (std::size_t b = 0; b < refs.size(); ++b)
+      for (std::size_t i = 0; i < refs[b].size(); ++i)
+        EXPECT_EQ(mixed[b][i],
+                  refs[b][i].set == s ? one_way[b][i] : fault_free[b][i]);
+  }
 }
 
 TEST(Srb, PaperExampleStream) {

@@ -49,7 +49,8 @@ TEST_P(RandomProgramTest, IpetEqualsTreeOnTimeModel) {
   const Program p = make_program();
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const CostModel m = build_time_cost_model(p.cfg(), refs, cls, c);
   IpetCalculator ipet(p);
   const double via_ipet = ipet.maximize(m).objective;
@@ -64,10 +65,12 @@ TEST_P(RandomProgramTest, FmmEnginesAgree) {
   c.sets = 8;
   c.ways = 2;
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   IpetCalculator ipet(p);
-  const FmmBundle a = compute_fmm_bundle(p, c, refs, WcetEngine::kIlp, &ipet);
+  const FmmBundle a =
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kIlp, &ipet);
   const FmmBundle t =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   for (SetIndex s = 0; s < c.sets; ++s)
     for (std::uint32_t f = 0; f <= c.ways; ++f) {
       EXPECT_NEAR(a.none.at(s, f), t.none.at(s, f), 1e-5);
@@ -79,7 +82,8 @@ TEST_P(RandomProgramTest, WcetBoundsSimulatedFaultFreeTime) {
   const Program p = make_program();
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const CostModel m = build_time_cost_model(p.cfg(), refs, cls, c);
   const double wcet = tree_maximize(p, m);
   Rng rng(0xcafe + static_cast<std::uint64_t>(GetParam()));
@@ -98,11 +102,12 @@ TEST_P(RandomProgramTest, PenaltyBoundSoundUnderFaults) {
   c.sets = 4;
   c.ways = 2;
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const double wcet_ff =
       tree_maximize(p, build_time_cost_model(p.cfg(), refs, cls, c));
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
 
   Rng rng(0xf00d + static_cast<std::uint64_t>(GetParam()));
   const auto trace = fetch_trace(p.cfg(), full_iteration_walk(p, rng));

@@ -3,12 +3,16 @@
 // coalescing pressure the two orders agree exactly; under coalescing the
 // tree result must keep the conservative-upper-bound contract of
 // prob/discrete_distribution.hpp (exceedance >= exact, pointwise) and
-// should stay at least as tight as the fold on long chains.
+// should stay at least as tight as the fold on long chains. The exact
+// reference is accumulated here, without DiscreteDistribution::convolve,
+// so a fault in convolve cannot move both sides of a dominance check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
+#include "prob/binomial.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "support/rng.hpp"
 
@@ -36,7 +40,49 @@ std::vector<DiscreteDistribution> random_parts(Rng& rng, std::size_t count) {
   return parts;
 }
 
+/// A cache set's penalty shape (paper Fig. 1.b): the binomial pmf of its
+/// faulty ways (W = 4, pbf 1e-6..1e-2) on non-decreasing multiples of a
+/// 100-cycle miss penalty, so the tail atoms reach far below 1e-15.
+DiscreteDistribution penalty_part(Rng& rng) {
+  constexpr Probability kPbf[] = {1e-6, 1e-4, 1e-2};
+  const std::vector<Probability> pwf =
+      binomial_pmf_vector(4, kPbf[rng.next_below(3)]);
+  std::vector<ProbabilityAtom> atoms;
+  Cycles misses = 0;
+  for (const Probability p : pwf) {
+    atoms.push_back({100 * misses, p});
+    misses += static_cast<Cycles>(rng.next_below(4));
+  }
+  return DiscreteDistribution::from_atoms(std::move(atoms));
+}
+
+std::vector<DiscreteDistribution> penalty_parts(Rng& rng, std::size_t count) {
+  std::vector<DiscreteDistribution> parts;
+  parts.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) parts.push_back(penalty_part(rng));
+  return parts;
+}
+
 constexpr std::size_t kNoCoalescing = 1u << 20;
+
+/// The exact distribution of the sum of independent `parts`: every product
+/// of atom probabilities accumulated per value in long double, by brute
+/// force over the value map.
+DiscreteDistribution exact_sum(const std::vector<DiscreteDistribution>& parts) {
+  std::map<Cycles, long double> sum{{0, 1.0L}};
+  for (const DiscreteDistribution& part : parts) {
+    std::map<Cycles, long double> next;
+    for (const auto& [value, probability] : sum)
+      for (const ProbabilityAtom& atom : part.atoms())
+        next[value + atom.value] += probability * atom.probability;
+    sum = std::move(next);
+  }
+  std::vector<ProbabilityAtom> atoms;
+  atoms.reserve(sum.size());
+  for (const auto& [value, probability] : sum)
+    atoms.push_back({value, static_cast<Probability>(probability)});
+  return DiscreteDistribution::from_atoms(std::move(atoms));
+}
 
 TEST(TreeConvolve, MatchesFoldExactlyWithoutCoalescing) {
   Rng rng(2024);
@@ -56,11 +102,35 @@ TEST(TreeConvolve, MatchesFoldExactlyWithoutCoalescing) {
   }
 }
 
+TEST(TreeConvolve, MatchesExactSumWithoutCoalescing) {
+  // The convolution itself against the brute-force sum: with no coalescing
+  // the tree keeps every support point, and every probability, down to the
+  // smallest tail atom, agrees to a relative 1e-12. Half the trials sum
+  // penalty-shaped parts, whose tails reach the paper's 1e-15 and below.
+  Rng rng(5);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t count = 1 + rng.next_below(12);
+    const auto parts = trial % 2 == 0 ? random_parts(rng, count)
+                                      : penalty_parts(rng, count);
+    const auto exact = exact_sum(parts);
+    const auto tree = convolve_all_tree(parts, kNoCoalescing);
+    ASSERT_EQ(tree.size(), exact.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      EXPECT_EQ(tree.atoms()[i].value, exact.atoms()[i].value);
+      EXPECT_NEAR(tree.atoms()[i].probability, exact.atoms()[i].probability,
+                  1e-12 * exact.atoms()[i].probability)
+          << "trial " << trial << " value " << exact.atoms()[i].value;
+    }
+  }
+}
+
 TEST(TreeConvolve, DominatesExactUnderCoalescing) {
   Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto parts = random_parts(rng, 2 + rng.next_below(12));
-    const auto exact = convolve_all(parts, kNoCoalescing);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t count = 2 + rng.next_below(12);
+    const auto parts = trial % 2 == 0 ? random_parts(rng, count)
+                                      : penalty_parts(rng, count);
+    const auto exact = exact_sum(parts);
     for (const std::size_t max_points : {8u, 16u, 64u}) {
       const auto tree = convolve_all_tree(parts, max_points);
       EXPECT_LE(tree.size(), max_points);
@@ -82,7 +152,7 @@ TEST(TreeConvolve, FoldAlsoDominatesExact) {
   // contract, so either reduction order is sound for pWCET bounds.
   Rng rng(11);
   const auto parts = random_parts(rng, 12);
-  const auto exact = convolve_all(parts, kNoCoalescing);
+  const auto exact = exact_sum(parts);
   const auto fold = convolve_all(parts, 16);
   EXPECT_TRUE(fold.dominates(exact, 1e-9, 1e-9));
 }

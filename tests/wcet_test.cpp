@@ -145,7 +145,8 @@ TEST_P(EngineEquivalenceTest, IpetEqualsTreeOnTimeModel) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const CostModel m = build_time_cost_model(p.cfg(), refs, cls, c);
   IpetCalculator ipet(p);
   const double via_ipet = ipet.maximize(m).objective;
@@ -157,11 +158,12 @@ TEST_P(EngineEquivalenceTest, FmmEnginesAgree) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   IpetCalculator ipet(p);
   const FmmBundle via_ilp =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kIlp, &ipet);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kIlp, &ipet);
   const FmmBundle via_tree =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   for (SetIndex s = 0; s < c.sets; ++s) {
     for (std::uint32_t f = 0; f <= c.ways; ++f) {
       EXPECT_NEAR(via_ilp.none.at(s, f), via_tree.none.at(s, f), 1e-5)
@@ -176,11 +178,12 @@ TEST_P(EngineEquivalenceTest, FmmEnginesAgree) {
 
 /// Non-dedup reference for compute_fmm_bundle, built from public pieces:
 /// every used set computes its own three rows — f = 1..W-1 at line
-/// granularity, then the unprotected and the SRB full-fault columns —
-/// clamped at zero and made monotone in f. Sets are visited in index order
-/// and each set's objectives in that order, so with the ILP engine the one
-/// shared IpetCalculator sees exactly the maximize() sequence the
-/// library's dedup replay must reproduce.
+/// granularity, each from a SetAnalysis run directly at W - f rather than
+/// from the age profile, then the unprotected and the SRB full-fault
+/// columns — clamped at zero and made monotone in f. Sets are visited in
+/// index order and each set's objectives in that order, so with the ILP
+/// engine the one shared IpetCalculator sees exactly the maximize()
+/// sequence the library's dedup replay must reproduce.
 FmmBundle fmm_bundle_without_dedup(const Program& p, const CacheConfig& c,
                                    const ReferenceMap& refs,
                                    WcetEngine engine) {
@@ -208,15 +211,16 @@ FmmBundle fmm_bundle_without_dedup(const Program& p, const CacheConfig& c,
       for (std::uint32_t f = 1; f < c.ways; ++f) {
         const SetAnalysis degraded(cfg, refs, s, c.ways - f);
         none[f] = rw[f] = srb[f] = maximize(build_delta_miss_model(
-            cfg, refs, s, fault_free, &degraded,
-            FullFaultSemantics::kUnprotected, nullptr));
+            cfg, refs, s, fault_free.classifications(),
+            &degraded.classifications(), FullFaultSemantics::kUnprotected,
+            nullptr));
       }
-      none[c.ways] = maximize(
-          build_delta_miss_model(cfg, refs, s, fault_free, nullptr,
-                                 FullFaultSemantics::kUnprotected, nullptr));
-      srb[c.ways] = maximize(
-          build_delta_miss_model(cfg, refs, s, fault_free, nullptr,
-                                 FullFaultSemantics::kSrb, &srb_hits));
+      none[c.ways] = maximize(build_delta_miss_model(
+          cfg, refs, s, fault_free.classifications(), nullptr,
+          FullFaultSemantics::kUnprotected, nullptr));
+      srb[c.ways] = maximize(build_delta_miss_model(
+          cfg, refs, s, fault_free.classifications(), nullptr,
+          FullFaultSemantics::kSrb, &srb_hits));
       make_monotone(none, c.ways);
       make_monotone(rw, c.ways - 1);
       make_monotone(srb, c.ways);
@@ -238,11 +242,12 @@ TEST_P(EngineEquivalenceTest, FmmSignatureDedupIsBitIdentical) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   for (const WcetEngine engine : {WcetEngine::kTree, WcetEngine::kIlp}) {
     const FmmBundle reference = fmm_bundle_without_dedup(p, c, refs, engine);
     IpetCalculator ipet_dedup(p);
     const FmmBundle dedup = compute_fmm_bundle(
-        p, c, refs, engine,
+        p, c, refs, profile, engine,
         engine == WcetEngine::kIlp ? &ipet_dedup : nullptr);
     for (SetIndex s = 0; s < c.sets; ++s)
       for (std::uint32_t f = 0; f <= c.ways; ++f) {
@@ -264,8 +269,9 @@ TEST(Fmm, RowsAreMonotoneAndNonNegative) {
   const Program p = workloads::build("crc");
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   for (SetIndex s = 0; s < c.sets; ++s) {
     for (std::uint32_t f = 1; f <= c.ways; ++f) {
       EXPECT_GE(fmm.none.at(s, f), 0.0);
@@ -280,8 +286,9 @@ TEST(Fmm, MechanismsDifferOnlyInFullColumn) {
   const Program p = workloads::build("fdct");
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   for (SetIndex s = 0; s < c.sets; ++s) {
     for (std::uint32_t f = 1; f < c.ways; ++f) {
       EXPECT_DOUBLE_EQ(fmm.none.at(s, f), fmm.srb.at(s, f));
@@ -300,8 +307,9 @@ TEST(Fmm, UnreferencedSetHasZeroRow) {
   const Program p = b.build(0);
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   for (SetIndex s = 4; s < c.sets; ++s)
     for (std::uint32_t f = 0; f <= c.ways; ++f)
       EXPECT_DOUBLE_EQ(fmm.none.at(s, f), 0.0) << "s=" << s;
@@ -315,8 +323,9 @@ TEST(Fmm, FullFailureCountsEveryFetch) {
   const Program p = b.build(0);
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
+  const AgeProfile profile(p.cfg(), refs, c);
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
   EXPECT_DOUBLE_EQ(fmm.none.at(0, c.ways), 3.0);
   // Partial faults leave a 1-line set unaffected.
   EXPECT_DOUBLE_EQ(fmm.none.at(0, 1), 0.0);
@@ -335,11 +344,12 @@ TEST_P(PenaltySoundnessTest, SimulationNeverExceedsBound) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
-  const auto cls = classify_fault_free(p.cfg(), refs, c);
+  const AgeProfile profile(p.cfg(), refs, c);
+  const auto cls = classify_fault_free(profile);
   const CostModel time_model = build_time_cost_model(p.cfg(), refs, cls, c);
   const double wcet_ff = tree_maximize(p, time_model);
   const FmmBundle fmm =
-      compute_fmm_bundle(p, c, refs, WcetEngine::kTree, nullptr);
+      compute_fmm_bundle(p, c, refs, profile, WcetEngine::kTree, nullptr);
 
   Rng rng(83);
   const double heavy_fetches = static_cast<double>(heavy_walk_fetch_count(p));
