@@ -11,8 +11,9 @@
 ///     `BENCH_perf_analysis_time.json` is their `bench run` report.
 ///   - `pipeline.*` / `micro.*` scenarios time one pipeline stage in a
 ///     fixed-iteration loop (reference extraction, classification,
-///     maximization, FMM, the full per-mechanism analysis) so a diff can
-///     localize a regression below campaign granularity.
+///     maximization, FMM, the convolution tree, the full per-mechanism
+///     analysis) so a diff can localize a regression below campaign
+///     granularity.
 ///
 /// Every scenario self-checks determinism where it applies (campaign
 /// reports must not drift between repetitions — the body throws on

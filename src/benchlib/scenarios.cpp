@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -85,6 +86,38 @@ struct AdpcmFixture {
   ClassificationMap classification = classify_fault_free(profile);
   CostModel model =
       build_time_cost_model(program.cfg(), refs, classification, config);
+};
+
+/// Fixture for micro.convolve.tail: ud's per-set penalty distributions on
+/// a 32x4x8 icache under no mechanism at the 45 nm pfail 6.1e-13, whose
+/// tails fall below 2^-1022 — the convolution tree of spta_sweep's
+/// slowest cells.
+struct ConvolveTailFixture {
+  std::vector<DiscreteDistribution> per_set;
+
+  ConvolveTailFixture() {
+    const Program program = workloads::build("ud");
+    CacheConfig config;
+    config.sets = 32;
+    config.ways = 4;
+    config.line_bytes = 8;
+    PwcetOptions options;
+    options.engine = WcetEngine::kTree;
+    const PwcetPipeline pipeline(
+        program, {std::make_shared<IcacheDomain>(config)}, options);
+    const FaultMissMap& fmm = pipeline.fmm(0).of(Mechanism::kNone);
+    const std::vector<Probability> pwf =
+        FaultModel(6.1e-13).way_failure_pmf(config, Mechanism::kNone);
+    for (const std::vector<double>& row : fmm.misses) {
+      std::vector<ProbabilityAtom> atoms;
+      for (std::size_t f = 0; f < pwf.size(); ++f)
+        atoms.push_back({static_cast<Cycles>(
+                             std::ceil(row[f] - 1e-6) *
+                             static_cast<double>(config.miss_penalty)),
+                         pwf[f]});
+      per_set.push_back(DiscreteDistribution::from_atoms(std::move(atoms)));
+    }
+  }
 };
 
 /// Keeps the compiler from discarding a computed value (the benchlib
@@ -349,6 +382,19 @@ std::vector<Scenario> builtin_scenarios() {
              keep(compute_fmm_bundle(fixture->program, fixture->config,
                                      fixture->refs, fixture->profile,
                                      WcetEngine::kTree, nullptr));
+         }});
+  }
+
+  {
+    auto fixture = std::make_shared<ConvolveTailFixture>();
+    scenarios.push_back(
+        {"micro.convolve.tail",
+         "pairwise convolution tree of ud's per-set penalties, 32x4x8 "
+         "icache, no mechanism, pfail 6.1e-13 (5 trees)",
+         {},
+         [fixture](const ScenarioOptions&) {
+           for (int i = 0; i < 5; ++i)
+             keep(convolve_all_tree(fixture->per_set, 2048));
          }});
   }
 

@@ -1,6 +1,7 @@
 #include "prob/discrete_distribution.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +22,73 @@ constexpr Probability kMassTolerance = 1e-9;
 /// at the cap). Above it — or when the support is too sparse for a dense
 /// array to pay off — convolution falls back to the streaming k-way merge.
 constexpr std::uint64_t kDenseBucketCap = std::uint64_t{1} << 22;
+
+/// Products of two nonnegative doubles, by the sum E of their biased
+/// exponents (the bits above the 52-bit fraction; 0 for subnormals). A
+/// factor with exponent e is below 2^(e - 1022), so the product is below
+/// 2^(E - 2044): below 2^-1075 for E <= kZeroProductSum, where it rounds to
+/// +0.0, and below 2^-1021 for E < kNormalProductSum. Two normal factors
+/// give at least 2^(E - 2046), a normal product for E >= kNormalProductSum.
+/// Between the two bounds a hardware multiply whose result is subnormal
+/// takes a microcode assist on x86 (~50x a normal one), so those products
+/// are rounded in integers instead (tiny_product).
+constexpr std::uint32_t kNormalProductSum = 1024;
+constexpr std::uint32_t kZeroProductSum = 969;
+
+std::uint32_t biased_exponent(double x) {
+  return static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(x) >> 52);
+}
+
+/// A nonnegative finite double as significand * 2^(exponent - 1075).
+struct Unpacked {
+  std::uint64_t significand;
+  std::uint32_t exponent;
+};
+
+Unpacked unpack(double x) {
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const auto exponent = static_cast<std::uint32_t>(bits >> 52);
+  const std::uint64_t fraction = bits & (kHidden - 1);
+  // Subnormals scale like exponent 1 and have no hidden bit.
+  return exponent == 0 ? Unpacked{fraction, 1}
+                       : Unpacked{fraction | kHidden, exponent};
+}
+
+/// x * y, bit for bit as IEEE round-to-nearest-even multiplies it, for
+/// factors whose biased exponents sum to kZeroProductSum + 1 ..
+/// kNormalProductSum - 1. The product is below 2^-1021, where the doubles
+/// are the multiples of 2^-1074, so rounding is half to even onto that
+/// grid; the 106-bit significand product fits one unsigned __int128.
+/// Below 2^-1021 the bits of k * 2^-1074 are k itself (subnormals, then
+/// exponent field 1 from k = 2^52, and 2^53 is 2^-1021), which covers the
+/// round-up into the normal range too.
+double tiny_product(Unpacked x, Unpacked y) {
+  using u128 = unsigned __int128;
+  // x * y = sx * sy * 2^(ex + ey - 2150) = sx * sy * 2^-shift * 2^-1074.
+  const std::uint32_t shift = 1076 - x.exponent - y.exponent;  // 51..106
+  const u128 product = static_cast<u128>(x.significand) * y.significand;
+  auto grid = static_cast<std::uint64_t>(product >> shift);
+  const u128 rest = product - (static_cast<u128>(grid) << shift);
+  const u128 half = u128{1} << (shift - 1);
+  if (rest > half || (rest == half && (grid & 1) != 0)) ++grid;
+  return std::bit_cast<double>(grid);
+}
+
+/// x * y for nonnegative doubles, equal to the hardware product.
+double product(double x, double y) {
+  const std::uint32_t sum = biased_exponent(x) + biased_exponent(y);
+  if (sum >= kNormalProductSum) return x * y;
+  if (sum <= kZeroProductSum) return 0.0;
+  return tiny_product(unpack(x), unpack(y));
+}
+
+std::uint32_t min_exponent(const std::vector<ProbabilityAtom>& atoms) {
+  std::uint32_t least = std::numeric_limits<std::uint32_t>::max();
+  for (const ProbabilityAtom& atom : atoms)
+    least = std::min(least, biased_exponent(atom.probability));
+  return least;
+}
 
 std::vector<ProbabilityAtom> normalize_atoms(
     std::vector<ProbabilityAtom> atoms) {
@@ -164,17 +232,23 @@ DiscreteDistribution DiscreteDistribution::convolve(
   // — so the n*m pair products collapse onto few distinct sums. The fast
   // path exploits that: accumulate products directly into a dense bucket
   // array indexed by (value - base) / stride, where stride is the gcd of
-  // all support offsets. No product buffer, no sort — O(n*m) fused
+  // all support offsets. No product buffer, no sort — O(n*m)
   // multiply-adds plus one scan over the buckets.
   //
   // Bit-identity contract: the historical implementation generated the
-  // products a-major/b-minor, stable-sorted them by value and accumulated
-  // left to right, so each value's probabilities summed in generation
-  // order. Both paths below preserve exactly that per-value order — the
-  // dense path because products are added to their bucket the moment they
-  // are generated (a-major/b-minor), the merge path because the heap
-  // breaks value ties by row index — so results are bit-identical to the
-  // historical ones at every probability.
+  // products a-major/b-minor in hardware, stable-sorted them by value and
+  // accumulated left to right, so each value's probabilities summed in
+  // generation order. Both paths below preserve exactly that per-value
+  // order — the dense path because each row a_i adds all its products
+  // before row a_{i+1} starts and one row's products land in distinct
+  // buckets (so the order within a row is free), the merge path because
+  // the heap breaks value ties by row index. Each product equals the
+  // hardware one: products that round to +0.0 are skipped, which leaves a
+  // nonnegative sum unchanged, and products below 2^-1021 are rounded in
+  // integers onto the 2^-1074 grid, as IEEE rounds them (see product()).
+  // FTZ/DAZ are never set; with either, those products and sums would
+  // flush to zero and change the bytes. So results are bit-identical to
+  // the historical ones at every probability.
   const std::vector<ProbabilityAtom>& a = atoms_;
   const std::vector<ProbabilityAtom>& b = other.atoms_;
   const std::size_t n = a.size();
@@ -208,29 +282,82 @@ DiscreteDistribution DiscreteDistribution::convolve(
   if (buckets <= kDenseBucketCap &&
       (buckets <= 4096 || buckets <= 4 * pairs)) {
     std::vector<double> acc(static_cast<std::size_t>(buckets), 0.0);
-    std::vector<double> pb(m);
-    for (std::size_t j = 0; j < m; ++j) pb[j] = b[j].probability;
-    // When b occupies every lattice point its bucket offsets are 0..m-1
-    // and the inner loop is a contiguous fused multiply-add the compiler
-    // vectorizes; otherwise scatter through precomputed offsets.
-    const bool contiguous =
-        b.back().value - b.front().value == stride * Cycles(m - 1);
-    std::vector<std::size_t> off_b;
-    if (!contiguous) {
-      off_b.resize(m);
-      for (std::size_t j = 0; j < m; ++j)
-        off_b[j] =
-            static_cast<std::size_t>((b[j].value - b[0].value) / stride);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pa = a[i].probability;
-      double* row =
-          acc.data() + static_cast<std::size_t>((a[i].value - a[0].value) /
-                                                stride);
-      if (contiguous) {
-        for (std::size_t j = 0; j < m; ++j) row[j] += pa * pb[j];
-      } else {
-        for (std::size_t j = 0; j < m; ++j) row[off_b[j]] += pa * pb[j];
+    const auto row_of = [&](std::size_t i) {
+      return acc.data() +
+             static_cast<std::size_t>((a[i].value - a[0].value) / stride);
+    };
+    const auto offset_of = [&](std::size_t j) {
+      return static_cast<std::size_t>((b[j].value - b[0].value) / stride);
+    };
+    if (min_exponent(a) + min_exponent(b) >= kNormalProductSum) {
+      // Every exponent sum is at least kNormalProductSum: multiply in
+      // hardware.
+      std::vector<double> pb(m);
+      for (std::size_t j = 0; j < m; ++j) pb[j] = b[j].probability;
+      // When b occupies every lattice point its bucket offsets are 0..m-1
+      // and the inner loop is a contiguous multiply-add the compiler
+      // vectorizes; otherwise scatter through precomputed offsets.
+      const bool contiguous =
+          b.back().value - b.front().value == stride * Cycles(m - 1);
+      std::vector<std::size_t> off_b;
+      if (!contiguous) {
+        off_b.resize(m);
+        for (std::size_t j = 0; j < m; ++j) off_b[j] = offset_of(j);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double pa = a[i].probability;
+        double* row = row_of(i);
+        if (contiguous) {
+          for (std::size_t j = 0; j < m; ++j) row[j] += pa * pb[j];
+        } else {
+          for (std::size_t j = 0; j < m; ++j) row[off_b[j]] += pa * pb[j];
+        }
+      }
+    } else {
+      // Some exponent sums fall below kNormalProductSum. Visit b by
+      // descending exponent: each row then splits into a run multiplied
+      // in hardware, a run rounded in integers and a run of zeros it
+      // skips, cut at two binary-searched points, with no per-product
+      // branch.
+      std::vector<std::size_t> order(m);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&b](std::size_t x, std::size_t y) {
+                         return biased_exponent(b[x].probability) >
+                                biased_exponent(b[y].probability);
+                       });
+      std::vector<double> pb(m);
+      std::vector<std::size_t> off_b(m);
+      std::vector<std::uint32_t> exp_b(m);
+      std::vector<Unpacked> unpacked_b(m);
+      for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t j = order[k];
+        pb[k] = b[j].probability;
+        off_b[k] = offset_of(j);
+        exp_b[k] = biased_exponent(pb[k]);
+        unpacked_b[k] = unpack(pb[k]);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double pa = a[i].probability;
+        const std::uint32_t exp_a = biased_exponent(pa);
+        const auto normal_end = static_cast<std::size_t>(
+            std::partition_point(exp_b.begin(), exp_b.end(),
+                                 [exp_a](std::uint32_t e) {
+                                   return exp_a + e >= kNormalProductSum;
+                                 }) -
+            exp_b.begin());
+        const auto tiny_end = static_cast<std::size_t>(
+            std::partition_point(exp_b.begin() + normal_end, exp_b.end(),
+                                 [exp_a](std::uint32_t e) {
+                                   return exp_a + e > kZeroProductSum;
+                                 }) -
+            exp_b.begin());
+        double* row = row_of(i);
+        for (std::size_t k = 0; k < normal_end; ++k)
+          row[off_b[k]] += pa * pb[k];
+        const Unpacked unpacked_a = unpack(pa);
+        for (std::size_t k = normal_end; k < tiny_end; ++k)
+          row[off_b[k]] += tiny_product(unpacked_a, unpacked_b[k]);
       }
     }
     std::vector<ProbabilityAtom> atoms;
@@ -263,17 +390,20 @@ DiscreteDistribution DiscreteDistribution::convolve(
   while (!heap.empty()) {
     const Head head = heap.top();
     heap.pop();
-    const double p = a[head.row].probability * b[head.col].probability;
-    if (!atoms.empty() && atoms.back().value == head.value)
-      atoms.back().probability += p;
-    else
-      atoms.push_back({head.value, p});
+    // A zero product is skipped: the value's later products then start
+    // its atom, and a value whose products are all zero gets none.
+    const double p = product(a[head.row].probability,
+                             b[head.col].probability);
+    if (p != 0.0) {
+      if (!atoms.empty() && atoms.back().value == head.value)
+        atoms.back().probability += p;
+      else
+        atoms.push_back({head.value, p});
+    }
     if (head.col + 1 < m)
       heap.push({a[head.row].value + b[head.col + 1].value, head.row,
                  head.col + 1});
   }
-  std::erase_if(atoms,
-                [](const ProbabilityAtom& a) { return a.probability == 0.0; });
   return DiscreteDistribution(std::move(atoms));
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -255,9 +256,10 @@ TEST(Distribution, ExceedanceAccumulatesTinyTails) {
 // ---- the convolve fast path ------------------------------------------------
 
 /// The historical convolve, verbatim: generate all pair products a-major /
-/// b-minor, stable-sort by value, accumulate left to right. The shipped
-/// implementation (dense lattice buckets / streaming k-way merge) claims
-/// bit-identity with this ordering; these tests hold it to that.
+/// b-minor with hardware multiplies, stable-sort by value, accumulate left
+/// to right. The shipped implementation (dense lattice buckets / streaming
+/// k-way merge, integer-rounded products below 2^-1021, skipped zero
+/// products) claims bit-identity with this; these tests hold it to that.
 DiscreteDistribution reference_convolve(const DiscreteDistribution& a,
                                         const DiscreteDistribution& b) {
   std::vector<ProbabilityAtom> products;
@@ -300,6 +302,35 @@ DiscreteDistribution random_lattice_distribution(Rng& rng, Cycles stride,
   return DiscreteDistribution::from_atoms(std::move(atoms));
 }
 
+/// Atoms with distinct values, in any order and with any positive masses,
+/// as a distribution (from_canonical_atoms does not check the mass).
+DiscreteDistribution sorted_distribution(std::vector<ProbabilityAtom> atoms) {
+  std::sort(atoms.begin(), atoms.end(),
+            [](const ProbabilityAtom& x, const ProbabilityAtom& y) {
+              return x.value < y.value;
+            });
+  return DiscreteDistribution::from_canonical_atoms(std::move(atoms));
+}
+
+std::uint32_t biased_exponent(double x) {
+  return static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(x) >> 52);
+}
+
+/// A positive double with biased exponent 0..1023 (0: subnormal). Three
+/// in four exponents come from 470..530, so pair sums cluster around the
+/// subnormal band 970..1023 and its edges. Half the significands keep only
+/// their top 0..8 fraction bits, which makes exact half-way products.
+double random_band_probability(Rng& rng) {
+  const std::uint64_t exponent = rng.next_below(4) == 0
+                                     ? rng.next_below(1024)
+                                     : 470 + rng.next_below(61);
+  std::uint64_t fraction = rng.next_u64() >> 12;
+  if (rng.next_below(2) == 0)
+    fraction &= ~((std::uint64_t{1} << (52 - rng.next_below(9))) - 1);
+  if (exponent == 0 && fraction == 0) fraction = std::uint64_t{1} << 51;
+  return std::bit_cast<double>(exponent << 52 | fraction);
+}
+
 TEST(Distribution, ConvolveBitIdenticalToReferenceOnLattices) {
   // The dense-bucket path (lattice supports, the analysis workload).
   Rng rng(0xc0417e5);
@@ -322,6 +353,83 @@ TEST(Distribution, ConvolveBitIdenticalToReferenceOffLattice) {
         rng, static_cast<Cycles>(1 + rng.next_below(5)), 48);
     ASSERT_EQ(a.convolve(b), reference_convolve(a, b));
   }
+}
+
+TEST(Distribution, ConvolveMatchesHardwareProductsInEveryExponentBand) {
+  // a at 0..n-1 and b at multiples of n: every pair sum is distinct, so
+  // each output atom is one product, compared bit for bit with the
+  // hardware's. Pair exponent sums cover the normal products (>= 1024),
+  // the integer-rounded band (970..1023) and the zeros (<= 969); b with
+  // gaps makes the dense path scatter, and both operand orders run.
+  Rng rng(0xba4d5);
+  std::size_t at_969 = 0, at_970 = 0, at_1023 = 0, at_1024 = 0, ties = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.next_below(40);
+    const std::size_t m = 1 + rng.next_below(40);
+    const bool gaps = trial % 2 == 1;
+    std::vector<ProbabilityAtom> atoms_a, atoms_b;
+    // Each input's first atom is a head mass near 1, as in a penalty
+    // distribution; it keeps the result non-empty.
+    for (std::size_t i = 0; i < n; ++i)
+      atoms_a.push_back({static_cast<Cycles>(i),
+                         i == 0 ? 0.5 + 0.5 * rng.next_double()
+                                : random_band_probability(rng)});
+    Cycles multiple = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      atoms_b.push_back({multiple * static_cast<Cycles>(n),
+                         j == 0 ? 0.5 + 0.5 * rng.next_double()
+                                : random_band_probability(rng)});
+      multiple += gaps ? 1 + static_cast<Cycles>(rng.next_below(3)) : 1;
+    }
+    for (const ProbabilityAtom& x : atoms_a)
+      for (const ProbabilityAtom& y : atoms_b) {
+        const std::uint32_t sum =
+            biased_exponent(x.probability) + biased_exponent(y.probability);
+        at_969 += sum == 969;
+        at_970 += sum == 970;
+        at_1023 += sum == 1023;
+        at_1024 += sum == 1024;
+        // With truncated significands the long double product is exact:
+        // count the products that lie half-way between two multiples of
+        // 2^-1074, the smallest subnormal.
+        const long double scaled = std::ldexp(
+            static_cast<long double>(x.probability) * y.probability, 1074);
+        if (sum > 969 && sum < 1024 && scaled - std::floor(scaled) == 0.5L)
+          ++ties;
+      }
+    const auto a = DiscreteDistribution::from_canonical_atoms(atoms_a);
+    const auto b = DiscreteDistribution::from_canonical_atoms(atoms_b);
+    ASSERT_EQ(a.convolve(b), reference_convolve(a, b)) << "trial " << trial;
+    ASSERT_EQ(b.convolve(a), reference_convolve(b, a)) << "trial " << trial;
+  }
+  EXPECT_GT(at_969, 0u);
+  EXPECT_GT(at_970, 0u);
+  EXPECT_GT(at_1023, 0u);
+  EXPECT_GT(at_1024, 0u);
+  EXPECT_GT(ties, 0u);
+}
+
+TEST(Distribution, SubnormalsAreNeitherFlushedNorZeroed) {
+  // At low pfail, penalty tails fall below 2^-1022. convolve's bytes are
+  // IEEE gradual underflow's: with flush-to-zero (FTZ) a subnormal
+  // product becomes 0, and with denormals-are-zero (DAZ) a subnormal
+  // addend counts as 0. Building with -ffast-math or -Ofast links
+  // crtfastmath.o, which sets both at start-up.
+  const char* const why =
+      "; -ffast-math and -Ofast set FTZ and DAZ through crtfastmath.o, "
+      "which changes the bytes of every low-pfail report";
+  // Operands and results pass through volatiles, so the arithmetic runs
+  // at run time, under the floating-point mode the test checks; results
+  // are compared as bits, since DAZ also zeroes a subnormal in a compare.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  volatile double factor = 0x1p-1000;
+  volatile double product = factor * 0x1p-60;
+  EXPECT_EQ(bits(product), bits(0x1p-1060))
+      << "subnormal product flushed to zero (FTZ)" << why;
+  volatile double addend = 0x1p-1060;
+  volatile double sum = 0x1p-1022 + addend;
+  EXPECT_EQ(bits(sum), bits(0x1p-1022 + 0x1p-1060))
+      << "subnormal addend read as zero (DAZ)" << why;
 }
 
 TEST(Distribution, ConvolveAdversariallyWideInputs) {
@@ -352,6 +460,42 @@ TEST(Distribution, ConvolveAdversariallyWideInputs) {
   EXPECT_EQ(fast, reference_convolve(a, b));
   EXPECT_NEAR(fast.total_mass(), 1.0, 1e-9);
   EXPECT_EQ(fast.max_value(), a.max_value() + b.max_value());
+}
+
+TEST(Distribution, ConvolveAdversariallyWideInputsWithSubnormalProducts) {
+  // The merge path's twin of ConvolveAdversariallyWideInputs: masses from
+  // 1e-165 to 1e-157, so pair products fall from 1e-330 to 1e-314 —
+  // subnormal or rounding to zero. Each input pairs every value v with
+  // v + 2^41, so every sum r + s + 2^41 is reached twice, and a zero
+  // product can share a value with a nonzero one in either order.
+  Rng rng(0x5ab0b00c);
+  constexpr Cycles kTwin = Cycles{1} << 41;
+  std::vector<ProbabilityAtom> wide_a, wide_b;
+  for (int i = 0; i < 20; ++i) {
+    const auto r =
+        static_cast<Cycles>(rng.next_below(std::uint64_t{1} << 40));
+    const auto s =
+        static_cast<Cycles>(rng.next_below(std::uint64_t{1} << 40)) | 1;
+    for (const Cycles twin : {Cycles{0}, kTwin}) {
+      wide_a.push_back(
+          {r + twin, std::pow(10.0, -157 - 8 * rng.next_double())});
+      wide_b.push_back(
+          {s + twin, std::pow(10.0, -157 - 8 * rng.next_double())});
+    }
+  }
+  std::size_t zero = 0, tiny = 0;
+  for (const ProbabilityAtom& x : wide_a)
+    for (const ProbabilityAtom& y : wide_b) {
+      const double p = x.probability * y.probability;
+      if (p == 0.0) ++zero;
+      if (p > 0.0 && p < std::numeric_limits<double>::min()) ++tiny;
+    }
+  EXPECT_GT(zero, 0u);
+  EXPECT_GT(tiny, 0u);
+  const auto a = sorted_distribution(std::move(wide_a));
+  const auto b = sorted_distribution(std::move(wide_b));
+  EXPECT_EQ(a.convolve(b), reference_convolve(a, b));
+  EXPECT_EQ(b.convolve(a), reference_convolve(b, a));
 }
 
 TEST(Distribution, ConvolveAllTreeSharedMatchesExpandedTree) {
@@ -587,13 +731,12 @@ TEST(Distribution, CoalesceSelectionOnNearDenormalCosts) {
   EXPECT_GT(tied, 0u);
 }
 
-/// One domain's penalty distribution rebuilt from its FMM: per cache set,
-/// atoms ceil(misses) * miss_penalty with probabilities pwf[f], combined
-/// by the pairwise tree (paper Fig. 1.b).
-DiscreteDistribution domain_penalty(const PwcetPipeline& pipeline,
-                                    std::size_t domain,
-                                    const FaultModel& faults,
-                                    Mechanism mechanism) {
+/// One domain's per-set penalty distributions rebuilt from its FMM: per
+/// cache set, atoms ceil(misses) * miss_penalty with probabilities pwf[f]
+/// (paper Fig. 1.b).
+std::vector<DiscreteDistribution> per_set_penalties(
+    const PwcetPipeline& pipeline, std::size_t domain,
+    const FaultModel& faults, Mechanism mechanism) {
   const FaultMissMap& fmm = pipeline.fmm(domain).of(mechanism);
   const Cycles miss_penalty = pipeline.domain(domain).config().miss_penalty;
   const std::vector<Probability> pwf =
@@ -607,7 +750,73 @@ DiscreteDistribution domain_penalty(const PwcetPipeline& pipeline,
                        pwf[f]});
     per_set.push_back(DiscreteDistribution::from_atoms(std::move(atoms)));
   }
-  return convolve_all_tree(per_set, 2048);
+  return per_set;
+}
+
+/// One domain's penalty distribution: its per-set penalties combined by
+/// the pairwise tree.
+DiscreteDistribution domain_penalty(const PwcetPipeline& pipeline,
+                                    std::size_t domain,
+                                    const FaultModel& faults,
+                                    Mechanism mechanism) {
+  return convolve_all_tree(
+      per_set_penalties(pipeline, domain, faults, mechanism), 2048);
+}
+
+CacheConfig cache_geometry(std::uint32_t sets, std::uint32_t ways,
+                           std::uint32_t line_bytes) {
+  CacheConfig config;
+  config.sets = sets;
+  config.ways = ways;
+  config.line_bytes = line_bytes;
+  return config;
+}
+
+TEST(Distribution, ConvolveMatchesReferenceOnEveryStepOfDeepTailTrees) {
+  // ud and ludcmp on a 32x4x8 icache under no mechanism: at pfail 6.1e-13
+  // (the 45 nm value) and 1e-9 the penalty tails fall below 2^-1022, so
+  // the pairwise tree's upper steps multiply subnormal and zero-rounding
+  // products. Every step is checked against the reference.
+  std::size_t band = 0, zero = 0;
+  for (const char* task : {"ud", "ludcmp"}) {
+    const Program program = workloads::build(task);
+    PwcetOptions options;
+    options.engine = WcetEngine::kTree;
+    const PwcetPipeline pipeline(
+        program,
+        {std::make_shared<const IcacheDomain>(cache_geometry(32, 4, 8))},
+        options);
+    for (const double pfail : {6.1e-13, 1e-9}) {
+      const std::vector<DiscreteDistribution> parts = per_set_penalties(
+          pipeline, 0, FaultModel(pfail), Mechanism::kNone);
+      std::vector<DiscreteDistribution> level = parts;
+      while (level.size() > 1) {
+        std::vector<DiscreteDistribution> next;
+        for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+          const DiscreteDistribution& x = level[i];
+          const DiscreteDistribution& y = level[i + 1];
+          for (const ProbabilityAtom& p : x.atoms())
+            for (const ProbabilityAtom& q : y.atoms()) {
+              const std::uint32_t sum = biased_exponent(p.probability) +
+                                        biased_exponent(q.probability);
+              band += sum > 969 && sum < 1024;
+              zero += sum <= 969;
+            }
+          const DiscreteDistribution product = x.convolve(y);
+          ASSERT_EQ(product, reference_convolve(x, y))
+              << task << " at pfail " << pfail << ", level size "
+              << level.size() << ", pair " << i / 2;
+          next.push_back(product.coalesce_up(2048));
+        }
+        if (level.size() % 2 != 0) next.push_back(level.back());
+        level = std::move(next);
+      }
+      EXPECT_EQ(level.front().coalesce_up(2048),
+                convolve_all_tree(parts, 2048));
+    }
+  }
+  EXPECT_GT(band, 0u);
+  EXPECT_GT(zero, 0u);
 }
 
 TEST(Distribution, CoalesceSelectionOnACrossDomainFold) {
@@ -616,15 +825,7 @@ TEST(Distribution, CoalesceSelectionOnACrossDomainFold) {
   // multi_domain workload. Folding the rebuilt domain penalties through
   // the reference reproduces the pipeline's own answer, so these are the
   // inputs its cross-domain fold coalesces.
-  auto geometry = [](std::uint32_t sets, std::uint32_t ways,
-                     std::uint32_t line_bytes) {
-    CacheConfig config;
-    config.sets = sets;
-    config.ways = ways;
-    config.line_bytes = line_bytes;
-    return config;
-  };
-  CacheConfig l2 = geometry(64, 4, 32);
+  CacheConfig l2 = cache_geometry(64, 4, 32);
   l2.hit_latency = 0;
   l2.miss_penalty = 80;
   const Program program = workloads::build("crc");
@@ -632,8 +833,8 @@ TEST(Distribution, CoalesceSelectionOnACrossDomainFold) {
   options.engine = WcetEngine::kTree;
   const PwcetPipeline pipeline(
       program,
-      {std::make_shared<const IcacheDomain>(geometry(16, 4, 16)),
-       std::make_shared<const DcacheDomain>(geometry(8, 4, 16)),
+      {std::make_shared<const IcacheDomain>(cache_geometry(16, 4, 16)),
+       std::make_shared<const DcacheDomain>(cache_geometry(8, 4, 16)),
        std::make_shared<const L2Domain>(l2)},
       options);
   const FaultModel faults(1e-4);
