@@ -11,12 +11,11 @@
 /// them, and PwcetPipeline (analysis/pipeline.hpp) owns them.
 ///
 /// So the shipped structures are rows of one table (cache_domain_rows()),
-/// each naming which access streams form its reference stream, whether it
-/// is the primary domain, and the tag under which its per-set FMM rows are
-/// memoized. A CacheDomain binds one row to one geometry; the named
-/// constructors (IcacheDomain, DcacheDomain, WritebackDcacheDomain,
-/// TlbDomain, L2Domain) each pick their row. A new structure is a table
-/// row, its named constructor and its campaign axis.
+/// each naming which access streams form its reference stream and whether
+/// it is the primary domain. A CacheDomain binds one row to one geometry;
+/// the named constructors (IcacheDomain, DcacheDomain,
+/// WritebackDcacheDomain, TlbDomain, L2Domain) each pick their row. A new
+/// structure is a table row, its named constructor and its campaign axis.
 #pragma once
 
 #include <string_view>
@@ -24,8 +23,6 @@
 
 #include "cache/cache_config.hpp"
 #include "cache/references.hpp"
-#include "store/key.hpp"
-#include "wcet/fmm.hpp"
 
 namespace pwcet {
 
@@ -42,23 +39,11 @@ struct DomainRow {
   /// only — the access's execution cycle is the primary domain's — and
   /// cannot stand alone.
   bool primary;
-  /// Store-key tag of the prefix the domain's FMM rows are memoized
-  /// under. Unique per reference-stream semantics: a data stream must
-  /// never alias an instruction one, even when the geometries coincide.
-  const char* row_tag;
   const char* description;  ///< one-liner for `pwcet list`
 };
 
 /// The shipped domains, in pipeline composition order.
 const std::vector<DomainRow>& cache_domain_rows();
-
-/// Store key of a single-cache analyzer core: program content x cache
-/// config x engine. This is both the pipeline core key of an
-/// instruction-only analysis and the prefix under which icache FMM rows
-/// are memoized — shared bit-for-bit by every composition that includes an
-/// IcacheDomain of the same inputs.
-StoreKey pwcet_core_key(const Program& program, const CacheConfig& config,
-                        WcetEngine engine);
 
 /// One table row bound to one geometry. Immutable after construction, so
 /// pool threads may share it.
@@ -74,12 +59,6 @@ class CacheDomain {
 
   /// Whether the domain is primary and may lead a pipeline.
   bool standalone() const { return row_->primary; }
-
-  /// Store-key prefix under which this domain's per-set FMM rows are
-  /// memoized (chained with the set index; see compute_fmm_bundle): the
-  /// row tag x program content x cache config x engine. The icache's is
-  /// pwcet_core_key, so both analyzer flavours share its rows.
-  StoreKey row_key_prefix(const Program& program, WcetEngine engine) const;
 
  protected:
   /// Binds the table row called `name` to `config`.

@@ -15,9 +15,8 @@
 /// domain's own: the reference stream (data loads, not fetches), the
 /// time-model contribution (miss penalties only — the load instruction's
 /// execution cycle is already charged as an instruction fetch by the
-/// primary domain), and the store-key sub-domain ("pwcet-dcache-rows-v1":
-/// a data reference map must never alias an instruction one, even when the
-/// two cache configs coincide).
+/// primary domain), and its place in the "pwcet-dcore-v1" core key of the
+/// [icache, dcache] pair.
 ///
 /// A secondary domain: it must be composed after a primary domain that
 /// charges the execution-time base costs.

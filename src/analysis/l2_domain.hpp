@@ -20,8 +20,8 @@
 ///
 /// The domain charges incremental L2 miss penalties only; L2 hit latency
 /// is folded into the L1 costs the primary domain charges. A secondary
-/// domain; rows live under "pwcet-l2-rows-v1", and its core-key
-/// contribution rides the "pwcet-ncore-v1" chaining recipe.
+/// domain; its core-key contribution rides the "pwcet-ncore-v1" chaining
+/// recipe.
 #pragma once
 
 #include "analysis/cache_domain.hpp"

@@ -43,8 +43,26 @@ static std::uint64_t payload_bytes(const DiscreteDistribution& penalty) {
 static std::uint64_t payload_bytes(const AgeProfile& profile) {
   return profile.payload_bytes();
 }
+static std::uint64_t payload_bytes(const FmmBundle& bundle) {
+  std::uint64_t doubles = 0;
+  for (const FaultMissMap* fmm : {&bundle.none, &bundle.rw, &bundle.srb})
+    for (const std::vector<double>& row : fmm->misses) doubles += row.size();
+  return doubles * sizeof(double);
+}
 
 namespace {
+
+/// The pipeline's one memo rule, applied: with a memo (a store and more
+/// than one domain), `compute`'s result is shared under the content key
+/// `key()` names in the memo layer `layer`; without one, it is computed
+/// directly and no key is hashed.
+template <typename T, typename Key, typename Compute>
+std::shared_ptr<const T> shared(MemoCache* memo, const char* layer,
+                                const Key& key, Compute&& compute) {
+  if (memo == nullptr) return std::make_shared<const T>(compute());
+  return memo->get_or_compute<T>(key(), std::forward<Compute>(compute),
+                                 layer);
+}
 
 PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
                                             const CacheConfig& config) {
@@ -89,14 +107,8 @@ DiscreteDistribution build_reweighted_penalty(
       atoms.push_back({domain.penalties[r][f], pwf[f]});
     return DiscreteDistribution::from_atoms(std::move(atoms));
   };
-  std::vector<DiscreteDistribution> distinct;
-  if (pool != nullptr) {
-    distinct = pool->map_indexed(domain.rows.size(), build_row);
-  } else {
-    distinct.reserve(domain.rows.size());
-    for (std::size_t r = 0; r < domain.rows.size(); ++r)
-      distinct.push_back(build_row(r));
-  }
+  const std::vector<DiscreteDistribution> distinct =
+      map_indexed(pool, domain.rows.size(), build_row);
   obs::ScopedPhase convolve_phase(obs::phase_name::kConvolve);
   return convolve_all_tree_shared(distinct, domain.row_of_set, max_points,
                                   pool);
@@ -122,11 +134,11 @@ StoreKey domain_penalty_key(const PenaltyBundle::Domain& domain,
 
 /// Content key of one fold step ("penalty-fold-content-v1"): both input
 /// distributions atom by atom and the coalescing budget, which fix the
-/// convolution and its coalescing. Fold steps whose chained keys differ
-/// but whose inputs coincide share one fold: the ILP and tree twins of a
-/// cell whose FMM rows differ only below the penalty's rounding, and
-/// compositions with and without a domain whose penalty is the point mass
-/// at zero.
+/// convolution and its coalescing. Compositions that reach the same pair
+/// of inputs share one fold: compositions extending a common prefix, the
+/// ILP and tree twins of a cell whose FMM rows differ only below the
+/// penalty's rounding, and compositions with and without a domain whose
+/// penalty is the point mass at zero.
 StoreKey fold_content_key(const DiscreteDistribution& prefix,
                           const DiscreteDistribution& next,
                           std::size_t max_points) {
@@ -160,6 +172,14 @@ StoreKey age_profile_key(const StoreKey& program_key,
       .finish();
 }
 
+/// Content key of one domain's tree-engine FMM bundle ("tree-fmm-v1"),
+/// chained from its age profile's key: the tree FMM reads the program, the
+/// reference stream and the profile, and none of the timing, so the
+/// profile's inputs are all of its inputs.
+StoreKey tree_fmm_key(const StoreKey& profile_key) {
+  return KeyHasher("tree-fmm-v1").mix_key(profile_key).finish();
+}
+
 /// Adds `other` into `total` term by term. Folding the domains' models
 /// this way reproduces the historical arithmetic exactly: a single-domain
 /// pipeline maximizes the primary model untouched, and a two-domain one
@@ -182,9 +202,7 @@ StoreKey pipeline_core_key(
     const Program& program,
     const std::vector<std::shared_ptr<const CacheDomain>>& domains,
     WcetEngine engine) {
-  // Single icache composition: delegate to the one definition of the
-  // historical "pwcet-core-v1" recipe (analysis/cache_domain.cpp) so
-  // there is no second copy to drift.
+  // Single icache composition: the historical "pwcet-core-v1" recipe.
   if (domains.size() == 1 && domains[0]->name() == "icache")
     return pwcet_core_key(program, domains[0]->config(), engine);
   const bool legacy_pair = domains.size() == 2 &&
@@ -204,6 +222,15 @@ StoreKey pipeline_core_key(
 
 }  // namespace
 
+StoreKey pwcet_core_key(const Program& program, const CacheConfig& config,
+                        WcetEngine engine) {
+  return KeyHasher("pwcet-core-v1")
+      .mix_key(hash_program(program))
+      .mix_key(hash_cache_config(config))
+      .mix_u64(static_cast<std::uint64_t>(engine))
+      .finish();
+}
+
 PwcetPipeline::PwcetPipeline(
     const Program& program,
     std::vector<std::shared_ptr<const CacheDomain>> domains,
@@ -213,6 +240,8 @@ PwcetPipeline::PwcetPipeline(
   for (const auto& domain : domains_) PWCET_EXPECTS(domain != nullptr);
   PWCET_EXPECTS(domains_.front()->standalone());
   core_key_ = pipeline_core_key(program_, domains_, options_.engine);
+  if (options_.store != nullptr && domains_.size() > 1)
+    memo_ = &options_.store->memo();
 
   obs::ScopedPhase core_phase(obs::phase_name::kCore);
   std::vector<ReferenceMap> refs;
@@ -229,12 +258,16 @@ PwcetPipeline::PwcetPipeline(
     ipet = std::make_unique<IpetCalculator>(program_);
 
   // One age profile per domain serves its fault-free classification and
-  // every FMM column. With a store and more than one domain, the profiles
-  // are memoized on content, so every composition and engine of a
-  // campaign that shares a (task, domain) analyzes it once; like the
-  // penalty memo, a single-domain or store-less pipeline builds its own.
+  // every FMM column; a memoizing pipeline shares it with every
+  // composition and engine of the campaign that has the same (task,
+  // domain). The program is hashed once, on the first key.
   std::vector<std::shared_ptr<const AgeProfile>> profiles;
   profiles.reserve(domains_.size());
+  std::optional<StoreKey> program_key;
+  auto profile_key = [&](std::size_t i) {
+    if (!program_key) program_key = hash_program(program_);
+    return age_profile_key(*program_key, *domains_[i]);
+  };
 
   // One classification per domain, one summed time model, one phase-1
   // maximization bounding the whole program. A secondary domain charges
@@ -243,20 +276,12 @@ PwcetPipeline::PwcetPipeline(
   CostModel total;
   {
     obs::ScopedPhase phase(obs::phase_name::kClassify);
-    const bool memo_profiles =
-        options_.store != nullptr && domains_.size() > 1;
-    const StoreKey program_key =
-        memo_profiles ? hash_program(program_) : StoreKey{};
     for (std::size_t i = 0; i < domains_.size(); ++i) {
-      auto build = [&] {
-        return AgeProfile(program_.cfg(), refs[i], domains_[i]->config());
-      };
-      profiles.push_back(
-          memo_profiles
-              ? options_.store->memo().get_or_compute<AgeProfile>(
-                    age_profile_key(program_key, *domains_[i]), build,
-                    "profile")
-              : std::make_shared<const AgeProfile>(build()));
+      profiles.push_back(shared<AgeProfile>(
+          memo_, "profile", [&] { return profile_key(i); },
+          [&] {
+            return AgeProfile(program_.cfg(), refs[i], domains_[i]->config());
+          }));
       const ClassificationMap cls = classify_fault_free(*profiles[i]);
       CacheConfig priced = domains_[i]->config();
       if (!domains_[i]->standalone()) priced.hit_latency = 0;
@@ -280,16 +305,21 @@ PwcetPipeline::PwcetPipeline(
   // The time model is integral; ceil absorbs LP round-off soundly.
   fault_free_wcet_ = static_cast<Cycles>(std::ceil(wcet - 1e-6));
 
+  // An ILP bundle depends on the call sequence of the warm-started simplex
+  // that all of the composition's domains share, so only tree bundles are
+  // shared.
   obs::ScopedPhase phase(obs::phase_name::kFmm);
+  MemoCache* const fmm_memo =
+      options_.engine == WcetEngine::kTree ? memo_ : nullptr;
   fmms_.reserve(domains_.size());
-  for (std::size_t i = 0; i < domains_.size(); ++i) {
-    const StoreKey row_prefix =
-        domains_[i]->row_key_prefix(program_, options_.engine);
-    fmms_.push_back(compute_fmm_bundle(
-        program_, domains_[i]->config(), refs[i], *profiles[i],
-        options_.engine, ipet.get(), options_.pool, options_.store,
-        &row_prefix));
-  }
+  for (std::size_t i = 0; i < domains_.size(); ++i)
+    fmms_.push_back(shared<FmmBundle>(
+        fmm_memo, "fmm", [&] { return tree_fmm_key(profile_key(i)); },
+        [&] {
+          return compute_fmm_bundle(program_, domains_[i]->config(), refs[i],
+                                    *profiles[i], options_.engine, ipet.get(),
+                                    options_.pool);
+        }));
 }
 
 PwcetResult PwcetPipeline::analyze(const FaultModel& faults,
@@ -307,7 +337,7 @@ std::shared_ptr<const PenaltyBundle> PwcetPipeline::acquire_bundle(
     bundle->domains.reserve(domains_.size());
     for (std::size_t i = 0; i < domains_.size(); ++i)
       bundle->domains.push_back(build_domain_scaffold(
-          fmms_[i].of(mechanisms[i]), domains_[i]->config()));
+          fmms_[i]->of(mechanisms[i]), domains_[i]->config()));
     slot = std::move(bundle);
   }
   return slot;
@@ -370,78 +400,45 @@ PwcetResult PwcetPipeline::analyze(
     obs::ScopedPhase bundle_phase(obs::phase_name::kBundle);
     bundle = acquire_bundle(mechanisms);
   }
+  // A memoizing pipeline shares each domain penalty and each fold step
+  // under the content of their inputs, so a composition met before (or
+  // the other engine's twin of this cell) convolves nothing, and one that
+  // extends a known prefix folds only its new domains.
   const std::size_t budget = options_.max_distribution_points;
   auto domain_penalty = [&](std::size_t i) {
-    return build_reweighted_penalty(bundle->domains[i], pwfs[i], budget,
-                                    options_.pool);
+    return shared<DiscreteDistribution>(
+        memo_, "penalty",
+        [&] {
+          return domain_penalty_key(bundle->domains[i],
+                                    domains_[i]->config().miss_penalty,
+                                    pwfs[i], budget);
+        },
+        [&] {
+          return build_reweighted_penalty(bundle->domains[i], pwfs[i],
+                                          budget, options_.pool);
+        });
   };
-  auto fold = [&](const DiscreteDistribution& prefix,
-                  const DiscreteDistribution& next) {
-    obs::ScopedPhase fold_phase(obs::phase_name::kFold);
-    return prefix.convolve(next).coalesce_up(budget);
-  };
-  if (options_.store == nullptr || domains_.size() == 1) {
-    // A single domain's penalty is the job's result, which nothing reads
-    // back from the memo: compute it directly, like a store-less pipeline.
-    DiscreteDistribution penalty = domain_penalty(0);
-    for (std::size_t i = 1; i < domains_.size(); ++i)
-      penalty = fold(penalty, domain_penalty(i));
-    result.penalty = std::move(penalty);
-  } else {
-    // Memoized fold. Each domain penalty is keyed on its content and each
-    // fold prefix chains "penalty-fold-v1" over (prefix, next domain,
-    // budget); prefix_keys[k] names the fold of domains 0..k, and
-    // prefix_keys[0] is domain 0's own key. The longest memoized prefix is
-    // looked up first, so a composition met before (or the other engine's
-    // twin of this cell) computes nothing, and one that extends a known
-    // prefix folds only its new domains. A fold step the chain misses is
-    // looked up by the content of its two inputs before it convolves.
-    MemoCache& memo = options_.store->memo();
-    std::vector<StoreKey> domain_keys, prefix_keys;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-      domain_keys.push_back(domain_penalty_key(
-          bundle->domains[i], domains_[i]->config().miss_penalty, pwfs[i],
-          budget));
-      prefix_keys.push_back(i == 0 ? domain_keys[0]
-                                   : KeyHasher("penalty-fold-v1")
-                                         .mix_key(prefix_keys[i - 1])
-                                         .mix_key(domain_keys[i])
-                                         .mix_u64(budget)
-                                         .finish());
+  std::shared_ptr<const DiscreteDistribution> penalty = domain_penalty(0);
+  for (std::size_t i = 1; i < domains_.size(); ++i) {
+    std::shared_ptr<const DiscreteDistribution> next = domain_penalty(i);
+    // The point mass at zero — the penalty of an all-zero FMM wherever its
+    // pwf sums to exactly 1.0 — is the convolution's neutral element, and
+    // every penalty already fits the budget, so folding it in returns the
+    // other side bit for bit.
+    if (*next == DiscreteDistribution()) continue;
+    if (*penalty == DiscreteDistribution()) {
+      penalty = std::move(next);
+      continue;
     }
-    // `penalty` folds domains 0..last.
-    std::shared_ptr<const DiscreteDistribution> penalty;
-    std::size_t last = domains_.size();
-    while (last > 0 && penalty == nullptr)
-      penalty = std::static_pointer_cast<const DiscreteDistribution>(
-          memo.get(prefix_keys[--last], "penalty"));
-    if (penalty == nullptr) {
-      penalty = std::make_shared<const DiscreteDistribution>(
-          domain_penalty(0));
-      memo.put(prefix_keys[0], penalty, "penalty");
-    }
-    for (std::size_t i = last + 1; i < domains_.size(); ++i) {
-      const std::shared_ptr<const DiscreteDistribution> next =
-          memo.get_or_compute<DiscreteDistribution>(
-              domain_keys[i], [&] { return domain_penalty(i); }, "penalty");
-      // The point mass at zero — the penalty of an all-zero FMM wherever
-      // its pwf sums to exactly 1.0 — is the convolution's neutral
-      // element, and every penalty already fits the budget, so folding it
-      // in returns the other side bit for bit.
-      std::shared_ptr<const DiscreteDistribution> folded;
-      if (*next == DiscreteDistribution())
-        folded = penalty;
-      else if (*penalty == DiscreteDistribution())
-        folded = next;
-      else
-        folded = memo.get_or_compute<DiscreteDistribution>(
-            fold_content_key(*penalty, *next, budget),
-            [&] { return fold(*penalty, *next); }, "penalty");
-      memo.put(prefix_keys[i], folded, "penalty");
-      penalty = std::move(folded);
-    }
-    result.penalty = *penalty;
+    penalty = shared<DiscreteDistribution>(
+        memo_, "penalty",
+        [&] { return fold_content_key(*penalty, *next, budget); },
+        [&] {
+          obs::ScopedPhase fold_phase(obs::phase_name::kFold);
+          return penalty->convolve(*next).coalesce_up(budget);
+        });
   }
+  result.penalty = *penalty;
   if (artifacts != nullptr)
     artifacts->store_distribution(result_key, result.penalty);
   return result;

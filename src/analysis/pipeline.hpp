@@ -29,16 +29,13 @@
 /// Store-key compatibility contract: the pipeline core key of a
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
 /// recipe (pwcet_core_key), that of the [IcacheDomain, DcacheDomain] pair
-/// is the historical "pwcet-dcore-v1" recipe, and the keys chained from it
-/// — the per-result distribution artifact and the per-row memo entries —
-/// reproduce the keys of the original single-cache and I+D analyzers bit
-/// for bit, so artifact directories written by earlier versions keep
-/// hitting. The in-memory memo entries of a multi-domain composition are
-/// keyed on content instead: "age-profile-v1" per domain profile,
-/// "domain-penalty-v1" per domain penalty, "penalty-fold-v1" per fold
-/// prefix and "penalty-fold-content-v1" per fold step's input pair (see
-/// PwcetOptions::store). All of these recipes are pinned by
-/// tests/analysis_pipeline_test.cpp.
+/// is the historical "pwcet-dcore-v1" recipe, and the per-result
+/// distribution artifact chained from it reproduces the keys of the
+/// original single-cache and I+D analyzers bit for bit, so artifact
+/// directories written by earlier versions keep hitting. The in-memory
+/// memo entries of a multi-domain composition are keyed on the content of
+/// their inputs instead (see PwcetOptions::store). All of these recipes
+/// are pinned by tests/analysis_pipeline_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +47,20 @@
 #include "analysis/cache_domain.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "store/key.hpp"
+#include "wcet/fmm.hpp"
 
 namespace pwcet {
 
 class AnalysisStore;
+class MemoCache;
 class ThreadPool;
 struct PenaltyBundle;
+
+/// Store key of a single-cache analyzer core, the historical
+/// "pwcet-core-v1" recipe: program content x cache config x engine. It is
+/// the core key of an instruction-only pipeline.
+StoreKey pwcet_core_key(const Program& program, const CacheConfig& config,
+                        WcetEngine engine);
 
 struct PwcetOptions {
   /// Engine for the fault-free WCET and the FMM delta maximizations.
@@ -71,18 +76,25 @@ struct PwcetOptions {
   /// convolution tree has a fixed shape. The pool must outlive the
   /// pipeline; nullptr runs everything on the calling thread.
   ThreadPool* pool = nullptr;
-  /// Optional content-addressed store (store/analysis_store.hpp). Its memo
-  /// holds the tree engine's per-set FMM rows and, when the composition
-  /// has more than one domain, each domain's age profile and penalty and
-  /// each fold under content keys, so compositions and engines with equal
-  /// inputs share them (a single domain's profile and penalty serve one
-  /// pipeline only and are computed directly). With an artifact tier,
-  /// each per-(mechanisms, pfail) penalty distribution is also persisted
-  /// to disk. Every key captures all inputs of the computation it names
-  /// and every computation is deterministic, so results with a store are
-  /// byte-identical to cold recomputation at any thread count (asserted
-  /// by tests/store_test.cpp and tests/analysis_pipeline_test.cpp). The
-  /// store must outlive the pipeline; nullptr computes from scratch.
+  /// Optional content-addressed store (store/analysis_store.hpp). One
+  /// rule decides the memo: a pipeline with a store and more than one
+  /// domain shares four objects through it, each under a key on the
+  /// content of its inputs, so that the compositions of a task reuse
+  /// them; every other pipeline computes directly (a single domain's
+  /// objects serve that pipeline only). The four are each domain's age
+  /// profile ("age-profile-v1": program, access streams, sets, ways, line
+  /// size), each domain's tree-engine FMM bundle ("tree-fmm-v1", chained
+  /// from the profile key, whose inputs are all it reads), each domain's
+  /// penalty ("domain-penalty-v1") and each fold step
+  /// ("penalty-fold-content-v1": both inputs atom by atom). ILP bundles
+  /// are not shared: the warm-started simplex makes them depend on the
+  /// whole composition. With an artifact tier, each per-(mechanisms,
+  /// pfail) penalty distribution is also persisted to disk. Every key
+  /// captures all inputs of the computation it names and every
+  /// computation is deterministic, so results with a store are
+  /// byte-identical to cold recomputation at any thread count (asserted by
+  /// tests/store_test.cpp and tests/analysis_pipeline_test.cpp). The store
+  /// must outlive the pipeline; nullptr computes from scratch.
   AnalysisStore* store = nullptr;
 };
 
@@ -135,7 +147,7 @@ class PwcetPipeline {
   const CacheDomain& domain(std::size_t i) const { return *domains_[i]; }
 
   /// FMM bundle of domain i (same order as the domain list).
-  const FmmBundle& fmm(std::size_t i) const { return fmms_[i]; }
+  const FmmBundle& fmm(std::size_t i) const { return *fmms_[i]; }
 
   /// Store key of the pipeline core: program content x every domain's
   /// chained contribution x engine — the prefix the per-result
@@ -153,8 +165,11 @@ class PwcetPipeline {
   const Program& program_;
   std::vector<std::shared_ptr<const CacheDomain>> domains_;
   PwcetOptions options_;
+  /// The store's memo when the pipeline memoizes (see PwcetOptions::store),
+  /// else nullptr.
+  MemoCache* memo_ = nullptr;
   Cycles fault_free_wcet_ = 0;
-  std::vector<FmmBundle> fmms_;
+  std::vector<std::shared_ptr<const FmmBundle>> fmms_;
   StoreKey core_key_;
   mutable std::mutex bundle_mutex_;
   mutable std::map<std::vector<Mechanism>,

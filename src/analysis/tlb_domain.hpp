@@ -19,9 +19,7 @@
 /// domain charges only incremental TLB miss penalties: a translation hit
 /// is folded into the fetch latency the primary domain already charges.
 ///
-/// A secondary domain; its FMM rows live under the "pwcet-tlb-rows-v1"
-/// sub-domain so a page-granular stream can never alias an instruction-
-/// or data-line stream, and its core-key contribution rides the
+/// A secondary domain; its core-key contribution rides the
 /// "pwcet-ncore-v1" chaining recipe (the pipeline mixes the domain *name*,
 /// so no shipped two-domain key can collide).
 #pragma once

@@ -30,10 +30,8 @@
 /// write-back simulator). Residual dirty lines at end of run are not
 /// flushed — the task's deadline covers its own accesses only.
 ///
-/// A secondary domain; rows live under "pwcet-wbdcache-rows-v1" (a
-/// loads+stores stream must never alias the load-only
-/// "pwcet-dcache-rows-v1" rows, even for equal geometries), and its
-/// core-key contribution rides the "pwcet-ncore-v1" chaining recipe.
+/// A secondary domain; its core-key contribution rides the
+/// "pwcet-ncore-v1" chaining recipe.
 #pragma once
 
 #include "analysis/cache_domain.hpp"

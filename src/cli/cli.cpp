@@ -682,8 +682,8 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
 // ---- pwcet cache ----------------------------------------------------------
 
 /// Renders the `store.<tier>.<layer>.<event>` counters of a --metrics-out
-/// snapshot as one per-layer table: memo rows (campaign / penalty /
-/// profile / fmm-rows) with hit/miss/eviction columns and the payload
+/// snapshot as one per-layer table: memo rows (campaign / profile / fmm /
+/// penalty) with hit/miss/eviction columns and the payload
 /// bytes each layer inserted, disk rows (per artifact kind) with
 /// hit/miss/write columns. Histograms follow as a percentile table
 /// (the derived p50/p90/p99 fields, never the raw bucket arrays). Returns

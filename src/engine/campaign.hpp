@@ -249,8 +249,9 @@ std::size_t campaign_job_index(const CampaignSpec& spec, std::size_t task_i,
                                std::size_t l2_i = 0);
 
 /// Shared store-key prefix of a job's analyzer group: the (task, geometry,
-/// engine, dcache) values that determine which memoized sub-results (FMM
-/// rows, domain penalties and fold prefixes) the job can reuse. Derived from
+/// engine, dcache, TLB, L2) values that fix the group's domain
+/// composition, whose memoized sub-results (age profiles, tree FMM
+/// bundles, domain penalties and folds) the job can reuse. Derived from
 /// the axis *values* (task name, geometry fields), not indices, so
 /// duplicated or reordered axis entries land on the same key. The runner submits groups
 /// ordered by this prefix (cache-aware ordering): groups about to touch

@@ -26,6 +26,7 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace pwcet {
@@ -120,5 +121,19 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 };
+
+/// ThreadPool::map_indexed on `pool`, or, when `pool` is null, the same
+/// map run serially on the calling thread in index order. Either way the
+/// results come back in index order, so callers that fan out optionally
+/// need no second loop.
+template <typename F>
+auto map_indexed(ThreadPool* pool, std::size_t count, F&& fn)
+    -> std::vector<std::invoke_result_t<std::decay_t<F>&, std::size_t>> {
+  if (pool != nullptr) return pool->map_indexed(count, std::forward<F>(fn));
+  std::vector<std::invoke_result_t<std::decay_t<F>&, std::size_t>> results;
+  results.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) results.push_back(fn(i));
+  return results;
+}
 
 }  // namespace pwcet

@@ -39,9 +39,9 @@ inline constexpr const char* kPenalty = "phase.penalty";
 /// The fixed-shape pairwise convolution tree inside kPenalty.
 inline constexpr const char* kConvolve = "phase.convolve";
 /// One cross-domain fold step: convolve the running penalty with the next
-/// domain's and coalesce (domains - 1 per analysis, none for one domain;
-/// with a store, none for a memoized step or one with the point mass at
-/// zero on either side).
+/// domain's and coalesce (domains - 1 per analysis, none for one domain,
+/// none for a step with the point mass at zero on either side, and, with a
+/// store, none for a step whose two inputs were folded before).
 inline constexpr const char* kFold = "phase.fold";
 }  // namespace phase_name
 

@@ -226,10 +226,9 @@ Cycles DiscreteDistribution::quantile_exceedance(Probability p) const {
 
 // The code placement is pinned: the function starts on a 64-byte boundary
 // and each of its loops is 64-byte aligned, so its row loops keep one
-// layout whatever code the linker puts ahead of them. Unpinned, deleting
-// code in analysis/ moved this function from 16 to 48 bytes past a
-// boundary and slowed the spta_sweep benchmark by 18%; aligning only the
-// function start did not help.
+// layout whatever code the linker puts ahead of them. Unpinned, the
+// spta_sweep benchmark read 15% more CPU with this function 48 bytes past
+// a boundary than 16 bytes past it; aligning only its start did not help.
 __attribute__((aligned(64), optimize("align-loops=64")))
 DiscreteDistribution DiscreteDistribution::convolve(
     const DiscreteDistribution& other) const {
@@ -493,14 +492,8 @@ DiscreteDistribution convolve_all_tree(
     auto reduce_pair = [&](std::size_t i) {
       return level[2 * i].convolve(level[2 * i + 1]).coalesce_up(max_points);
     };
-    std::vector<DiscreteDistribution> next;
-    if (pool != nullptr) {
-      next = pool->map_indexed(pairs, reduce_pair);
-    } else {
-      next.reserve(pairs + 1);
-      for (std::size_t i = 0; i < pairs; ++i)
-        next.push_back(reduce_pair(i));
-    }
+    std::vector<DiscreteDistribution> next =
+        map_indexed(pool, pairs, reduce_pair);
     if (level.size() % 2 != 0) next.push_back(std::move(level.back()));
     level = std::move(next);
   }
@@ -539,14 +532,8 @@ DiscreteDistribution convolve_all_tree_shared(
           .convolve(values[work[w].second])
           .coalesce_up(max_points);
     };
-    std::vector<DiscreteDistribution> next_values;
-    if (pool != nullptr) {
-      next_values = pool->map_indexed(work.size(), reduce_pair);
-    } else {
-      next_values.reserve(work.size() + 1);
-      for (std::size_t w = 0; w < work.size(); ++w)
-        next_values.push_back(reduce_pair(w));
-    }
+    std::vector<DiscreteDistribution> next_values =
+        map_indexed(pool, work.size(), reduce_pair);
     // An odd trailing position passes through unchanged, as a fresh id.
     if (level.size() % 2 != 0) {
       next.push_back(static_cast<std::uint32_t>(next_values.size()));

@@ -2,13 +2,14 @@
 /// Facade over the two store tiers, shared by the analyzer and the
 /// campaign engine.
 ///
-/// The memo holds what a campaign reads back: a multi-domain
-/// composition's domain penalties and folds ("penalty",
-/// analysis/pipeline.cpp) and its domains' age profiles ("profile", the
-/// per-set Must/May ages every classification and FMM column of a
-/// (task, domain) derives from), the tree engine's per-set FMM rows
-/// ("fmm-rows") and whole campaigns ("campaign", engine/runner.hpp's
-/// load_campaign). The disk tier holds per-result penalty distributions
+/// The memo holds what a campaign reads back: whole campaigns
+/// ("campaign", engine/runner.hpp's load_campaign) and, below them, what
+/// the compositions of one task share, which only PwcetPipeline
+/// (analysis/pipeline.cpp) reads and writes: each domain's age profile
+/// ("profile", the per-set Must/May ages every classification and FMM
+/// column of a (task, domain) derives from), each domain's tree-engine
+/// FMM bundle ("fmm"), and each domain penalty and fold ("penalty"). The
+/// disk tier holds per-result penalty distributions
 /// and whole-campaign reports. One AnalysisStore instance serves a whole
 /// campaign (and, if the caller keeps it alive, any number of campaigns —
 /// that is how the `campaign.*.warm` bench scenarios measure warm

@@ -60,8 +60,8 @@ struct StoreKeyHash {
 };
 
 /// Incremental mixer producing a StoreKey. Every key starts from a domain
-/// tag so values of different kinds ("fmm-rows" vs "pwcet-result") can
-/// never alias even if their field streams coincide.
+/// tag so values of different kinds ("tree-fmm-v1" vs "pwcet-result-v1")
+/// can never alias even if their field streams coincide.
 class KeyHasher {
  public:
   explicit KeyHasher(std::string_view domain);

@@ -6,7 +6,6 @@
 
 #include "engine/thread_pool.hpp"
 #include "icache/srb_analysis.hpp"
-#include "store/analysis_store.hpp"
 #include "support/contracts.hpp"
 #include "wcet/tree_engine.hpp"
 
@@ -87,12 +86,6 @@ struct SetRows {
   std::vector<double> none, rw, srb;
 };
 
-/// Payload bytes of a memoized SetRows (see memo_cache.hpp).
-std::uint64_t payload_bytes(const SetRows& rows) {
-  return (rows.none.size() + rows.rw.size() + rows.srb.size()) *
-         sizeof(double);
-}
-
 SetRows zero_rows(std::uint32_t ways) {
   return SetRows{std::vector<double>(ways + 1, 0.0),
                  std::vector<double>(ways + 1, 0.0),
@@ -164,31 +157,13 @@ SetRows rows_from_models(const Program& program, const SetModels& models,
   return rows;
 }
 
-/// Computes the three FMM rows of set `s` (which must be used). Pure in
-/// (program, config, refs, srb_hits) apart from the engine: the tree
-/// engine is stateless and may run concurrently for different sets; the
-/// ILP engine mutates `ipet`.
-SetRows compute_set_rows(const Program& program, const CacheConfig& config,
-                         const ReferenceMap& refs, const SrbHitMap& srb_hits,
-                         const AgeProfile& profile,
-                         const ClassificationMap& fault_free, SetIndex s,
-                         WcetEngine engine, IpetCalculator* ipet) {
-  return rows_from_models(
-      program,
-      build_set_models(program, config, refs, srb_hits, profile, fault_free,
-                       s),
-      config.ways, engine, ipet);
-}
-
 }  // namespace
 
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
                              const ReferenceMap& refs,
                              const AgeProfile& profile, WcetEngine engine,
-                             IpetCalculator* ipet, ThreadPool* pool,
-                             AnalysisStore* store,
-                             const StoreKey* row_key_prefix) {
+                             IpetCalculator* ipet, ThreadPool* pool) {
   config.validate();
   PWCET_EXPECTS(profile.ways() == config.ways);
   const ControlFlowGraph& cfg = program.cfg();
@@ -220,40 +195,20 @@ FmmBundle compute_fmm_bundle(const Program& program,
     }
   }
 
-  // Tree-engine rows are pure in (program, config, set), so they memoize
-  // per set; see the header for why the ILP engine must not. The key
-  // chains the domain's row prefix, not the pipeline core, so one
-  // domain's rows are shared by every composition it joins: a campaign
-  // crossing the icache with dcache, TLB and L2 axes computes each
-  // icache row once. Unused sets are excluded: their all-zero rows cost
-  // nothing, and memoizing one entry per empty set would only crowd the
-  // cache. Duplicate sets are excluded too — they copy their
-  // representative's rows and never probe.
-  const bool memo_rows = store != nullptr && row_key_prefix != nullptr &&
-                         engine == WcetEngine::kTree;
-  auto set_rows = [&](SetIndex s, IpetCalculator* set_ipet) {
-    if (!memo_rows)
-      return compute_set_rows(program, config, refs, srb_hits, profile,
-                              fault_free, s, engine, set_ipet);
-    const StoreKey key =
-        KeyHasher("fmm-rows-v1").mix_key(*row_key_prefix).mix_u64(s).finish();
-    return *store->memo().get_or_compute<SetRows>(
-        key,
-        [&] {
-          return compute_set_rows(program, config, refs, srb_hits, profile,
-                                  fault_free, s, engine, set_ipet);
-        },
-        "fmm-rows");
-  };
-
   std::vector<SetRows> rows;
-  if (pool != nullptr && engine == WcetEngine::kTree) {
-    rows = pool->map_indexed(config.sets, [&](std::size_t s) {
+  if (engine == WcetEngine::kTree) {
+    // The tree engine is stateless, so representatives compute their rows
+    // independently, on the pool when there is one.
+    rows = map_indexed(pool, config.sets, [&](std::size_t s) {
       if (signatures[s].empty()) return zero_rows(config.ways);
       // A duplicate's representative may still be computing on another
       // worker; it is filled in after the barrier below.
       if (representative[s] != static_cast<SetIndex>(s)) return SetRows{};
-      return set_rows(static_cast<SetIndex>(s), nullptr);
+      return rows_from_models(
+          program,
+          build_set_models(program, config, refs, srb_hits, profile,
+                           fault_free, static_cast<SetIndex>(s)),
+          config.ways, engine, nullptr);
     });
     for (SetIndex s = 0; s < config.sets; ++s)
       if (representative[s] != s) rows[size_t(s)] = rows[size_t(representative[s])];
@@ -268,10 +223,6 @@ FmmBundle compute_fmm_bundle(const Program& program,
         continue;
       }
       const SetIndex rep = representative[s];
-      if (engine == WcetEngine::kTree) {
-        rows.push_back(rep == s ? set_rows(s, ipet) : rows[size_t(rep)]);
-        continue;
-      }
       if (rep == s) {
         SetModels models = build_set_models(program, config, refs, srb_hits,
                                             profile, fault_free, s);

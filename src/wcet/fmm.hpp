@@ -23,8 +23,6 @@
 
 namespace pwcet {
 
-class AnalysisStore;
-struct StoreKey;
 class ThreadPool;
 
 /// Which engine maximizes the delta objectives.
@@ -84,21 +82,10 @@ struct FmmBundle {
 /// pool: its warm-started shared simplex is stateful, and fresh per-set
 /// calculators would perturb LP round-off and break the byte-identity
 /// guarantee between 1-thread and N-thread campaign runs.
-///
-/// With a `store` (store/analysis_store.hpp) and `engine == kTree`, each
-/// used set's three rows are memoized under `row_key_prefix` (which must
-/// cover program + config) chained with the set index, so the pipelines
-/// of every composition a domain joins share its rows. The ILP engine is
-/// *not* row-memoized on purpose: skipping some maximize() calls would
-/// change the shared simplex's warm-start sequence for the remaining ones
-/// and perturb LP round-off, so an ILP bundle is always computed whole, in
-/// the exact call sequence.
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
                              const ReferenceMap& refs,
                              const AgeProfile& profile, WcetEngine engine,
-                             IpetCalculator* ipet, ThreadPool* pool = nullptr,
-                             AnalysisStore* store = nullptr,
-                             const StoreKey* row_key_prefix = nullptr);
+                             IpetCalculator* ipet, ThreadPool* pool = nullptr);
 
 }  // namespace pwcet

@@ -78,8 +78,8 @@ StoreKey domain_penalty_recipe(const FaultMissMap& fmm, Cycles miss_penalty,
   return hasher.finish();
 }
 
-/// The "penalty-fold-v1" recipe: a fold prefix chained with the next
-/// domain's penalty key.
+/// The retired "penalty-fold-v1" recipe, a fold prefix chained with the
+/// next domain's penalty key: the pipeline must no longer store under it.
 StoreKey penalty_fold_recipe(const StoreKey& prefix, const StoreKey& next,
                              std::size_t budget) {
   return KeyHasher("penalty-fold-v1")
@@ -122,6 +122,14 @@ StoreKey age_profile_recipe(const Program& program,
       .finish();
 }
 
+/// The "tree-fmm-v1" recipe: a domain's tree-engine FMM bundle, chained
+/// from its age profile's key.
+StoreKey tree_fmm_recipe(const Program& program, const CacheDomain& domain) {
+  return KeyHasher("tree-fmm-v1")
+      .mix_key(age_profile_recipe(program, domain))
+      .finish();
+}
+
 // ---- pre-refactor golden keys ----------------------------------------------
 
 // Hex values captured from the original single-cache and combined I+D
@@ -147,35 +155,26 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
   const PwcetPipeline combined(p, icache_dcache(ic, small_dcache()));
   EXPECT_EQ(combined.core_key().hex(), "9fb50b765ec8ffff8199eff92bcfb640");
 
-  // Row-prefix sub-domains: the icache domain shares the single-cache
-  // core recipe (so both analyzer flavours share memoized rows); the
-  // dcache domain owns a distinct prefix (a data reference map must never
-  // alias an instruction one).
-  EXPECT_EQ(IcacheDomain(ic).row_key_prefix(p, WcetEngine::kIlp),
-            pwcet_core_key(p, ic, WcetEngine::kIlp));
-  EXPECT_EQ(DcacheDomain(small_dcache())
-                .row_key_prefix(p, WcetEngine::kIlp)
-                .hex(),
-            "7b8a4afc2cfa84fd06e74c06e57244f1");
-
   // Penalty layer: a domain's penalty is content-addressed on (miss
-  // penalty, pwf, coalescing budget, distinct FMM rows, row_of_set), and
-  // a fold prefix chains (prefix key, next domain key, budget).
+  // penalty, pwf, coalescing budget, distinct FMM rows, row_of_set).
   // PenaltyMemoEntriesLandOnThePinnedRecipes checks that analyze() keys
   // its entries with exactly these recipes.
   const StoreKey domain = domain_penalty_recipe(
       FaultMissMap{{{0.0, 2.0, 5.0}, {0.0, 0.0, 0.0}, {0.0, 2.0, 5.0}}}, 10,
       {0.5, 0.25, 0.25}, 2048);
   EXPECT_EQ(domain.hex(), "8bbfabbb66a35ac404aca82ce4d0d9f7");
-  EXPECT_EQ(penalty_fold_recipe(domain, domain, 2048).hex(), "254c0305b21c15b42ef329b860babc29");
 
-  // Profile layer: a domain's age profile is keyed on what fixes its
-  // stream and fixpoints; a fold step is also looked up by the content of
-  // its two inputs.
+  // Profile and FMM layers: a domain's age profile is keyed on what fixes
+  // its stream and fixpoints, and its tree-engine FMM bundle chains the
+  // profile key; a fold step is keyed on the content of its two inputs.
   EXPECT_EQ(age_profile_recipe(p, IcacheDomain(ic)).hex(),
             "fcfd9a8538dde4259bd0df9c79782912");
   EXPECT_EQ(age_profile_recipe(p, DcacheDomain(small_dcache())).hex(),
             "737f309535d85335250f802f0dceb0b7");
+  EXPECT_EQ(tree_fmm_recipe(p, IcacheDomain(ic)).hex(),
+            "44fffd8922866a280509fc9ce445d3f3");
+  EXPECT_EQ(tree_fmm_recipe(p, DcacheDomain(small_dcache())).hex(),
+            "4a80485547a7fd31b10b353e5fd59b9a");
   EXPECT_EQ(fold_content_recipe(
                 DiscreteDistribution::from_atoms({{0, 0.5}, {20, 0.5}}),
                 DiscreteDistribution::from_atoms({{0, 0.75}, {100, 0.25}}),
@@ -197,6 +196,10 @@ TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
       options);
   const PwcetResult result = combined.analyze(faults, mechanisms);
 
+  // fibcall loads nothing, so the dcache's penalty is the point mass at
+  // zero, that fold step convolves nothing and the result is the icache's
+  // penalty. The store holds the two profiles and the two domain
+  // penalties, and no chained fold prefix.
   std::vector<StoreKey> domain_keys;
   for (std::size_t i = 0; i < 2; ++i) {
     const CacheConfig& config = combined.domain(i).config();
@@ -204,22 +207,26 @@ TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
         combined.fmm(i).of(mechanisms[i]), config.miss_penalty,
         faults.way_failure_pmf(config, mechanisms[i]), 2048));
   }
-  const StoreKey fold = penalty_fold_recipe(domain_keys[0], domain_keys[1],
-                                            2048);
-  for (const StoreKey& key : domain_keys)
-    EXPECT_NE(store.memo().get(key), nullptr);
-  const auto folded = std::static_pointer_cast<const DiscreteDistribution>(
-      store.memo().get(fold));
-  ASSERT_NE(folded, nullptr);
-  EXPECT_EQ(*folded, result.penalty);
+  const auto icache_penalty =
+      std::static_pointer_cast<const DiscreteDistribution>(
+          store.memo().get(domain_keys[0]));
+  ASSERT_NE(icache_penalty, nullptr);
+  EXPECT_EQ(*icache_penalty, result.penalty);
+  const auto dcache_penalty =
+      std::static_pointer_cast<const DiscreteDistribution>(
+          store.memo().get(domain_keys[1]));
+  ASSERT_NE(dcache_penalty, nullptr);
+  EXPECT_EQ(*dcache_penalty, DiscreteDistribution());
+  EXPECT_EQ(store.memo().get(penalty_fold_recipe(domain_keys[0],
+                                                 domain_keys[1], 2048)),
+            nullptr);
   for (std::size_t i = 0; i < 2; ++i)
     EXPECT_NE(store.memo().get(age_profile_recipe(p, combined.domain(i))),
               nullptr);
+  EXPECT_EQ(store.stats().entries, 4u);
 
-  // fibcall loads nothing, so the dcache's penalty is the point mass at
-  // zero and that fold step convolves nothing. A fold step that convolves
-  // is also stored under the content of its two inputs: take the icache
-  // with a TLB over the same fetches.
+  // A fold step that convolves is stored under the content of its two
+  // inputs: take the icache with a TLB over the same fetches.
   CacheConfig tlb;
   tlb.sets = 4;
   tlb.ways = 2;
@@ -250,6 +257,36 @@ TEST(PipelineGoldenKeys, PenaltyMemoEntriesLandOnThePinnedRecipes) {
   EXPECT_EQ(*by_content, tlb_result.penalty);
   EXPECT_NE(store.memo().get(age_profile_recipe(p, with_tlb.domain(1))),
             nullptr);
+}
+
+TEST(PipelineGoldenKeys, TreeFmmBundlesLandOnThePinnedRecipe) {
+  // A memoizing tree pipeline stores each domain's FMM bundle under
+  // "tree-fmm-v1"; an ILP pipeline stores none, because its warm-started
+  // simplex makes each bundle depend on the whole composition.
+  const Program p = workloads::build("ringbuf");
+  const auto domains =
+      icache_dcache(CacheConfig::paper_default(), small_dcache());
+  for (const WcetEngine engine : {WcetEngine::kTree, WcetEngine::kIlp}) {
+    AnalysisStore store;
+    PwcetOptions options;
+    options.engine = engine;
+    options.store = &store;
+    const PwcetPipeline pipeline(p, domains, options);
+    const PwcetPipeline twin(p, domains, {.engine = engine});
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      const auto bundle = std::static_pointer_cast<const FmmBundle>(
+          store.memo().get(tree_fmm_recipe(p, *domains[i])));
+      if (engine == WcetEngine::kIlp) {
+        EXPECT_EQ(bundle, nullptr);
+        continue;
+      }
+      ASSERT_NE(bundle, nullptr);
+      EXPECT_EQ(bundle.get(), &pipeline.fmm(i));
+      for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
+                                Mechanism::kSharedReliableBuffer})
+        EXPECT_EQ(bundle->of(m).misses, twin.fmm(i).of(m).misses);
+    }
+  }
 }
 
 TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
@@ -290,9 +327,9 @@ TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
 }
 
 // The write-back D-cache, TLB and L2 recipes reach no report byte, so the
-// spec goldens cannot catch a drift in them: pin their row prefixes, the
-// "pwcet-ncore-v1" core key of the four-domain composition and the
-// distribution artifact its analyze() writes (fibcall, ILP engine).
+// spec goldens cannot catch a drift in them: pin the "pwcet-ncore-v1"
+// core key of the four-domain composition and the distribution artifact
+// its analyze() writes (fibcall, ILP engine).
 TEST(PipelineGoldenKeys, LaterDomainKeysArePinned) {
   const Program p = workloads::build("fibcall");
   CacheConfig l2;
@@ -304,13 +341,6 @@ TEST(PipelineGoldenKeys, LaterDomainKeysArePinned) {
       small_dcache(), 40);
   const auto tlb = std::make_shared<const TlbDomain>(TlbAxis{}.geometry());
   const auto shared_l2 = std::make_shared<const L2Domain>(l2);
-
-  EXPECT_EQ(wb->row_key_prefix(p, WcetEngine::kIlp).hex(),
-            "d0826c0e0bd8b12ce1f1251d8aaf56de");
-  EXPECT_EQ(tlb->row_key_prefix(p, WcetEngine::kIlp).hex(),
-            "7c907e66eaae7804e1d66c16f621c452");
-  EXPECT_EQ(shared_l2->row_key_prefix(p, WcetEngine::kIlp).hex(),
-            "7ef9a8ca2e088515bd31ac093bc14141");
 
   const std::string dir =
       (fs::temp_directory_path() /
@@ -638,7 +668,7 @@ TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
   // so cells of both engines race on shared penalty keys. Each penalty
   // must equal the store-less serial pipeline's, and a second pass over
   // fresh pipelines on the same store must be answered without a single
-  // penalty miss.
+  // penalty, profile or FMM miss.
   const auto compositions = multi_domain_compositions();
   const std::vector<Program> programs = {workloads::build("fibcall"),
                                          workloads::build("ringbuf")};
@@ -688,8 +718,10 @@ TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
   EXPECT_EQ(metrics.counter("store.memo.penalty.misses").value(), 0u);
   EXPECT_GT(metrics.counter("store.memo.penalty.hits").value(), 0u);
   // Every multi-domain pipeline looked each of its domains' age profiles
-  // up once, and the first pass left all of them in the store: one per
-  // (task, domain), shared by every composition and both engines.
+  // up once, and each tree one its domains' FMM bundles too, and the first
+  // pass left all of them in the store: one profile per (task, domain),
+  // shared by every composition and both engines, and one tree bundle per
+  // (task, domain), shared by every composition.
   std::uint64_t profile_lookups = 0;
   for (const auto& domains : compositions)
     if (domains.size() > 1)
@@ -697,16 +729,20 @@ TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
   EXPECT_EQ(metrics.counter("store.memo.profile.misses").value(), 0u);
   EXPECT_EQ(metrics.counter("store.memo.profile.hits").value(),
             profile_lookups);
+  EXPECT_EQ(metrics.counter("store.memo.fmm.misses").value(), 0u);
+  EXPECT_EQ(metrics.counter("store.memo.fmm.hits").value(),
+            profile_lookups / engines.size());
   metrics.clear();
 
   // A serial pass on a fresh store is deterministic: it convolves exactly
   // once per distinct pair of fold inputs, over every composition and both
-  // engines. Its chain keys, read back from the store, give each step's
-  // inputs; steps with the point mass at zero on either side convolve
-  // nothing. Fewer distinct input pairs than distinct chain keys means the
-  // content lookup served folds the chain missed.
+  // engines. Each step's inputs are the running fold, read back from the
+  // store under its content key, and the next domain's penalty; steps
+  // with the point mass at zero on either side convolve nothing. Fewer
+  // distinct input pairs than steps means compositions shared folds.
   AnalysisStore serial_store;
-  std::set<StoreKey> input_pairs, chain_steps;
+  std::set<StoreKey> input_pairs;
+  std::size_t steps = 0;
   metrics.enable();
   for (std::size_t cell = 0; cell < cells; ++cell) {
     PwcetOptions options;
@@ -731,23 +767,25 @@ TEST(MemoizedPenalty, EveryCompositionMatchesItsStorelessTwin) {
             pipeline.fmm(i).of(mechanism), config.miss_penalty,
             faults.way_failure_pmf(config, mechanism), 2048);
       };
-      StoreKey chain = domain_key(0);
+      DiscreteDistribution prefix = penalty_at(domain_key(0));
       for (std::size_t i = 1; i < pipeline.domain_count(); ++i) {
-        const DiscreteDistribution prefix = penalty_at(chain);
         const DiscreteDistribution next = penalty_at(domain_key(i));
-        chain = penalty_fold_recipe(chain, domain_key(i), 2048);
-        if (prefix == DiscreteDistribution() ||
-            next == DiscreteDistribution())
+        if (next == DiscreteDistribution()) continue;
+        if (prefix == DiscreteDistribution()) {
+          prefix = next;
           continue;
-        input_pairs.insert(fold_content_recipe(prefix, next, 2048));
-        chain_steps.insert(chain);
+        }
+        const StoreKey step = fold_content_recipe(prefix, next, 2048);
+        input_pairs.insert(step);
+        ++steps;
+        prefix = penalty_at(step);
       }
     }
   }
   metrics.disable();
   EXPECT_EQ(metrics.histogram(obs::phase_name::kFold).snapshot().count,
             input_pairs.size());
-  EXPECT_LT(input_pairs.size(), chain_steps.size());
+  EXPECT_LT(input_pairs.size(), steps);
   metrics.clear();
 }
 
@@ -837,23 +875,22 @@ TEST(MemoizedPenalty, AZeroFmmDomainAddsNoFold) {
 }
 
 TEST(MemoizedPenalty, SingleDomainAndStorelessPipelinesMakeNoLookup) {
+  // A single domain's profile, FMM bundle and penalty serve its pipeline
+  // only, so on either engine it computes them directly, as a store-less
+  // pipeline does: the store stays empty.
   const Program p = workloads::build("fibcall");
   const FaultModel faults(1e-4);
   AnalysisStore store;
-  PwcetOptions stored;
-  stored.store = &store;
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-  metrics.clear();
-  metrics.enable();
-  PwcetPipeline(p, icache_only(CacheConfig::paper_default()), stored)
-      .analyze(faults, Mechanism::kReliableWay);
+  for (const WcetEngine engine : {WcetEngine::kIlp, WcetEngine::kTree}) {
+    PwcetOptions stored;
+    stored.engine = engine;
+    stored.store = &store;
+    PwcetPipeline(p, icache_only(CacheConfig::paper_default()), stored)
+        .analyze(faults, Mechanism::kReliableWay);
+  }
   PwcetPipeline(p, three_domains()).analyze(faults, kMixedMechanisms);
-  metrics.disable();
-  EXPECT_EQ(metrics.counter("store.memo.penalty.hits").value() +
-                metrics.counter("store.memo.penalty.misses").value(),
-            0u);
+  EXPECT_EQ(store.stats().hits + store.stats().misses, 0u);
   EXPECT_EQ(store.stats().entries, 0u);
-  metrics.clear();
 }
 
 }  // namespace
