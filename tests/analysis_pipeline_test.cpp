@@ -1,7 +1,8 @@
 // Tests for the domain-pluggable pipeline (src/analysis/): the store-key
 // compatibility contract — the refactored key chain is pinned against hex
-// values captured from the pre-pipeline analyzers, so memo entries and
-// disk artifacts written before the refactor keep resolving after it —
+// values captured from the pre-pipeline analyzers, so disk artifacts
+// written before the refactor keep resolving after it, and the memo's
+// content recipes are pinned too —
 // and N-domain composition: a third domain (a TLB) composes with the
 // icache and dcache and stays byte-identical at any thread count, store
 // on/off, cold or warm.
