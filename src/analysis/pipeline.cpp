@@ -298,7 +298,7 @@ PwcetPipeline::PwcetPipeline(
   {
     obs::ScopedPhase phase(obs::phase_name::kMaximize);
     if (options_.engine == WcetEngine::kIlp)
-      wcet = ipet->maximize(total).objective;
+      wcet = ipet->maximize(total);
     else
       wcet = tree_maximize(program_, total);
   }

@@ -22,6 +22,11 @@ namespace {
 
 /// MAD of a normal sample underestimates sigma by this constant factor.
 constexpr double kMadToSigma = 1.4826;
+/// Multiplier on the normal-consistent MAD sigma (kMadToSigma x MAD).
+constexpr double kNoiseMult = 4.0;
+/// Absolute floor in nanoseconds, below which a shift is never a verdict
+/// (clock resolution + scheduler jitter).
+constexpr double kMinBandNs = 1000.0;
 
 MetricDelta judge(const std::string& scenario, const std::string& metric,
                   const MetricStats& before, const MetricStats& after,
@@ -34,8 +39,8 @@ MetricDelta judge(const std::string& scenario, const std::string& metric,
   delta.delta_ns = after.median - before.median;
   delta.band_ns = std::max(
       {options.threshold * before.median,
-       options.noise_mult * kMadToSigma * std::max(before.mad, after.mad),
-       options.min_band_ns});
+       kNoiseMult * kMadToSigma * std::max(before.mad, after.mad),
+       kMinBandNs});
   if (delta.delta_ns > delta.band_ns) {
     delta.verdict = Verdict::kRegressed;
   } else if (delta.delta_ns < -delta.band_ns) {
@@ -109,8 +114,8 @@ std::string fmt_delta_percent(const MetricDelta& delta) {
 void render_diff(const BenchDiff& diff, const DiffOptions& options,
                  std::ostream& out) {
   out << "bench diff (threshold " << fmt_double(100.0 * options.threshold, 0)
-      << "%, noise band " << fmt_double(options.noise_mult, 1)
-      << " x MAD sigma, floor " << fmt_double(options.min_band_ns / 1e6, 3)
+      << "%, noise band " << fmt_double(kNoiseMult, 1)
+      << " x MAD sigma, floor " << fmt_double(kMinBandNs / 1e6, 3)
       << " ms)\n";
 
   TextTable table({"scenario", "metric", "old ms", "new ms", "delta",

@@ -7,9 +7,9 @@
 /// name. For each aligned metric the verdict compares the median shift
 /// against a noise band that is the *widest* of three guards:
 ///
-///   band = max( threshold x before.median,          // relative floor
-///               noise_mult x 1.4826 x max(MAD_a, MAD_b),  // dispersion
-///               min_band_ns )                        // clock-resolution
+///   band = max( threshold x before.median,       // relative floor
+///               4 x 1.4826 x max(MAD_a, MAD_b),  // dispersion
+///               1000 ns )                        // clock resolution
 ///
 /// delta = after.median - before.median; delta > band is `regressed`,
 /// delta < -band is `improved`, anything inside the band is `unchanged`.
@@ -37,11 +37,6 @@ struct DiffOptions {
   /// Relative regression threshold against the baseline median
   /// (`--threshold`); 0.25 = a metric must move 25% to be a verdict.
   double threshold = 0.25;
-  /// Multiplier on the normal-consistent MAD sigma (1.4826 x MAD).
-  double noise_mult = 4.0;
-  /// Absolute floor in nanoseconds, below which a shift is never a
-  /// verdict (clock resolution + scheduler jitter).
-  double min_band_ns = 1000.0;
 };
 
 enum class Verdict { kUnchanged, kImproved, kRegressed };

@@ -1,12 +1,14 @@
-// Linear/integer program model used by the IPET and FMM formulations.
+// Constraint system of the IPET formulation (wcet/ipet.hpp), the in-house
+// stand-in for the paper's CPLEX 12.5 model.
 //
-// This module replaces the CPLEX 12.5 dependency of the paper's toolchain.
-// Models are maximization problems over non-negative variables with linear
-// constraints; integrality is requested per variable and enforced by the
-// branch-and-bound layer (`ilp_solver`).
+// Constraints are linear, over non-negative variables. A program carries
+// no objective: the IPET hands each objective to
+// `SimplexSolver::reoptimize` and maximizes a sequence of them over one
+// constraint system. Integrality is not modelled: the LP relaxation
+// optimum is a sound upper bound on the integer maximum (relaxing
+// integrality can only raise a maximum).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "support/types.hpp"
@@ -24,32 +26,22 @@ struct LinearConstraint {
   double rhs = 0.0;
 };
 
-/// Maximization LP/ILP over variables x >= 0.
+/// Constraints over variables x >= 0.
 class LinearProgram {
  public:
-  /// Adds a variable (default objective coefficient 0); returns its id.
-  VarId add_variable(std::string name, bool integral = true);
-
-  void set_objective(VarId v, double coefficient);
-
-  /// Replaces the whole objective vector (size must match variable count).
-  void set_objective_vector(std::vector<double> objective);
+  /// Adds a variable; returns its id.
+  VarId add_variable() { return static_cast<VarId>(variable_count_++); }
 
   void add_constraint(LinearConstraint c);
 
-  std::size_t variable_count() const { return names_.size(); }
+  std::size_t variable_count() const { return variable_count_; }
   std::size_t constraint_count() const { return constraints_.size(); }
   const std::vector<LinearConstraint>& constraints() const {
     return constraints_;
   }
-  const std::vector<double>& objective() const { return objective_; }
-  const std::string& variable_name(VarId v) const { return names_[size_t(v)]; }
-  bool is_integral(VarId v) const { return integral_[size_t(v)] != 0; }
 
  private:
-  std::vector<std::string> names_;
-  std::vector<double> objective_;
-  std::vector<std::uint8_t> integral_;
+  std::size_t variable_count_ = 0;
   std::vector<LinearConstraint> constraints_;
 };
 

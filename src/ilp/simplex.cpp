@@ -225,38 +225,18 @@ LpSolution SimplexSolver::extract(const std::vector<double>& objective) const {
   return sol;
 }
 
-LpSolution SimplexSolver::run_phase2(const std::vector<double>& objective) {
+LpSolution SimplexSolver::reoptimize(const std::vector<double>& objective) {
   PWCET_EXPECTS(objective.size() == structural_vars_);
-  if (!feasible_) {
-    LpSolution sol;
-    sol.status = SolveStatus::kInfeasible;
-    return sol;
-  }
+  LpSolution sol;  // kInfeasible
+  if (!feasible_) return sol;
   std::vector<double> padded(total_cols_, 0.0);
   std::copy(objective.begin(), objective.end(), padded.begin());
   rebuild_objective_row(padded);
   const int status = phase_loop(padded);
-  if (status == 1) {
-    LpSolution sol;
-    sol.status = SolveStatus::kUnbounded;
-    return sol;
-  }
-  if (status == 2) {
-    LpSolution sol;
-    sol.status = SolveStatus::kIterationLimit;
-    return sol;
-  }
-  return extract(objective);
-}
-
-LpSolution SimplexSolver::reoptimize(const std::vector<double>& objective) {
-  return run_phase2(objective);
-}
-
-LpSolution solve_lp(const LinearProgram& lp) {
-  SimplexSolver solver(lp);
-  std::vector<double> objective(lp.objective().begin(), lp.objective().end());
-  return solver.reoptimize(objective);
+  if (status == 0) return extract(objective);
+  sol.status =
+      status == 1 ? SolveStatus::kUnbounded : SolveStatus::kIterationLimit;
+  return sol;
 }
 
 }  // namespace pwcet

@@ -25,13 +25,12 @@ class SimplexSolver {
   /// True if the constraint system has any feasible point.
   bool feasible() const { return feasible_; }
 
-  /// Optimizes the given objective over the constraint system, starting
-  /// from the current feasible basis (phase 2 only). May be called many
-  /// times with different objectives.
+  /// Maximizes `objective` (one coefficient per variable) over the
+  /// constraint system, starting from the current feasible basis (phase 2
+  /// only). May be called many times with different objectives.
   LpSolution reoptimize(const std::vector<double>& objective);
 
  private:
-  LpSolution run_phase2(const std::vector<double>& objective);
   void rebuild_objective_row(const std::vector<double>& padded_objective);
   bool pivot(std::size_t row, std::size_t col);
   int phase_loop(const std::vector<double>& padded_objective);
@@ -55,8 +54,5 @@ class SimplexSolver {
     return tab_[r * (total_cols_ + 1) + c];
   }
 };
-
-/// One-shot LP solve (relaxation of integrality).
-LpSolution solve_lp(const LinearProgram& lp);
 
 }  // namespace pwcet

@@ -36,13 +36,4 @@ std::vector<Probability> binomial_pmf_vector(unsigned n, Probability p) {
   return pmf;
 }
 
-Probability binomial_tail_geq(unsigned n, unsigned k, Probability p) {
-  PWCET_EXPECTS(k <= n + 1);
-  // Sum from k = n downwards: terms are increasing for the fault regime
-  // (p < 0.5), so the smallest magnitudes are accumulated first.
-  Probability tail = 0.0;
-  for (unsigned i = n + 1; i-- > k;) tail += binomial_pmf(n, i, p);
-  return tail > 1.0 ? 1.0 : tail;
-}
-
 }  // namespace pwcet

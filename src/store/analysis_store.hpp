@@ -31,7 +31,7 @@
 
 namespace pwcet {
 
-/// The memo keeps MemoCache::Config's default 4,096 entries in 8 shards.
+/// The memo keeps MemoCache::Config's default 4,096 entries.
 struct StoreOptions {
   /// Master switch; disabled means no store object exists at all.
   bool enabled = true;

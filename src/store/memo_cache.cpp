@@ -1,6 +1,5 @@
 #include "store/memo_cache.hpp"
 
-#include <algorithm>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -10,7 +9,7 @@
 
 namespace pwcet {
 
-struct MemoCache::Shard {
+struct MemoCache::State {
   struct Entry {
     StoreKey key;
     std::shared_ptr<const void> value;
@@ -31,91 +30,74 @@ struct MemoCache::Shard {
 
 MemoCache::MemoCache() : MemoCache(Config{}) {}
 
-MemoCache::MemoCache(Config config) {
+MemoCache::MemoCache(Config config) : state_(std::make_unique<State>()) {
   PWCET_EXPECTS(config.capacity >= 1);
-  PWCET_EXPECTS(config.shards >= 1);
-  const std::size_t shards = std::min(config.shards, config.capacity);
-  // Round the per-shard share up so the configured total is a floor, not
-  // a ceiling an unlucky key distribution could undershoot.
-  const std::size_t share = (config.capacity + shards - 1) / shards;
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = share;
-  }
+  state_->capacity = config.capacity;
 }
 
 MemoCache::~MemoCache() = default;
 
-MemoCache::Shard& MemoCache::shard_of(const StoreKey& key) {
-  // hi is uniformly mixed; lo indexes unordered_map buckets, so using the
-  // other word here keeps the two partitions independent.
-  return *shards_[static_cast<std::size_t>(key.hi) % shards_.size()];
-}
-
 std::shared_ptr<const void> MemoCache::get(const StoreKey& key,
                                            const char* layer) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  State& s = *state_;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  const auto it = s.index.find(key);
+  if (it == s.index.end()) {
+    ++s.misses;
     obs::count_store("memo", layer, "misses");
     return nullptr;
   }
-  ++shard.hits;
+  ++s.hits;
   obs::count_store("memo", layer, "hits");
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  s.lru.splice(s.lru.begin(), s.lru, it->second);
   return it->second->value;
 }
 
 void MemoCache::insert(const StoreKey& key,
                        std::shared_ptr<const void> value, std::uint64_t bytes,
                        const char* layer) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  State& s = *state_;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  const auto it = s.index.find(key);
+  if (it != s.index.end()) {
     // Benign compute race: a sibling inserted first. Its value is
     // bit-identical by the determinism contract; keep it and just
     // refresh recency.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(Shard::Entry{key, std::move(value), bytes, layer});
-  shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += bytes;
+  s.lru.emplace_front(State::Entry{key, std::move(value), bytes, layer});
+  s.index.emplace(key, s.lru.begin());
+  s.bytes += bytes;
   obs::count_store("memo", layer, "bytes", bytes);
-  while (shard.lru.size() > shard.capacity) {
-    const Shard::Entry& victim = shard.lru.back();
-    shard.index.erase(victim.key);
-    shard.bytes -= victim.bytes;
+  while (s.lru.size() > s.capacity) {
+    const State::Entry& victim = s.lru.back();
+    s.index.erase(victim.key);
+    s.bytes -= victim.bytes;
     obs::count_store("memo", victim.layer, "evictions");
-    shard.lru.pop_back();
-    ++shard.evictions;
+    s.lru.pop_back();
+    ++s.evictions;
   }
 }
 
 StoreStats MemoCache::stats() const {
+  State& s = *state_;
+  std::lock_guard<std::mutex> lock(s.mutex);
   StoreStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.evictions += shard->evictions;
-    total.entries += shard->lru.size();
-    total.bytes += shard->bytes;
-  }
+  total.hits = s.hits;
+  total.misses = s.misses;
+  total.evictions = s.evictions;
+  total.entries = s.lru.size();
+  total.bytes = s.bytes;
   return total;
 }
 
 void MemoCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
+  State& s = *state_;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  s.lru.clear();
+  s.index.clear();
+  s.bytes = 0;
 }
 
 }  // namespace pwcet

@@ -1,6 +1,6 @@
 /// \file
-/// Sharded in-memory LRU memoization cache, the hot tier of the
-/// content-addressed analysis store.
+/// In-memory LRU memoization cache, the hot tier of the content-addressed
+/// analysis store.
 ///
 /// Values are immutable (shared_ptr<const void>), so a hit hands back the
 /// exact bits a previous computation produced — which is what makes
@@ -8,11 +8,11 @@
 /// captures *every* input of the computation it names, and the computation
 /// is deterministic, so recomputing could only reproduce the cached value.
 ///
-/// Concurrency: the key space is split across independently locked shards
-/// (by key bits, so the mapping is stable); campaign workers hammer the
-/// cache from many threads without a global lock. Two threads racing on
-/// the same missing key may both compute; both produce identical bits and
-/// the losing insert is dropped, so the race is benign.
+/// Concurrency: one mutex guards the whole cache. A campaign makes a few
+/// thousand lookups at most (PwcetPipeline memoizes only multi-domain
+/// compositions), each far cheaper than the computation it saves. Two
+/// threads racing on the same missing key may both compute; both produce
+/// identical bits and the losing insert is dropped, so the race is benign.
 ///
 /// Memory: the bound is an entry count, not bytes, but every entry records
 /// its payload size, so StoreStats::bytes and the per-layer
@@ -26,7 +26,6 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "store/key.hpp"
 
@@ -76,14 +75,13 @@ std::uint64_t payload_bytes(const V&) {
   return sizeof(V);
 }
 
-/// Type-erased sharded LRU cache. Each domain tag (see KeyHasher) is used
-/// with exactly one value type, so the static_pointer_cast in
-/// get_or_compute is safe by construction.
+/// Type-erased LRU cache. Each domain tag (see KeyHasher) is used with
+/// exactly one value type, so the static_pointer_cast in get_or_compute
+/// is safe by construction.
 class MemoCache {
  public:
   struct Config {
-    std::size_t capacity = 4096;  ///< total entries across all shards
-    std::size_t shards = 8;       ///< independently locked partitions
+    std::size_t capacity = 4096;  ///< resident entries, in total
   };
 
   MemoCache();  ///< default Config
@@ -101,9 +99,9 @@ class MemoCache {
                                   const char* layer = "other");
 
   /// Inserts (or refreshes) a value, evicting least-recently-used entries
-  /// of the same shard beyond its capacity share. Each entry remembers its
-  /// layer and its payload_bytes(*value); an eviction is attributed to the
-  /// *evicted* entry's layer and releases its bytes.
+  /// beyond the capacity. Each entry remembers its layer and its
+  /// payload_bytes(*value); an eviction is attributed to the *evicted*
+  /// entry's layer and releases its bytes.
   template <typename V>
   void put(const StoreKey& key, std::shared_ptr<const V> value,
            const char* layer = "other") {
@@ -127,12 +125,11 @@ class MemoCache {
   void clear();
 
  private:
-  struct Shard;
-  Shard& shard_of(const StoreKey& key);
+  struct State;
   void insert(const StoreKey& key, std::shared_ptr<const void> value,
               std::uint64_t bytes, const char* layer);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace pwcet

@@ -43,16 +43,6 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-Rng Rng::split(std::uint64_t stream_id) const {
-  // Condense the 256-bit state into 64 bits (rotations decorrelate the
-  // words) and mix in the stream id; the child reseeds through SplitMix64
-  // as usual, so children of distinct ids — and of distinct parent states —
-  // start from well-separated states.
-  const std::uint64_t digest = state_[0] ^ rotl(state_[1], 13) ^
-                               rotl(state_[2], 27) ^ rotl(state_[3], 41);
-  return Rng(derive_seed(digest, stream_id));
-}
-
 std::uint64_t Rng::derive_seed(std::uint64_t base_seed,
                                std::uint64_t stream_id) {
   // Offset by the golden-ratio increment per stream, then finalize; the

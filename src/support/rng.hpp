@@ -28,13 +28,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool next_bernoulli(double p) { return next_double() < p; }
 
-  /// Forks an independent, reproducible substream keyed by `stream_id`.
-  /// Does not advance `this`: the same (state, stream_id) pair always
-  /// yields the same child, so parallel jobs can derive their generators
-  /// from a shared parent in any order — the fix for the nondeterminism a
-  /// shared sequential generator would introduce under a thread pool.
-  Rng split(std::uint64_t stream_id) const;
-
   /// Mixes a stream identifier into a base seed (SplitMix64 finalizer).
   /// Chain it over the fields of a job key to get one seed per job that is
   /// stable under re-ordering or extension of the surrounding sweep.

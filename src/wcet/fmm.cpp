@@ -17,7 +17,7 @@ double maximize_delta(const Program& program, const CostModel& model,
   double value = 0.0;
   if (engine == WcetEngine::kIlp) {
     PWCET_EXPECTS(ipet != nullptr);
-    value = ipet->maximize(model).objective;
+    value = ipet->maximize(model);
   } else {
     value = tree_maximize(program, model);
   }

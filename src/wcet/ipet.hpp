@@ -10,45 +10,30 @@
 // CPLEX a sequence of objectives over one model.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "cfg/program.hpp"
-#include "ilp/linear_program.hpp"
 #include "ilp/simplex.hpp"
 #include "wcet/cost_model.hpp"
 
 namespace pwcet {
 
-/// Result of one IPET maximization.
-struct IpetSolution {
-  double objective = 0.0;               ///< incl. root entry cost
-  std::vector<double> edge_counts;      ///< per CFG edge
-  std::vector<double> block_counts;     ///< derived per block
-};
-
 class IpetCalculator {
  public:
   explicit IpetCalculator(const Program& program);
 
-  /// Maximizes the cost model over all feasible flows. The LP relaxation
-  /// optimum is returned: a sound upper bound on the integer optimum, and
-  /// exact whenever the relaxation is integral (the common case for IPET;
-  /// the test suite cross-checks against the exact loop-tree engine).
-  IpetSolution maximize(const CostModel& model);
+  /// Maximizes the cost model over all feasible flows and returns the
+  /// bound, root entry cost included. The LP relaxation optimum is
+  /// returned: a sound upper bound on the integer optimum, and exact
+  /// whenever the relaxation is integral (the common case for IPET; the
+  /// test suite cross-checks against the exact loop-tree engine).
+  double maximize(const CostModel& model);
 
  private:
   std::vector<double> objective_vector(const CostModel& model) const;
-  IpetSolution from_values(const CostModel& model,
-                           const std::vector<double>& values,
-                           double objective) const;
 
   const Program& program_;
-  LinearProgram lp_;
-  std::unique_ptr<SimplexSolver> solver_;
-  VarId virtual_entry_ = -1;
-  // lp variable id of each CFG edge (edge id == index).
-  std::vector<VarId> edge_var_;
+  SimplexSolver solver_;
 };
 
 }  // namespace pwcet

@@ -1,9 +1,6 @@
-// Tests for the in-house LP/ILP solver (the CPLEX replacement).
+// Tests for the in-house LP solver (the CPLEX replacement).
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "ilp/ilp_solver.hpp"
 #include "ilp/simplex.hpp"
 #include "support/rng.hpp"
 
@@ -20,16 +17,19 @@ LinearConstraint eq(std::vector<std::pair<VarId, double>> terms, double rhs) {
   return {std::move(terms), ConstraintSense::kEq, rhs};
 }
 
+/// One cold solve: a fresh solver on `lp`, maximizing `objective`.
+LpSolution solve(const LinearProgram& lp, const std::vector<double>& objective) {
+  return SimplexSolver(lp).reoptimize(objective);
+}
+
 TEST(Simplex, SimpleTwoVariableMax) {
   // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> optimum at (4, 0) = 12.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  lp.set_objective(x, 3.0);
-  lp.set_objective(y, 2.0);
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
   lp.add_constraint(le({{x, 1}, {y, 1}}, 4));
   lp.add_constraint(le({{x, 1}, {y, 3}}, 6));
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {3.0, 2.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 12.0, 1e-9);
   EXPECT_NEAR(sol.values[size_t(x)], 4.0, 1e-9);
@@ -39,13 +39,11 @@ TEST(Simplex, SimpleTwoVariableMax) {
 TEST(Simplex, InteriorOptimum) {
   // max x + y s.t. 2x + y <= 4, x + 2y <= 4 -> (4/3, 4/3), value 8/3.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  lp.set_objective(x, 1.0);
-  lp.set_objective(y, 1.0);
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
   lp.add_constraint(le({{x, 2}, {y, 1}}, 4));
   lp.add_constraint(le({{x, 1}, {y, 2}}, 4));
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {1.0, 1.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 8.0 / 3.0, 1e-9);
 }
@@ -53,13 +51,11 @@ TEST(Simplex, InteriorOptimum) {
 TEST(Simplex, EqualityConstraints) {
   // max x + 2y s.t. x + y = 3, y <= 2 -> (1, 2), value 5.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  lp.set_objective(x, 1.0);
-  lp.set_objective(y, 2.0);
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
   lp.add_constraint(eq({{x, 1}, {y, 1}}, 3));
   lp.add_constraint(le({{y, 1}}, 2));
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {1.0, 2.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 5.0, 1e-9);
   EXPECT_NEAR(sol.values[size_t(x)], 1.0, 1e-9);
@@ -69,42 +65,37 @@ TEST(Simplex, EqualityConstraints) {
 TEST(Simplex, GreaterEqualAndNegativeRhs) {
   // max -x s.t. x >= 2  -> x = 2. Also exercises -x <= -2 normalization.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  lp.set_objective(x, -1.0);
+  const VarId x = lp.add_variable();
   lp.add_constraint(le({{x, -1}}, -2));  // -x <= -2  <=>  x >= 2
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {-1.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.values[size_t(x)], 2.0, 1e-9);
 }
 
 TEST(Simplex, DetectsInfeasible) {
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  lp.set_objective(x, 1.0);
+  const VarId x = lp.add_variable();
   lp.add_constraint(le({{x, 1}}, 1));
   lp.add_constraint(ge({{x, 1}}, 2));
-  EXPECT_EQ(solve_lp(lp).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve(lp, {1.0}).status, SolveStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  lp.set_objective(x, 1.0);
+  const VarId x = lp.add_variable();
   lp.add_constraint(ge({{x, 1}}, 1));
-  EXPECT_EQ(solve_lp(lp).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solve(lp, {1.0}).status, SolveStatus::kUnbounded);
 }
 
 TEST(Simplex, NegativeObjectiveCoefficients) {
   // max 2x - 3y s.t. x <= 5, x - y <= 2 -> y = x - 2 when beneficial?
   // Optimum: x = 2 (y = 0) gives 4; x = 5 needs y >= 3 giving 10 - 9 = 1.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  lp.set_objective(x, 2.0);
-  lp.set_objective(y, -3.0);
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
   lp.add_constraint(le({{x, 1}}, 5));
   lp.add_constraint(le({{x, 1}, {y, -1}}, 2));
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {2.0, -3.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 4.0, 1e-9);
 }
@@ -112,16 +103,14 @@ TEST(Simplex, NegativeObjectiveCoefficients) {
 TEST(Simplex, DegenerateVertexTerminates) {
   // Multiple redundant constraints through one vertex (classic degeneracy).
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  lp.set_objective(x, 1.0);
-  lp.set_objective(y, 1.0);
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
   lp.add_constraint(le({{x, 1}, {y, 1}}, 2));
   lp.add_constraint(le({{x, 1}, {y, 1}}, 2));
   lp.add_constraint(le({{x, 2}, {y, 2}}, 4));
   lp.add_constraint(le({{x, 1}}, 2));
   lp.add_constraint(le({{y, 1}}, 2));
-  const auto sol = solve_lp(lp);
+  const auto sol = solve(lp, {1.0, 1.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 2.0, 1e-9);
 }
@@ -130,9 +119,9 @@ TEST(Simplex, ReoptimizeMatchesFreshSolves) {
   // One constraint system, many objectives: the warm-started reoptimize
   // path must agree with fresh solves.
   LinearProgram lp;
-  const VarId x = lp.add_variable("x");
-  const VarId y = lp.add_variable("y");
-  const VarId z = lp.add_variable("z");
+  const VarId x = lp.add_variable();
+  const VarId y = lp.add_variable();
+  const VarId z = lp.add_variable();
   lp.add_constraint(le({{x, 1}, {y, 2}, {z, 1}}, 10));
   lp.add_constraint(le({{x, 3}, {y, 1}}, 15));
   lp.add_constraint(le({{y, 1}, {z, 4}}, 8));
@@ -146,9 +135,7 @@ TEST(Simplex, ReoptimizeMatchesFreshSolves) {
     std::vector<double> obj(3);
     for (double& c : obj) c = rng.next_double() * 10.0 - 5.0;
     const auto warm = shared.reoptimize(obj);
-    LinearProgram fresh = lp;
-    fresh.set_objective_vector(obj);
-    const auto cold = solve_lp(fresh);
+    const auto cold = solve(lp, obj);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     if (warm.status == SolveStatus::kOptimal) {
       EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
@@ -161,8 +148,11 @@ TEST(Simplex, SolutionSatisfiesConstraints) {
   for (int trial = 0; trial < 30; ++trial) {
     LinearProgram lp;
     const int nvars = 2 + static_cast<int>(rng.next_below(4));
-    for (int v = 0; v < nvars; ++v)
-      lp.set_objective(lp.add_variable("v"), rng.next_double() * 4 - 2);
+    std::vector<double> objective;
+    for (int v = 0; v < nvars; ++v) {
+      lp.add_variable();
+      objective.push_back(rng.next_double() * 4 - 2);
+    }
     const int ncons = 2 + static_cast<int>(rng.next_below(4));
     std::vector<LinearConstraint> cons;
     for (int c = 0; c < ncons; ++c) {
@@ -174,7 +164,7 @@ TEST(Simplex, SolutionSatisfiesConstraints) {
       lp.add_constraint(lc);
       cons.push_back(lc);
     }
-    const auto sol = solve_lp(lp);
+    const auto sol = solve(lp, objective);
     ASSERT_EQ(sol.status, SolveStatus::kOptimal);
     for (const auto& lc : cons) {
       double lhs = 0.0;
@@ -182,103 +172,6 @@ TEST(Simplex, SolutionSatisfiesConstraints) {
       EXPECT_LE(lhs, lc.rhs + 1e-6);
     }
     for (double v : sol.values) EXPECT_GE(v, -1e-9);
-  }
-}
-
-TEST(Ilp, IntegerOptimumBelowRelaxation) {
-  // max x + y s.t. 2x + 2y <= 5 -> LP: 2.5, ILP: 2.
-  LinearProgram lp;
-  const VarId x = lp.add_variable("x", /*integral=*/true);
-  const VarId y = lp.add_variable("y", /*integral=*/true);
-  lp.set_objective(x, 1.0);
-  lp.set_objective(y, 1.0);
-  lp.add_constraint(le({{x, 2}, {y, 2}}, 5));
-  const auto relaxed = solve_lp_relaxation_bound(lp);
-  const auto exact = solve_ilp(lp);
-  ASSERT_EQ(exact.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(relaxed.objective, 2.5, 1e-9);
-  EXPECT_NEAR(exact.objective, 2.0, 1e-9);
-  EXPECT_GE(relaxed.objective, exact.objective);
-}
-
-TEST(Ilp, KnapsackExact) {
-  // Knapsack: values {10, 6, 4}, weights {5, 4, 3}, capacity 7, binaries.
-  // Best: items 2+3 (weight 7, value 10) or item 1 (value 10) -> 10.
-  LinearProgram lp;
-  std::vector<VarId> v;
-  const double value[] = {10, 6, 4};
-  const double weight[] = {5, 4, 3};
-  LinearConstraint cap;
-  for (int i = 0; i < 3; ++i) {
-    v.push_back(lp.add_variable("item", true));
-    lp.set_objective(v[i], value[i]);
-    cap.terms.push_back({v[i], weight[i]});
-    lp.add_constraint(le({{v[i], 1}}, 1));  // binary upper bound
-  }
-  cap.sense = ConstraintSense::kLe;
-  cap.rhs = 7;
-  lp.add_constraint(cap);
-  const auto sol = solve_ilp(lp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.objective, 10.0, 1e-6);
-  for (VarId var : v) {
-    const double x = sol.values[size_t(var)];
-    EXPECT_NEAR(x, std::round(x), 1e-6);  // integral
-  }
-}
-
-TEST(Ilp, MixedIntegerRespectsContinuousVars) {
-  // x integer, y continuous: max x + y, x + y <= 2.5, x <= 1.7.
-  // Optimum: x = 1, y = 1.5 -> 2.5.
-  LinearProgram lp;
-  const VarId x = lp.add_variable("x", true);
-  const VarId y = lp.add_variable("y", false);
-  lp.set_objective(x, 1.0);
-  lp.set_objective(y, 1.0);
-  lp.add_constraint(le({{x, 1}, {y, 1}}, 2.5));
-  lp.add_constraint(le({{x, 1}}, 1.7));
-  const auto sol = solve_ilp(lp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.objective, 2.5, 1e-6);
-  EXPECT_NEAR(sol.values[size_t(x)], 1.0, 1e-6);
-}
-
-TEST(Ilp, InfeasibleIntegerButFeasibleRelaxation) {
-  // 0.5 <= x <= 0.7 has no integer point.
-  LinearProgram lp;
-  const VarId x = lp.add_variable("x", true);
-  lp.set_objective(x, 1.0);
-  lp.add_constraint(ge({{x, 1}}, 0.5));
-  lp.add_constraint(le({{x, 1}}, 0.7));
-  EXPECT_EQ(solve_lp(lp).status, SolveStatus::kOptimal);
-  EXPECT_EQ(solve_ilp(lp).status, SolveStatus::kInfeasible);
-}
-
-TEST(Ilp, RandomModelsRelaxationDominates) {
-  Rng rng(41);
-  for (int trial = 0; trial < 25; ++trial) {
-    LinearProgram lp;
-    const int nvars = 2 + static_cast<int>(rng.next_below(3));
-    for (int v = 0; v < nvars; ++v) {
-      lp.set_objective(lp.add_variable("v", true),
-                       1.0 + rng.next_double() * 5.0);
-      lp.add_constraint(le({{v, 1}}, 1 + double(rng.next_below(4))));
-    }
-    LinearConstraint knap;
-    for (int v = 0; v < nvars; ++v)
-      knap.terms.push_back({v, 1.0 + rng.next_double() * 3});
-    knap.sense = ConstraintSense::kLe;
-    knap.rhs = 2.0 + rng.next_double() * 6.0;
-    lp.add_constraint(knap);
-
-    const auto relaxed = solve_lp_relaxation_bound(lp);
-    const auto exact = solve_ilp(lp);
-    ASSERT_EQ(relaxed.status, SolveStatus::kOptimal);
-    ASSERT_EQ(exact.status, SolveStatus::kOptimal);
-    EXPECT_GE(relaxed.objective + 1e-6, exact.objective) << "trial " << trial;
-    // Integer solution really is integral.
-    for (double x : exact.values)
-      EXPECT_NEAR(x, std::round(x), 1e-5) << "trial " << trial;
   }
 }
 

@@ -69,15 +69,6 @@ TEST(Binomial, DegenerateP) {
   EXPECT_DOUBLE_EQ(binomial_pmf(4, 1, 1.0), 0.0);
 }
 
-TEST(Binomial, TailGeq) {
-  const double p = 0.2;
-  EXPECT_NEAR(binomial_tail_geq(4, 0, p), 1.0, 1e-12);
-  double direct = 0.0;
-  for (unsigned k = 2; k <= 4; ++k) direct += binomial_pmf(4, k, p);
-  EXPECT_NEAR(binomial_tail_geq(4, 2, p), direct, 1e-12);
-  EXPECT_DOUBLE_EQ(binomial_tail_geq(4, 5, p), 0.0);
-}
-
 TEST(Distribution, DefaultIsZeroPoint) {
   const DiscreteDistribution d;
   EXPECT_EQ(d.size(), 1u);

@@ -53,7 +53,7 @@ TEST_P(RandomProgramTest, IpetEqualsTreeOnTimeModel) {
   const auto cls = classify_fault_free(profile);
   const CostModel m = build_time_cost_model(p.cfg(), refs, cls, c);
   IpetCalculator ipet(p);
-  const double via_ipet = ipet.maximize(m).objective;
+  const double via_ipet = ipet.maximize(m);
   const double via_tree = tree_maximize(p, m);
   EXPECT_NEAR(via_ipet, via_tree, 1e-6 * std::max(1.0, via_tree));
 }

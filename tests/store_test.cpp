@@ -113,7 +113,7 @@ std::shared_ptr<const int> boxed(int v) {
 }
 
 TEST(MemoCache, LruEvictionOrder) {
-  MemoCache cache(MemoCache::Config{/*capacity=*/3, /*shards=*/1});
+  MemoCache cache(MemoCache::Config{/*capacity=*/3});
   const StoreKey a{0, 1}, b{0, 2}, c{0, 3}, d{0, 4};
   cache.put(a, boxed(1));
   cache.put(b, boxed(2));
@@ -134,8 +134,21 @@ TEST(MemoCache, LruEvictionOrder) {
   EXPECT_EQ(stats.misses, 1u);  // b
 }
 
+TEST(MemoCache, CapacityIsATotal) {
+  // Two entries fit a capacity of two whatever their keys' bits.
+  MemoCache cache(MemoCache::Config{2});
+  const StoreKey a{0, 1}, b{2, 2};
+  cache.put(a, boxed(1));
+  cache.put(b, boxed(2));
+  EXPECT_NE(cache.get(a), nullptr);
+  EXPECT_NE(cache.get(b), nullptr);
+  const StoreStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 2u);
+}
+
 TEST(MemoCache, GetOrComputeMemoizes) {
-  MemoCache cache(MemoCache::Config{8, 2});
+  MemoCache cache(MemoCache::Config{8});
   const StoreKey key{42, 42};
   int computed = 0;
   auto compute = [&] {
@@ -153,7 +166,7 @@ TEST(MemoCache, GetOrComputeMemoizes) {
 }
 
 TEST(MemoCache, DuplicatePutKeepsFirstValueAndCounts) {
-  MemoCache cache(MemoCache::Config{4, 1});
+  MemoCache cache(MemoCache::Config{4});
   const StoreKey key{9, 9};
   cache.put(key, boxed(1));
   cache.put(key, boxed(2));  // benign compute race: first insert wins
@@ -162,7 +175,7 @@ TEST(MemoCache, DuplicatePutKeepsFirstValueAndCounts) {
 }
 
 TEST(MemoCache, BytesAreAResidentLevel) {
-  MemoCache cache(MemoCache::Config{2, 1});
+  MemoCache cache(MemoCache::Config{2});
   const StoreKey a{0, 1}, b{0, 2}, c{0, 3};
   cache.put(a, std::make_shared<const std::uint64_t>(1));
   cache.put(b, std::make_shared<const std::uint64_t>(2));
@@ -184,7 +197,7 @@ TEST(MemoCache, BytesAreAResidentLevel) {
 }
 
 TEST(MemoCache, ConcurrentAccessFromEnginePool) {
-  MemoCache cache(MemoCache::Config{64, 8});
+  MemoCache cache(MemoCache::Config{64});
   ThreadPool pool(4);
   constexpr std::size_t kLookups = 2000;
   constexpr std::uint64_t kDistinct = 16;
