@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -826,57 +827,38 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
 
-  // The artifact tier lays out one subdirectory per artifact kind with one
-  // "<key>.jsonl" file per artifact (classify_artifact_file). Anything
-  // else in the directory is not ours and is left untouched.
-  struct KindStats {
-    std::string kind;
-    std::uint64_t files = 0;
-    std::uint64_t bytes = 0;
-  };
-  std::vector<KindStats> kinds;
-  const fs::directory_iterator top(dir, ec);
-  if (ec) {
+  // Only artifacts and orphans (classify_artifact_file) are the store's;
+  // anything else in the directory is left untouched.
+  std::vector<CacheFile> files;
+  try {
+    files = list_cache_files(dir);
+  } catch (const fs::filesystem_error& e) {
     err << "pwcet: cannot read cache directory " << dir << ": "
-        << ec.message() << "\n";
+        << e.code().message() << "\n";
     return 1;
-  }
-  for (const fs::directory_entry& entry : top) {
-    if (!entry.is_directory(ec)) continue;
-    const fs::directory_iterator kind_it(entry.path(), ec);
-    if (ec) {
-      err << "pwcet: cannot read " << entry.path().string() << ": "
-          << ec.message() << "\n";
-      return 1;
-    }
-    KindStats stats;
-    stats.kind = entry.path().filename().string();
-    for (const fs::directory_entry& file : kind_it) {
-      if (!file.is_regular_file(ec) ||
-          classify_artifact_file(stats.kind,
-                                 file.path().filename().string()) !=
-              ArtifactFile::kArtifact)
-        continue;
-      // A file racing deletion by another process reads as an error here;
-      // skip it rather than folding file_size's uintmax_t(-1) sentinel
-      // into the byte total.
-      const std::uintmax_t size = file.file_size(ec);
-      if (ec) continue;
-      ++stats.files;
-      stats.bytes += static_cast<std::uint64_t>(size);
-    }
-    if (stats.files > 0) kinds.push_back(std::move(stats));
   }
 
   if (positionals[0] == "stats") {
-    TextTable table({"kind", "artifacts", "bytes"});
+    // kind -> (artifacts, bytes), listed in sorted kind order
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kinds;
     std::uint64_t total_files = 0, total_bytes = 0;
-    for (const KindStats& stats : kinds) {
-      table.add_row({stats.kind, std::to_string(stats.files),
-                     std::to_string(stats.bytes)});
-      total_files += stats.files;
-      total_bytes += stats.bytes;
+    for (const CacheFile& file : files) {
+      if (file.type != ArtifactFile::kArtifact) continue;
+      // A file racing deletion by another process reads as an error here;
+      // skip it rather than folding file_size's uintmax_t(-1) sentinel
+      // into the byte total.
+      const std::uintmax_t size = fs::file_size(file.path, ec);
+      if (ec) continue;
+      auto& [count, bytes] = kinds[file.kind];
+      ++count;
+      bytes += size;
+      ++total_files;
+      total_bytes += size;
     }
+    TextTable table({"kind", "artifacts", "bytes"});
+    for (const auto& [kind, counts] : kinds)
+      table.add_row({kind, std::to_string(counts.first),
+                     std::to_string(counts.second)});
     table.add_row({"total", std::to_string(total_files),
                    std::to_string(total_bytes)});
     out << "cache directory: " << dir << "\n" << table.to_string();
@@ -887,37 +869,19 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
 
-  // clear: remove only artifacts and orphans (temp files of a writer that
-  // died before its rename), then the kind directories they leave empty,
-  // so a mistyped --cache-dir cannot wipe unrelated data. Walks the
-  // directory afresh rather than the stats list, which skips kinds holding
-  // only orphans.
+  // clear: remove artifacts and orphans (temp files of a writer that died
+  // before its rename), then the kind directories that leaves empty, so a
+  // mistyped --cache-dir cannot wipe unrelated data.
   std::uint64_t removed = 0;
-  const fs::directory_iterator kind_dirs(dir, ec);
-  if (ec) {
-    err << "pwcet: cannot read cache directory " << dir << ": "
-        << ec.message() << "\n";
-    return 1;
+  std::set<std::string> kind_dirs;  // those clear removed a file from
+  for (const CacheFile& file : files) {
+    if (file.type == ArtifactFile::kForeign || !fs::remove(file.path, ec))
+      continue;
+    if (file.type == ArtifactFile::kArtifact) ++removed;
+    kind_dirs.insert(fs::path(file.path).parent_path().string());
   }
-  for (const fs::directory_entry& entry : kind_dirs) {
-    if (!entry.is_directory(ec)) continue;
-    const fs::directory_iterator files(entry.path(), ec);
-    if (ec) {
-      err << "pwcet: cannot read " << entry.path().string() << ": "
-          << ec.message() << "\n";
-      return 1;
-    }
-    const std::string kind = entry.path().filename().string();
-    for (const fs::directory_entry& file : files) {
-      if (!file.is_regular_file(ec)) continue;
-      const ArtifactFile what =
-          classify_artifact_file(kind, file.path().filename().string());
-      if (what == ArtifactFile::kForeign) continue;
-      if (fs::remove(file.path(), ec) && what == ArtifactFile::kArtifact)
-        ++removed;
-    }
-    fs::remove(entry.path(), ec);  // succeeds only if now empty
-  }
+  for (const std::string& kind_dir : kind_dirs)
+    fs::remove(kind_dir, ec);  // succeeds only if now empty
   out << "removed " << removed << " artifacts from " << dir << "\n";
   return 0;
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -14,41 +14,12 @@
 #include "engine/report.hpp"
 #include "store/artifact_store.hpp"
 #include "store/merge.hpp"
+#include "support/json_doc.hpp"
 
 namespace pwcet {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Parses one non-negative integer field ("name":123) out of a JSON meta
-/// line rendered by this file; false when absent, signed or malformed.
-bool json_u64_field(const std::string& line, const char* name,
-                    std::uint64_t& out) {
-  std::string needle = "\"";
-  needle += name;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  return std::from_chars(line.data() + at + needle.size(),
-                         line.data() + line.size(), out)
-             .ec == std::errc();
-}
-
-/// Parses a string field ("name":"...") — values rendered by this file
-/// never contain escapes, so scanning to the closing quote is exact.
-bool json_string_field(const std::string& line, const char* name,
-                       std::string& out) {
-  std::string needle = "\"";
-  needle += name;
-  needle += "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  out = line.substr(begin, end - begin);
-  return true;
-}
 
 /// Compresses ascending slot indices into "a-b,c,d-e" range notation —
 /// shards own whole schedule-order groups, so runs are common and the
@@ -261,35 +232,46 @@ bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
             std::string(kShardFragmentSchema) + ")";
     return false;
   }
-  std::uint64_t shard_1based = 0, count = 0, jobs = 0, points = 0;
-  std::string slots_text;
-  if (!json_string_field(meta, "spec_key", fragment.spec_key) ||
-      fragment.spec_key.size() != 32 ||
-      !json_u64_field(meta, "shard", shard_1based) ||
-      !json_u64_field(meta, "of", count) ||
-      !json_u64_field(meta, "jobs", jobs) ||
-      !json_u64_field(meta, "points", points) ||
-      !json_string_field(meta, "slots", slots_text)) {
+  // The rest of the meta line must be JSON: integer counts, a 32-digit
+  // spec key and a slot-list string. A missing key, a fraction, a sign, a
+  // quoted count or trailing bytes make it malformed.
+  Json meta_json;  // stays null, failing every field, if the line is not JSON
+  try {
+    meta_json = parse_json(meta, "fragment meta line");
+  } catch (const JsonParseError&) {
+  }
+  const Json* spec_key = meta_json.find("spec_key");
+  const Json* slots = meta_json.find("slots");
+  const Json* counts[] = {meta_json.find("shard"), meta_json.find("of"),
+                          meta_json.find("jobs"), meta_json.find("points")};
+  if (spec_key == nullptr || spec_key->type != Json::Type::kString ||
+      spec_key->string.size() != 32 || slots == nullptr ||
+      slots->type != Json::Type::kString ||
+      std::any_of(std::begin(counts), std::end(counts),
+                  [](const Json* n) { return n == nullptr || !n->integral; })) {
     error = "malformed fragment meta line";
     return false;
   }
+  const std::uint64_t shard_1based = counts[0]->integer;
+  const std::uint64_t count = counts[1]->integer;
   if (shard_1based < 1 || count < 1 || shard_1based > count ||
       count > kMaxShardCount) {
     error = "fragment shard index " + std::to_string(shard_1based) + "/" +
             std::to_string(count) + " out of range";
     return false;
   }
+  fragment.spec_key = spec_key->string;
   fragment.index = static_cast<std::size_t>(shard_1based - 1);
   fragment.count = static_cast<std::size_t>(count);
-  fragment.job_count = static_cast<std::size_t>(jobs);
-  fragment.curve_points = static_cast<std::size_t>(points);
+  fragment.job_count = static_cast<std::size_t>(counts[2]->integer);
+  fragment.curve_points = static_cast<std::size_t>(counts[3]->integer);
   // Every slot needs a report row, so the payload's line count bounds
   // the list before it is expanded.
   const auto rows = static_cast<std::size_t>(
       std::count(payload.begin(), payload.end(), '\n'));
-  if (!parse_slot_ranges(slots_text, fragment.job_count, rows,
+  if (!parse_slot_ranges(slots->string, fragment.job_count, rows,
                          fragment.slots)) {
-    error = "malformed fragment slot list '" + slots_text +
+    error = "malformed fragment slot list '" + slots->string +
             "' (want ascending slots below the fragment's " +
             std::to_string(fragment.job_count) + " jobs, one row each)";
     return false;
@@ -346,7 +328,7 @@ ShardRunOutcome run_campaign_shard(const CampaignSpec& spec,
   // shard run still writes a mergeable fragment. Sweep crash debris first
   // — shards share cache directories, and a dead writer's temp files
   // should not accumulate across campaigns.
-  const ArtifactStore store({cache_dir});
+  const ArtifactStore store(cache_dir);
   store.sweep_orphans();
   if (!store.store_text(kShardFragmentKind,
                         shard_fragment_key(spec_key, shard.index,
@@ -383,34 +365,33 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
   // corrupted fragment would silently drop a shard.
   std::vector<ScannedFragment> scanned;
   for (const std::string& dir : options.from_dirs) {
-    const fs::path fragment_dir = fs::path(dir) / kShardFragmentKind;
-    std::error_code ec;
-    if (!fs::exists(fragment_dir, ec)) continue;
-    fs::directory_iterator files(fragment_dir, ec);
-    if (ec)
-      throw ShardMergeError("cannot read " + fragment_dir.string() + ": " +
-                            ec.message());
-    const ArtifactStore store({dir});
-    for (const fs::directory_entry& file : files) {
-      if (!file.is_regular_file(ec)) continue;
-      const ArtifactFile what = classify_artifact_file(
-          kShardFragmentKind, file.path().filename().string());
-      if (what == ArtifactFile::kOrphan) continue;  // swept elsewhere
-      if (what == ArtifactFile::kForeign) {
-        if (file.path().extension() != ".jsonl") continue;
+    std::vector<CacheFile> files;
+    try {
+      files = list_cache_files(dir);
+    } catch (const fs::filesystem_error& e) {
+      throw ShardMergeError("cannot read " + dir + ": " +
+                            e.code().message());
+    }
+    const ArtifactStore store(dir);
+    for (const CacheFile& file : files) {
+      if (file.kind != kShardFragmentKind ||
+          file.type == ArtifactFile::kOrphan)
+        continue;  // another kind's file, or debris swept elsewhere
+      if (file.type == ArtifactFile::kForeign) {
+        if (fs::path(file.name).extension() != ".jsonl") continue;
         throw ShardMergeError("foreign file in fragment directory: " +
-                              file.path().string());
+                              file.path);
       }
       StoreKey key;  // an artifact's file stem always parses
-      store_key_from_hex(file.path().stem().string(), key);
+      store_key_from_hex(file.name.substr(0, 32), key);
       const std::optional<std::string> payload =
           store.load_text(kShardFragmentKind, key);
       if (!payload)
         throw ShardMergeError("corrupted shard fragment artifact: " +
-                              file.path().string() +
+                              file.path +
                               " (header or payload-hash validation failed)");
       ScannedFragment entry;
-      entry.path = file.path().string();
+      entry.path = file.path;
       entry.payload = *payload;
       std::string error;
       if (!parse_shard_fragment(entry.payload, entry.fragment, error))

@@ -114,7 +114,8 @@ struct ShardFragment {
 std::string render_shard_fragment(const ShardFragment& fragment);
 
 /// Parses a fragment payload; on failure returns false with a diagnostic
-/// in `error`. Validates the schema tag, index/count sanity, and that the
+/// in `error`. Validates the schema tag, the meta line's JSON field types
+/// (counts are non-negative integers), index/count sanity, and that the
 /// row counts match the covered slots.
 bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
                           std::string& error);

@@ -10,6 +10,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -99,6 +100,19 @@ const char* view_axis_key(SpecAxis axis) {
   return kViewAxisKeys[static_cast<std::size_t>(axis)];
 }
 
+class SpecReader;
+
+/// One key of a spec object: its name, whether the object must carry it,
+/// and how its value is read into the object's target. A null `read`
+/// accepts the key and leaves its value to the caller, after the walk.
+template <typename T>
+struct Field {
+  const char* key;
+  bool required;
+  void (*read)(SpecReader& reader, const Json& value, const std::string& path,
+               T& out);
+};
+
 class SpecReader {
  public:
   explicit SpecReader(const std::string& source) : source_(source) {}
@@ -109,126 +123,152 @@ class SpecReader {
            std::string("a campaign spec must be a JSON object, got ") +
                root.type_name(),
            "");
+    // All enum axes parse against the axis-name registry (engine/names.hpp),
+    // the same tables the reports and `pwcet list` print from.
+    static constexpr Field<SpecDocument> kFields[] = {
+        {"name", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.name = r.as_string(v, p);
+         }},
+        {"notes", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.notes = r.as_string(v, p);
+         }},
+        {"tasks", true, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.tasks = r.read_list(v, p, "an array of task names",
+                                        &SpecReader::as_string);
+         }},
+        {"geometries", true, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.geometries =
+               r.read_list(v, p, "an array of geometry objects",
+                           &SpecReader::read_geometry);
+         }},
+        {"dcaches", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.dcaches =
+               r.read_list(v, p, "an array of null (off) or geometry objects",
+                           &SpecReader::read_dcache);
+         }},
+        {"tlbs", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.tlbs =
+               r.read_list(v, p, "an array of null (off) or TLB objects",
+                           &SpecReader::read_tlb);
+         }},
+        {"l2s", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.l2s =
+               r.read_list(v, p, "an array of null (off) or geometry objects",
+                           &SpecReader::read_l2);
+         }},
+        {"pfails", true, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.pfails = r.read_list(v, p, "an array of probabilities",
+                                         &SpecReader::as_number);
+         }},
+        {"mechanisms", true, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.mechanisms = r.read_enums(
+               v, p, axis_name_table(mechanism_names()), "mechanism");
+         }},
+        {"dcache_mechanisms", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.dcache_mechanisms =
+               r.read_enums(v, p, axis_name_table(dcache_mechanism_names()),
+                            "dcache mechanism");
+         }},
+        {"engines", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.engines =
+               r.read_enums(v, p, axis_name_table(engine_names()), "engine");
+         }},
+        {"kinds", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.kinds = r.read_enums(
+               v, p, axis_name_table(analysis_kind_names()), "analysis kind");
+         }},
+        {"sample_counts", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.sample_counts = r.read_list(
+               v, p, "an array of sample counts", &SpecReader::as_u64);
+         }},
+        {"target_exceedance", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.target_exceedance = r.as_number(v, p);
+         }},
+        {"ccdf_exceedances", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.ccdf_exceedances =
+               r.read_list(v, p, "an array of exceedance probabilities",
+                           &SpecReader::as_number);
+         }},
+        {"max_distribution_points", false,
+         [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.max_distribution_points = r.as_u64(v, p);
+         }},
+        {"mbpta", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           static constexpr Field<MbptaOptions> kMbpta[] = {
+               {"chips", false, [](auto& r, auto& v, auto& p, auto& o) {
+                  o.chips = r.as_u64(v, p);
+                }},
+               {"block_size", false, [](auto& r, auto& v, auto& p, auto& o) {
+                  o.block_size = r.as_u64(v, p);
+                }},
+               {"seed", false, [](auto& r, auto& v, auto& p, auto& o) {
+                  o.seed = r.as_u64(v, p);
+                }}};
+           r.expect_type(v, Json::Type::kObject, "an object", p);
+           r.read_fields(v, p, "mbpta options", "missing", kMbpta,
+                         doc.spec.mbpta);
+         }},
+        {"simulation_chips", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.simulation_chips = r.as_u64(v, p);
+         }},
+        {"base_seed", false, [](auto& r, auto& v, auto& p, auto& doc) {
+           doc.spec.base_seed = r.as_u64(v, p);
+         }},
+        {"view", false, nullptr}};  // read last: it names the axes' values
 
-    static const std::vector<std::string> kKnownKeys = {
-        "name",          "notes",
-        "tasks",         "geometries",
-        "dcaches",       "tlbs",
-        "l2s",           "pfails",
-        "mechanisms",    "dcache_mechanisms",
-        "engines",       "kinds",
-        "sample_counts", "target_exceedance",
-        "ccdf_exceedances", "max_distribution_points",
-        "mbpta",         "simulation_chips",
-        "base_seed",     "view"};
-
-    SpecDocument doc;
-    CampaignSpec& spec = doc.spec;  // absent keys keep the C++ defaults
-
-    bool saw_tasks = false, saw_geometries = false, saw_pfails = false;
-    bool saw_mechanisms = false;
-    const Json* view = nullptr;  // read last: it names the axes' values
-
-    for (const auto& [key, value] : root.object) {
-      if (key == "name") {
-        doc.name = as_string(value, key);
-      } else if (key == "notes") {
-        doc.notes = as_string(value, key);
-      } else if (key == "view") {
-        view = &value;
-      } else if (key == "tasks") {
-        spec.tasks = read_list<std::string>(
-            value, key, "an array of task names",
-            std::bind_front(&SpecReader::as_string, this));
-        saw_tasks = true;
-      } else if (key == "geometries") {
-        spec.geometries = read_list<CacheConfig>(
-            value, key, "an array of geometry objects",
-            std::bind_front(&SpecReader::read_geometry, this));
-        saw_geometries = true;
-      } else if (key == "pfails") {
-        spec.pfails = read_list<Probability>(
-            value, key, "an array of probabilities",
-            std::bind_front(&SpecReader::as_number, this));
-        saw_pfails = true;
-      } else if (key == "dcaches") {
-        spec.dcaches = read_list<DcacheAxis>(
-            value, key, "an array of null (off) or geometry objects",
-            std::bind_front(&SpecReader::read_dcache, this));
-      } else if (key == "tlbs") {
-        spec.tlbs = read_list<TlbAxis>(
-            value, key, "an array of null (off) or TLB objects",
-            std::bind_front(&SpecReader::read_tlb, this));
-      } else if (key == "l2s") {
-        spec.l2s = read_list<L2Axis>(
-            value, key, "an array of null (off) or geometry objects",
-            std::bind_front(&SpecReader::read_l2, this));
-      } else if (key == "mechanisms") {
-        // All enum axes parse against the axis-name registry
-        // (engine/names.hpp), the same tables the reports and `pwcet
-        // list` print from.
-        spec.mechanisms = read_enums<Mechanism>(
-            value, key, axis_name_table(mechanism_names()), "mechanism");
-        saw_mechanisms = true;
-      } else if (key == "dcache_mechanisms") {
-        spec.dcache_mechanisms = read_enums<DcacheMechanism>(
-            value, key, axis_name_table(dcache_mechanism_names()),
-            "dcache mechanism");
-      } else if (key == "engines") {
-        spec.engines = read_enums<WcetEngine>(
-            value, key, axis_name_table(engine_names()), "engine");
-      } else if (key == "kinds") {
-        spec.kinds = read_enums<AnalysisKind>(
-            value, key, axis_name_table(analysis_kind_names()),
-            "analysis kind");
-      } else if (key == "sample_counts") {
-        spec.sample_counts = read_list<std::size_t>(
-            value, key, "an array of sample counts",
-            std::bind_front(&SpecReader::as_u64, this));
-      } else if (key == "ccdf_exceedances") {
-        spec.ccdf_exceedances = read_list<Probability>(
-            value, key, "an array of exceedance probabilities",
-            std::bind_front(&SpecReader::as_number, this));
-      } else if (key == "target_exceedance") {
-        spec.target_exceedance = as_number(value, key);
-      } else if (key == "max_distribution_points") {
-        spec.max_distribution_points =
-            static_cast<std::size_t>(as_u64(value, key));
-      } else if (key == "mbpta") {
-        read_mbpta(value, spec.mbpta);
-      } else if (key == "simulation_chips") {
-        spec.simulation_chips = static_cast<std::size_t>(as_u64(value, key));
-      } else if (key == "base_seed") {
-        spec.base_seed = as_u64(value, key);
-      } else {
-        std::string message = "unknown key \"" + key + "\" in campaign spec";
-        const std::string hint = closest_match(key, kKnownKeys);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        fail(source_, value.line, message, key);
-      }
-    }
-
-    if (!saw_tasks)
-      fail(source_, root.line, "missing required key \"tasks\"", "tasks");
-    if (!saw_geometries)
-      fail(source_, root.line, "missing required key \"geometries\"",
-           "geometries");
-    if (!saw_pfails)
-      fail(source_, root.line, "missing required key \"pfails\"", "pfails");
-    if (!saw_mechanisms)
-      fail(source_, root.line, "missing required key \"mechanisms\"",
-           "mechanisms");
+    SpecDocument doc;  // absent keys keep the C++ defaults
+    read_fields(root, "", "campaign spec", "missing required key", kFields,
+                doc);
 
     // Every rule on a value is CampaignSpec::validate()'s; the reader adds
     // only the line its field path reaches in this document.
-    if (const std::optional<SpecViolation> v = spec.validate())
+    if (const std::optional<SpecViolation> v = doc.spec.validate())
       fail(source_, line_of(root, v->path), v->message, v->path);
 
-    if (view != nullptr) doc.view = read_view(*view, spec);
+    if (const Json* view = root.find("view"))
+      doc.view = read_view(*view, doc.spec);
     return doc;
   }
 
  private:
+  /// Walks `object`'s keys in document order, reading each through its
+  /// field and failing on one outside `fields` (naming `what`, with the
+  /// closest key as a hint); then fails on the first required field the
+  /// object lacks, as `<missing> "<key>"`. A field's path is
+  /// `<path>.<key>`, or `<key>` when `path` is empty.
+  template <typename Fields, typename T>
+  void read_fields(const Json& object, const std::string& path,
+                   const char* what, const char* missing,
+                   const Fields& fields, T& out) {
+    std::string field_path = path;
+    if (!path.empty()) field_path += '.';
+    const std::size_t stem = field_path.size();
+    for (const auto& [key, value] : object.object) {
+      field_path.resize(stem);
+      field_path += key;
+      const auto field =
+          std::find_if(std::begin(fields), std::end(fields),
+                       [&key](const Field<T>& f) { return key == f.key; });
+      if (field == std::end(fields)) {
+        std::vector<std::string> keys;
+        for (const Field<T>& f : fields) keys.emplace_back(f.key);
+        std::string message =
+            "unknown key \"" + key + "\" in " + std::string(what);
+        const std::string hint = closest_match(key, keys);
+        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
+        fail(source_, value.line, message, field_path);
+      }
+      if (field->read != nullptr) field->read(*this, value, field_path, out);
+    }
+    for (const Field<T>& field : fields) {
+      if (!field.required || object.find(field.key) != nullptr) continue;
+      field_path.resize(stem);
+      field_path += field.key;
+      fail(source_, object.line,
+           std::string(missing) + " \"" + field.key + "\"", field_path);
+    }
+  }
+
   const Json& expect_type(const Json& value, Json::Type type,
                           const char* what, const std::string& path) {
     if (value.type != type)
@@ -294,15 +334,18 @@ class SpecReader {
     return static_cast<Cycles>(wide);
   }
 
-  /// An axis array, one `read(entry, "key[i]")` per entry.
-  template <typename T, typename Read>
+  /// An axis array, one `read(*this, entry, "key[i]")` per entry.
+  template <typename Read, typename T = std::invoke_result_t<
+                               Read, SpecReader&, const Json&,
+                               const std::string&>>
   std::vector<T> read_list(const Json& value, const std::string& key,
                            const std::string& what, Read read) {
     expect_type(value, Json::Type::kArray, what.c_str(), key);
     std::vector<T> out;
     out.reserve(value.array.size());
     for (std::size_t i = 0; i < value.array.size(); ++i)
-      out.push_back(read(value.array[i], key + "[" + std::to_string(i) + "]"));
+      out.push_back(std::invoke(read, *this, value.array[i],
+                                key + "[" + std::to_string(i) + "]"));
     return out;
   }
 
@@ -318,86 +361,56 @@ class SpecReader {
     return true;
   }
 
+  /// The keys of a data-cache entry: a geometry's five, then `"policy":
+  /// "write_back"` and a `writeback_penalty` (cycles charged per dirty
+  /// eviction; the analysis folds it into the miss penalty — see
+  /// analysis/writeback_dcache_domain.hpp for why that is sound).
+  static std::span<const Field<DcacheAxis>> cache_fields() {
+    static constexpr Field<DcacheAxis> kFields[] = {
+        {"sets", true, [](auto& r, auto& v, auto& p, auto& d) {
+           d.geometry.sets = r.as_u32(v, p);
+         }},
+        {"ways", true, [](auto& r, auto& v, auto& p, auto& d) {
+           d.geometry.ways = r.as_u32(v, p);
+         }},
+        {"line_bytes", true, [](auto& r, auto& v, auto& p, auto& d) {
+           d.geometry.line_bytes = r.as_u32(v, p);
+         }},
+        {"hit_latency", false, [](auto& r, auto& v, auto& p, auto& d) {
+           d.geometry.hit_latency = r.as_cycles(v, p);
+         }},
+        {"miss_penalty", false, [](auto& r, auto& v, auto& p, auto& d) {
+           d.geometry.miss_penalty = r.as_cycles(v, p);
+         }},
+        {"policy", false, [](auto& r, auto& v, auto& p, auto& d) {
+           d.policy = r.parse_enum(v, p, axis_name_table(write_policy_names()),
+                                   "write policy");
+         }},
+        {"writeback_penalty", false, [](auto& r, auto& v, auto& p, auto& d) {
+           d.writeback_penalty = r.as_cycles(v, p);
+         }}};
+    return kFields;
+  }
+
   CacheConfig read_geometry(const Json& value, const std::string& path) {
     expect_type(value, Json::Type::kObject, "a geometry object", path);
-    static const std::vector<std::string> kKeys = {
-        "sets", "ways", "line_bytes", "hit_latency", "miss_penalty"};
-    CacheConfig config;
-    bool saw_sets = false, saw_ways = false, saw_line_bytes = false;
-    for (const auto& [key, field] : value.object) {
-      const std::string field_path = path + "." + key;
-      if (key == "sets") {
-        config.sets = as_u32(field, field_path);
-        saw_sets = true;
-      } else if (key == "ways") {
-        config.ways = as_u32(field, field_path);
-        saw_ways = true;
-      } else if (key == "line_bytes") {
-        config.line_bytes = as_u32(field, field_path);
-        saw_line_bytes = true;
-      } else if (key == "hit_latency") {
-        config.hit_latency = as_cycles(field, field_path);
-      } else if (key == "miss_penalty") {
-        config.miss_penalty = as_cycles(field, field_path);
-      } else {
-        std::string message = "unknown key \"" + key + "\" in geometry";
-        const std::string hint = closest_match(key, kKeys);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        fail(source_, field.line, message, field_path);
-      }
-    }
-    if (!saw_sets)
-      fail(source_, value.line, "geometry is missing \"sets\"", path + ".sets");
-    if (!saw_ways)
-      fail(source_, value.line, "geometry is missing \"ways\"", path + ".ways");
-    if (!saw_line_bytes)
-      fail(source_, value.line, "geometry is missing \"line_bytes\"",
-           path + ".line_bytes");
-    return config;
+    DcacheAxis axis;
+    read_fields(value, path, "geometry", "geometry is missing",
+                cache_fields().first(5), axis);  // the geometry's keys
+    return axis.geometry;
   }
 
   /// A data-cache axis entry: `null` (data cache off, the default
-  /// analysis) or a geometry object, optionally extended with
-  /// `"policy": "write_back"` and a `writeback_penalty` (cycles charged
-  /// per dirty eviction; the analysis folds it into the miss penalty —
-  /// see analysis/writeback_dcache_domain.hpp for why that is sound).
+  /// analysis) or a geometry object, optionally write-back.
   DcacheAxis read_dcache(const Json& entry, const std::string& path) {
-    static const std::vector<std::string> kGeometryKeys = {
-        "sets", "ways", "line_bytes", "hit_latency", "miss_penalty"};
-    static const std::vector<std::string> kKeys = {
-        "sets",        "ways",   "line_bytes",        "hit_latency",
-        "miss_penalty", "policy", "writeback_penalty"};
     DcacheAxis axis;
     axis.enabled = enabled_entry(
         entry, path, "null (data cache off) or a geometry object");
     if (!axis.enabled) return axis;
-    // Split the entry: the policy fields are handled here, everything
-    // else flows through read_geometry so the geometry diagnostics
-    // (required keys) stay in one place.
-    Json geometry = entry;
-    geometry.object.clear();
-    bool saw_penalty = false;
-    for (const auto& [key, field] : entry.object) {
-      const std::string field_path = path + "." + key;
-      if (key == "policy") {
-        axis.policy = parse_enum(field, field_path,
-                                 axis_name_table(write_policy_names()),
-                                 "write policy");
-      } else if (key == "writeback_penalty") {
-        axis.writeback_penalty = as_cycles(field, field_path);
-        saw_penalty = true;
-      } else if (std::find(kGeometryKeys.begin(), kGeometryKeys.end(), key) !=
-                 kGeometryKeys.end()) {
-        geometry.object.emplace_back(key, field);
-      } else {
-        std::string message = "unknown key \"" + key + "\" in data-cache entry";
-        const std::string hint = closest_match(key, kKeys);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        fail(source_, field.line, message, field_path);
-      }
-    }
-    axis.geometry = read_geometry(geometry, path);
-    if (saw_penalty && axis.policy != WritePolicy::kWriteBack)
+    read_fields(entry, path, "data-cache entry", "geometry is missing",
+                cache_fields(), axis);
+    if (entry.find("writeback_penalty") != nullptr &&
+        axis.policy != WritePolicy::kWriteBack)
       fail(source_, entry.line,
            "\"writeback_penalty\" needs \"policy\": \"write_back\" (a "
            "write-through data cache never writes lines back)",
@@ -408,43 +421,25 @@ class SpecReader {
   /// A TLB axis entry: `null` (TLB off) or an object with `entries`,
   /// `ways`, `page_bytes` and an optional `miss_penalty`.
   TlbAxis read_tlb(const Json& entry, const std::string& path) {
-    static const std::vector<std::string> kKeys = {"entries", "ways",
-                                                   "page_bytes",
-                                                   "miss_penalty"};
+    static constexpr Field<TlbAxis> kFields[] = {
+        {"entries", true, [](auto& r, auto& v, auto& p, auto& t) {
+           t.entries = r.as_u32(v, p);
+         }},
+        {"ways", true, [](auto& r, auto& v, auto& p, auto& t) {
+           t.ways = r.as_u32(v, p);
+         }},
+        {"page_bytes", true, [](auto& r, auto& v, auto& p, auto& t) {
+           t.page_bytes = r.as_u32(v, p);
+         }},
+        {"miss_penalty", false, [](auto& r, auto& v, auto& p, auto& t) {
+           t.miss_penalty = r.as_cycles(v, p);
+         }}};
     TlbAxis axis;
     axis.enabled =
         enabled_entry(entry, path, "null (TLB off) or a TLB object");
-    if (!axis.enabled) return axis;
-    bool saw_entries = false, saw_ways = false, saw_page_bytes = false;
-    for (const auto& [key, field] : entry.object) {
-      const std::string field_path = path + "." + key;
-      if (key == "entries") {
-        axis.entries = as_u32(field, field_path);
-        saw_entries = true;
-      } else if (key == "ways") {
-        axis.ways = as_u32(field, field_path);
-        saw_ways = true;
-      } else if (key == "page_bytes") {
-        axis.page_bytes = as_u32(field, field_path);
-        saw_page_bytes = true;
-      } else if (key == "miss_penalty") {
-        axis.miss_penalty = as_cycles(field, field_path);
-      } else {
-        std::string message = "unknown key \"" + key + "\" in TLB entry";
-        const std::string hint = closest_match(key, kKeys);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        fail(source_, field.line, message, field_path);
-      }
-    }
-    if (!saw_entries)
-      fail(source_, entry.line, "TLB entry is missing \"entries\"",
-           path + ".entries");
-    if (!saw_ways)
-      fail(source_, entry.line, "TLB entry is missing \"ways\"",
-           path + ".ways");
-    if (!saw_page_bytes)
-      fail(source_, entry.line, "TLB entry is missing \"page_bytes\"",
-           path + ".page_bytes");
+    if (axis.enabled)
+      read_fields(entry, path, "TLB entry", "TLB entry is missing", kFields,
+                  axis);
     return axis;
   }
 
@@ -481,61 +476,34 @@ class SpecReader {
       const Json& value, const std::string& key,
       const std::vector<std::pair<std::string, Enum>>& table,
       const char* what) {
-    return read_list<Enum>(
+    return read_list(
         value, key, std::string("an array of ") + what + " names",
-        [&](const Json& entry, const std::string& path) {
-          return parse_enum(entry, path, table, what);
+        [&](SpecReader& r, const Json& entry, const std::string& path) {
+          return r.parse_enum(entry, path, table, what);
         });
-  }
-
-  void read_mbpta(const Json& value, MbptaOptions& options) {
-    expect_type(value, Json::Type::kObject, "an object", "mbpta");
-    static const std::vector<std::string> kKeys = {"chips", "block_size",
-                                                   "seed"};
-    for (const auto& [key, field] : value.object) {
-      const std::string path = "mbpta." + key;
-      if (key == "chips") {
-        options.chips = static_cast<std::size_t>(as_u64(field, path));
-      } else if (key == "block_size") {
-        options.block_size = static_cast<std::size_t>(as_u64(field, path));
-      } else if (key == "seed") {
-        options.seed = as_u64(field, path);
-      } else {
-        std::string message = "unknown key \"" + key + "\" in mbpta options";
-        const std::string hint = closest_match(key, kKeys);
-        if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-        fail(source_, field.line, message, path);
-      }
-    }
-  }
-
-  /// Fails on the first key of `object` outside `keys`.
-  void expect_keys(const Json& object, const std::vector<std::string>& keys,
-                   const char* what, const std::string& path) {
-    for (const auto& [key, field] : object.object) {
-      if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
-      std::string message = "unknown key \"" + key + "\" in " + what;
-      const std::string hint = closest_match(key, keys);
-      if (!hint.empty()) message += " — did you mean \"" + hint + "\"?";
-      fail(source_, field.line, message, path + "." + key);
-    }
   }
 
   /// The `view` block, resolved against the spec's axes. Every condition
   /// render_view relies on is checked here: each cell must address
   /// exactly one job.
   SpecView read_view(const Json& value, const CampaignSpec& spec) {
+    // The view's objects are read after their keys are checked, so their
+    // fields have no reader of their own.
+    static constexpr Field<SpecView> kFields[] = {{"rows", true, nullptr},
+                                                  {"columns", true, nullptr}};
+    static constexpr Field<ViewColumn> kColumnFields[] = {
+        {"label", true, nullptr},
+        {"value", false, nullptr},
+        {"where", false, nullptr},
+        {"divide_by", false, nullptr}};
+    static constexpr Field<ViewColumn> kDivisorFields[] = {
+        {"value", true, nullptr}, {"where", false, nullptr}};
+    SpecView view;
     expect_type(value, Json::Type::kObject, "a view object", "view");
-    expect_keys(value, {"rows", "columns"}, "view", "view");
+    read_fields(value, "view", "view", "view is missing", kFields, view);
     const Json* rows = value.find("rows");
     const Json* columns = value.find("columns");
-    if (rows == nullptr)
-      fail(source_, value.line, "view is missing \"rows\"", "view.rows");
-    if (columns == nullptr)
-      fail(source_, value.line, "view is missing \"columns\"",
-           "view.columns");
 
-    SpecView view;
     expect_type(*rows, Json::Type::kArray, "an array of axis names",
                 "view.rows");
     const std::vector<std::string> keys(std::begin(kViewAxisKeys),
@@ -571,20 +539,17 @@ class SpecReader {
       const std::string path = "view.columns[" + std::to_string(i) + "]";
       const Json& entry = columns->array[i];
       expect_type(entry, Json::Type::kObject, "a view column object", path);
-      expect_keys(entry, {"label", "value", "where", "divide_by"},
-                  "view column", path);
-      const Json* label = entry.find("label");
-      if (label == nullptr)
-        fail(source_, entry.line, "view column is missing \"label\"",
-             path + ".label");
       ViewColumn column;
-      column.label = as_string(*label, path + ".label");
+      read_fields(entry, path, "view column", "view column is missing",
+                  kColumnFields, column);
+      column.label = as_string(*entry.find("label"), path + ".label");
       column.value = read_view_ref(entry, path, spec, view.rows);
       if (const Json* divisor = entry.find("divide_by")) {
         const std::string divisor_path = path + ".divide_by";
         expect_type(*divisor, Json::Type::kObject,
                     "an object with \"value\" and \"where\"", divisor_path);
-        expect_keys(*divisor, {"value", "where"}, "divide_by", divisor_path);
+        read_fields(*divisor, divisor_path, "divide_by", "missing",
+                    kDivisorFields, column);
         column.divide_by = read_view_ref(*divisor, divisor_path, spec,
                                          view.rows);
       }

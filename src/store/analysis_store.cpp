@@ -11,8 +11,7 @@ std::string cache_dir_from_env() {
 
 AnalysisStore::AnalysisStore(const StoreOptions& options) {
   if (!options.artifact_dir.empty())
-    artifacts_ = std::make_unique<ArtifactStore>(
-        ArtifactStore::Options{options.artifact_dir});
+    artifacts_ = std::make_unique<ArtifactStore>(options.artifact_dir);
 }
 
 StoreStats AnalysisStore::stats() const {

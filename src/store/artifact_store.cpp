@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -54,12 +55,63 @@ ArtifactFile classify_artifact_file(std::string_view kind,
              : ArtifactFile::kForeign;
 }
 
-ArtifactStore::ArtifactStore(Options options)
-    : options_(std::move(options)) {}
+std::vector<CacheFile> list_cache_files(const std::string& dir) {
+  std::vector<CacheFile> files;
+  std::error_code ec;
+  if (!fs::exists(dir, ec)) return files;
+  for (const fs::directory_entry& kind : fs::directory_iterator(dir)) {
+    const std::string kind_name = kind.path().filename().string();
+    if (!valid_kind(kind_name) || !kind.is_directory(ec)) continue;
+    for (const fs::directory_entry& file :
+         fs::directory_iterator(kind.path())) {
+      if (!file.is_regular_file(ec)) continue;
+      std::string name = file.path().filename().string();
+      const ArtifactFile type = classify_artifact_file(kind_name, name);
+      files.push_back({file.path().string(), kind_name, std::move(name), type});
+    }
+  }
+  std::sort(files.begin(), files.end(),
+            [](const CacheFile& a, const CacheFile& b) {
+              return a.path < b.path;
+            });
+  return files;
+}
+
+bool write_file_atomically(const std::string& path, std::string_view bytes) {
+  std::error_code ec;
+  fs::create_directories(fs::path(path).parent_path(), ec);
+  if (ec) return false;
+  // The pid makes the temp name unique across processes sharing a cache
+  // directory; the counter alone would make two processes scribble over
+  // the same ".tmp0" file.
+  std::string temp = path;
+  temp += ".tmp";
+  temp += std::to_string(::getpid());
+  temp += '.';
+  temp += std::to_string(temp_counter.fetch_add(1, std::memory_order_relaxed));
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    out.close();
+    if (out.fail()) {
+      fs::remove(temp, ec);
+      return false;
+    }
+  }
+  fs::rename(temp, path, ec);
+  if (ec) {
+    fs::remove(temp, ec);
+    return false;
+  }
+  return true;
+}
+
+ArtifactStore::ArtifactStore(std::string directory)
+    : directory_(std::move(directory)) {}
 
 std::string ArtifactStore::path_of(std::string_view kind,
                                    const StoreKey& key) const {
-  std::string path = options_.directory;
+  std::string path = directory_;
   path += '/';
   path += kind;
   path += '/';
@@ -113,61 +165,32 @@ std::optional<std::string> ArtifactStore::load_text(
 bool ArtifactStore::store_text(std::string_view kind, const StoreKey& key,
                                std::string_view payload) const {
   if (!valid_kind(kind)) return false;
-  const std::string path = path_of(kind, key);
-  std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-  if (ec) return false;
-
-  // Unique temp name per writer, renamed into place: readers never see a
-  // half-written artifact, and concurrent writers of the same key (which
-  // by the determinism contract write identical bytes) race benignly.
-  // The pid makes the name unique across *processes* sharing a cache dir
-  // — the counter alone would make two processes scribble over the same
-  // ".tmp0" file.
-  std::string temp = path;
-  temp += ".tmp";
-  temp += std::to_string(::getpid());
-  temp += '.';
-  temp += std::to_string(temp_counter.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    out << header_line(kind, key, payload) << '\n' << payload;
-    out.close();
-    if (out.fail()) {
-      fs::remove(temp, ec);
-      return false;
-    }
-  }
-  fs::rename(temp, path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
-    return false;
-  }
+  std::string bytes = header_line(kind, key, payload);
+  bytes += '\n';
+  bytes += payload;
+  // Concurrent writers of the same key (which by the determinism contract
+  // write identical bytes) race benignly: the last rename wins.
+  if (!write_file_atomically(path_of(kind, key), bytes)) return false;
   disk_writes_.fetch_add(1, std::memory_order_relaxed);
   obs::count_store("disk", kind, "writes");
   return true;
 }
 
 std::size_t ArtifactStore::sweep_orphans(std::chrono::seconds min_age) const {
-  std::error_code ec;
-  fs::directory_iterator kinds(options_.directory, ec);
-  if (ec) return 0;
+  std::vector<CacheFile> files;
+  try {
+    files = list_cache_files(directory_);
+  } catch (const fs::filesystem_error&) {
+    return 0;  // best-effort, like every other store operation
+  }
   const fs::file_time_type cutoff = fs::file_time_type::clock::now() - min_age;
   std::size_t removed = 0;
-  for (const fs::directory_entry& kind : kinds) {
-    if (!kind.is_directory(ec)) continue;
-    fs::directory_iterator files(kind.path(), ec);
-    if (ec) continue;
-    for (const fs::directory_entry& entry : files) {
-      if (!entry.is_regular_file(ec) ||
-          classify_artifact_file(kind.path().filename().string(),
-                                 entry.path().filename().string()) !=
-              ArtifactFile::kOrphan)
-        continue;
-      const fs::file_time_type written = entry.last_write_time(ec);
-      if (ec || written > cutoff) continue;  // a live writer's file: keep it
-      if (fs::remove(entry.path(), ec)) ++removed;
-    }
+  for (const CacheFile& file : files) {
+    if (file.type != ArtifactFile::kOrphan) continue;
+    std::error_code ec;
+    const fs::file_time_type written = fs::last_write_time(file.path, ec);
+    if (ec || written > cutoff) continue;  // a live writer's file: keep it
+    if (fs::remove(file.path, ec)) ++removed;
   }
   return removed;
 }

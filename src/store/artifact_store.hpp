@@ -14,9 +14,14 @@
 /// printed with "%.17g", which round-trips IEEE doubles bit for bit through
 /// strtod). tests/store_test.cpp asserts the round-trip.
 ///
-/// Writes go to a unique temp file in the cache directory and are renamed
-/// into place, so concurrent writers (pool threads, parallel processes)
-/// race benignly: both write identical bytes and the last rename wins.
+/// Writes go through write_file_atomically, so concurrent writers (pool
+/// threads, parallel processes) race benignly: both write identical bytes
+/// and the last rename wins.
+///
+/// This file is the only code that knows the directory layout: every
+/// reader of a cache directory (the orphan sweep, `pwcet merge`'s store
+/// union and fragment scan, `pwcet cache`) walks it through
+/// list_cache_files.
 #pragma once
 
 #include <atomic>
@@ -25,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "prob/discrete_distribution.hpp"
 #include "store/key.hpp"
@@ -41,19 +47,34 @@ enum class ArtifactFile { kForeign, kArtifact, kOrphan };
 ArtifactFile classify_artifact_file(std::string_view kind,
                                     std::string_view file_name);
 
+/// One regular file of a kind directory, as list_cache_files finds it.
+struct CacheFile {
+  std::string path;  ///< `<dir>/<kind>/<name>`
+  std::string kind;
+  std::string name;
+  ArtifactFile type;
+};
+
+/// Every regular file directly inside a subdirectory of `dir` whose name is
+/// a valid kind, classified and sorted by path. Other subdirectories can
+/// hold no artifact and are never opened; a missing `dir` lists nothing.
+/// \throws std::filesystem::filesystem_error when a directory it opens
+/// cannot be read.
+std::vector<CacheFile> list_cache_files(const std::string& dir);
+
+/// Writes `bytes` to `<path>.tmp<pid>.<n>` (creating the parent directory)
+/// and renames it onto `path`, so a reader never sees a partial file and a
+/// writer that dies leaves only an orphan. False on I/O failure, with the
+/// temp file removed.
+bool write_file_atomically(const std::string& path, std::string_view bytes);
+
 class ArtifactStore {
  public:
   /// Bump when the header or any payload schema changes; old files then
   /// read as misses instead of being misparsed.
   static constexpr int kFormatVersion = 1;
 
-  struct Options {
-    std::string directory = ".pwcet-cache";
-  };
-
-  explicit ArtifactStore(Options options);
-
-  const std::string& directory() const { return options_.directory; }
+  explicit ArtifactStore(std::string directory);
 
   /// Payload of artifact (kind, key), or nothing if absent/invalid.
   std::optional<std::string> load_text(std::string_view kind,
@@ -91,7 +112,7 @@ class ArtifactStore {
   std::string header_line(std::string_view kind, const StoreKey& key,
                           std::string_view payload) const;
 
-  Options options_;
+  std::string directory_;
   mutable std::atomic<std::uint64_t> disk_hits_{0};
   mutable std::atomic<std::uint64_t> disk_misses_{0};
   mutable std::atomic<std::uint64_t> disk_writes_{0};

@@ -411,6 +411,30 @@ TEST_F(CliTest, CacheStatsAndClearManageTheArtifactDirectory) {
   EXPECT_FALSE(fs::exists(orphan));
 }
 
+TEST_F(CliTest, CacheClearLeavesDirectoriesItNeverFilled) {
+  const std::string spec_path = std::string(PWCET_SPECS_DIR) + "/ccdf.json";
+  const std::string cache = (fs::path(dir_) / "cache").string();
+  const fs::path keep = fs::path(cache) / "keep_me";
+  fs::create_directories(keep);
+  ASSERT_EQ(run_cli({"run", spec_path, "--cache-dir", cache}).code, 0);
+
+  // stats lists the kinds in sorted order.
+  CliResult result = run_cli({"cache", "stats", "--cache-dir", cache});
+  ASSERT_EQ(result.code, 0) << result.err;
+  const std::size_t dist = result.out.find("campaign-dist");
+  const std::size_t report = result.out.find("campaign-report");
+  const std::size_t distribution = result.out.find("distribution");
+  ASSERT_NE(distribution, std::string::npos) << result.out;
+  EXPECT_LT(dist, report) << result.out;
+  EXPECT_LT(report, distribution) << result.out;
+
+  // clear empties the kind directories it wrote and removes them, but an
+  // empty directory it never filled stays.
+  ASSERT_EQ(run_cli({"cache", "clear", "--cache-dir", cache}).code, 0);
+  EXPECT_TRUE(fs::exists(keep));
+  EXPECT_FALSE(fs::exists(fs::path(cache) / "campaign-report"));
+}
+
 TEST_F(CliTest, CacheStatsAndClearOnMissingOrEmptyDirectoryReportCleanly) {
   // Nonexistent directory: both subcommands succeed and say so (0
   // artifacts), instead of erroring on a path that simply was never

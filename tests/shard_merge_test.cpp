@@ -175,6 +175,48 @@ TEST(ShardFragmentCodec, RejectsForeignSchemaAndRowMiscounts) {
   EXPECT_NE(error.find("schema"), std::string::npos) << error;
 }
 
+// Every value of the meta line replaced by a wrong-typed or malformed one,
+// and every key deleted: each mutant is a named error, never an abort and
+// never a truncated reading such as 1.5 or 1e308 as 1, or 2x as 2.
+TEST(ShardFragmentCodec, RejectsEveryMutantOfTheMetaLine) {
+  ShardFragment fragment;
+  fragment.spec_key = "00112233445566778899aabbccddeeff";
+  fragment.count = 1;
+  fragment.job_count = 2;
+  fragment.curve_points = 1;
+  fragment.slots = {0, 1};
+  fragment.report_rows = "{\"r\":1}\n{\"r\":2}\n";
+  fragment.dist_rows = "{\"d\":1}\n{\"d\":2}\n";
+  const std::string rendered = render_shard_fragment(fragment);
+  ShardFragment parsed;
+  std::string error;
+  ASSERT_TRUE(parse_shard_fragment(rendered, parsed, error)) << error;
+
+  for (const char* key : {"shard", "of", "jobs", "points", "spec_key",
+                          "slots"}) {
+    const std::string needle = std::string("\"") + key + "\":";
+    const std::size_t at = rendered.find(needle);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + needle.size();
+    const std::size_t end = rendered[begin] == '"'
+                                ? rendered.find('"', begin + 1) + 1
+                                : rendered.find_first_of(",}", begin);
+    std::vector<std::string> mutants;
+    for (const char* value : {"1.5", "1e308", "-1", "2x", "\"2\"", "null",
+                              "[]"})
+      mutants.push_back(rendered.substr(0, begin) + value +
+                        rendered.substr(end));
+    // Deleting the key takes the comma before it (no key is first).
+    mutants.push_back(rendered.substr(0, at - 1) + rendered.substr(end));
+    for (const std::string& mutant : mutants) {
+      error.clear();
+      EXPECT_FALSE(parse_shard_fragment(mutant, parsed, error))
+          << mutant.substr(0, mutant.find('\n'));
+      EXPECT_FALSE(error.empty()) << mutant.substr(0, mutant.find('\n'));
+    }
+  }
+}
+
 // ---- the identity property across every shipped spec ----------------------
 
 /// Shards share one cache directory (the concurrent-deployment layout);

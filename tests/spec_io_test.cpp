@@ -54,6 +54,16 @@ const char* kMinimalSpec = R"({
   "mechanisms": ["none"]
 })";
 
+/// kMinimalSpec with one more top-level member, which sits on line 6.
+std::string minimal_spec_plus(const std::string& member) {
+  return R"({
+  "tasks": ["fibcall"],
+  "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+  "pfails": [1e-4],
+  "mechanisms": ["none"],
+  )" + member + "\n}";
+}
+
 // ---- happy path ------------------------------------------------------------
 
 TEST(SpecIo, MinimalSpecGetsCxxDefaults) {
@@ -797,6 +807,15 @@ TEST(SpecIoErrors, BadWritePolicyListsValidValues) {
                    "field \"dcaches[0].policy\""});
 }
 
+// A data-cache entry is read in document order like every other object:
+// its first bad value is the one reported.
+TEST(SpecIoErrors, DataCacheEntryReportsItsFirstBadValue) {
+  expect_rejected(minimal_spec_plus(R"("dcaches": [{"sets": -8, "ways": 4, )"
+                                    R"("line_bytes": 16, "policy": "wb"}])"),
+                  {"<inline>:6: expected a non-negative integer, got a "
+                   "negative number (field \"dcaches[0].sets\")"});
+}
+
 TEST(SpecIoErrors, WritebackPenaltyNeedsWriteBackPolicy) {
   expect_rejected(R"({
     "tasks": ["fibcall"],
@@ -1310,6 +1329,92 @@ TEST(SpecIoErrors, ViewShapeIsChecked) {
   expect_rejected(spec_with_view(R"({"rows": "tasks", "columns": []})"),
                   {"expected an array of axis names, got a string",
                    "field \"view.rows\""});
+}
+
+// The full diagnostic for an unknown key (with its hint) and for the first
+// missing required key of every object the spec reader walks. mbpta
+// options have no required key.
+TEST(SpecIoErrors, UnknownAndMissingKeyDiagnosticsArePinnedPerObject) {
+  const std::string column_where =
+      R"("where": {"mechanisms": "none", "kinds": "spta"})";
+  const std::string column = R"({"label": "x", "value": "pwcet", )" +
+                             column_where;
+  const struct {
+    std::string text;
+    std::string what;
+  } cases[] = {
+      {minimal_spec_plus(R"("simulation_chip": 5)"),
+       "<inline>:6: unknown key \"simulation_chip\" in campaign spec — did "
+       "you mean \"simulation_chips\"? (field \"simulation_chip\")"},
+      {R"({
+  "tasks": ["fibcall"],
+  "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}]
+})",
+       "<inline>:1: missing required key \"pfails\" (field \"pfails\")"},
+      {R"({
+  "tasks": ["fibcall"],
+  "geometries": [{"sets": 16, "ways": 4, "line_byte": 16}],
+  "pfails": [1e-4],
+  "mechanisms": ["none"]
+})",
+       "<inline>:3: unknown key \"line_byte\" in geometry — did you mean "
+       "\"line_bytes\"? (field \"geometries[0].line_byte\")"},
+      {R"({
+  "tasks": ["fibcall"],
+  "geometries": [{"line_bytes": 16}],
+  "pfails": [1e-4],
+  "mechanisms": ["none"]
+})",
+       "<inline>:3: geometry is missing \"sets\" (field "
+       "\"geometries[0].sets\")"},
+      {minimal_spec_plus(R"("dcaches": [{"sets": 16, "ways": 4, )"
+                         R"("line_bytes": 16, "polcy": "write_back"}])"),
+       "<inline>:6: unknown key \"polcy\" in data-cache entry — did you "
+       "mean \"policy\"? (field \"dcaches[0].polcy\")"},
+      {minimal_spec_plus(R"("dcaches": [null, {"sets": 16, "ways": 4}])"),
+       "<inline>:6: geometry is missing \"line_bytes\" (field "
+       "\"dcaches[1].line_bytes\")"},
+      {minimal_spec_plus(
+           R"("tlbs": [{"entries": 16, "way": 2, "page_bytes": 64}])"),
+       "<inline>:6: unknown key \"way\" in TLB entry — did you mean "
+       "\"ways\"? (field \"tlbs[0].way\")"},
+      {minimal_spec_plus(R"("tlbs": [{"page_bytes": 64}])"),
+       "<inline>:6: TLB entry is missing \"entries\" (field "
+       "\"tlbs[0].entries\")"},
+      {minimal_spec_plus(R"("mbpta": {"chips": 100, "blocksize": 10})"),
+       "<inline>:6: unknown key \"blocksize\" in mbpta options — did you "
+       "mean \"block_size\"? (field \"mbpta.blocksize\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "colums": []})"),
+       "<inline>:8: unknown key \"colums\" in view — did you mean "
+       "\"columns\"? (field \"view.colums\")"},
+      {spec_with_view(R"({"columns": []})"),
+       "<inline>:8: view is missing \"rows\" (field \"view.rows\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "columns": [{"label": "x", )"
+                      R"("valu": "pwcet"}]})"),
+       "<inline>:8: unknown key \"valu\" in view column — did you mean "
+       "\"value\"? (field \"view.columns[0].valu\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "columns": [{}]})"),
+       "<inline>:8: view column is missing \"label\" (field "
+       "\"view.columns[0].label\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "columns": [{"label": "x"}]})"),
+       "<inline>:8: missing \"value\" (field \"view.columns[0].value\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "columns": [)" + column +
+                      R"(, "divide_by": {"valu": "pwcet"}}]})"),
+       "<inline>:8: unknown key \"valu\" in divide_by — did you mean "
+       "\"value\"? (field \"view.columns[0].divide_by.valu\")"},
+      {spec_with_view(R"({"rows": ["tasks"], "columns": [)" + column +
+                      R"(, "divide_by": {)" + column_where + "}}]}"),
+       "<inline>:8: missing \"value\" (field "
+       "\"view.columns[0].divide_by.value\")"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_spec(c.text, "<inline>");
+      ADD_FAILURE() << "spec unexpectedly parsed:\n" << c.text;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(std::string(e.what()), c.what) << c.text;
+    }
+  }
 }
 
 TEST(SpecIoErrors, SyntaxErrorsCarryLineNumbers) {

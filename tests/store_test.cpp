@@ -315,6 +315,64 @@ TEST_F(ArtifactStoreTest, CorruptOrMismatchedArtifactsLoadAsMisses) {
   EXPECT_FALSE(store.load_distribution(key).has_value());  // not increasing
 }
 
+TEST_F(ArtifactStoreTest, ListCacheFilesClassifiesOneLevelOfValidKinds) {
+  EXPECT_TRUE(list_cache_files(dir_).empty());  // missing directory
+
+  const std::string hex = KeyHasher("list-test").finish().hex();
+  const auto touch = [this](const std::string& relative) {
+    const fs::path path = fs::path(dir_) / relative;
+    fs::create_directories(path.parent_path());
+    std::ofstream(path) << "x";
+  };
+  touch("report/" + hex + ".jsonl");
+  touch("report/" + hex + ".jsonl.tmp42.0");
+  touch("report/notes.jsonl");
+  touch("distribution/" + hex + ".jsonl");
+  touch("report/deeper/" + hex + ".jsonl");  // two levels deep
+  touch("Not-A-Kind/" + hex + ".jsonl");
+  touch("README");
+
+  const std::vector<CacheFile> files = list_cache_files(dir_);
+  ASSERT_EQ(files.size(), 4u);
+  const struct {
+    std::string kind;
+    std::string name;
+    ArtifactFile type;
+  } expected[] = {
+      {"distribution", hex + ".jsonl", ArtifactFile::kArtifact},
+      {"report", hex + ".jsonl", ArtifactFile::kArtifact},
+      {"report", hex + ".jsonl.tmp42.0", ArtifactFile::kOrphan},
+      {"report", "notes.jsonl", ArtifactFile::kForeign},
+  };
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(files[i].kind, expected[i].kind) << i;
+    EXPECT_EQ(files[i].name, expected[i].name) << i;
+    EXPECT_EQ(files[i].type, expected[i].type) << i;
+    EXPECT_EQ(files[i].path,
+              (fs::path(dir_) / expected[i].kind / expected[i].name).string())
+        << i;
+  }
+}
+
+TEST_F(ArtifactStoreTest, WriteFileAtomicallyCreatesAndReplaces) {
+  const fs::path path = fs::path(dir_) / "kind" / "file.jsonl";
+  const auto read = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream all;
+    all << in.rdbuf();
+    return all.str();
+  };
+  ASSERT_TRUE(write_file_atomically(path.string(), "first\n"));
+  EXPECT_EQ(read(), "first\n");
+  ASSERT_TRUE(write_file_atomically(path.string(), "second"));
+  EXPECT_EQ(read(), "second");
+  // Only the file itself is left behind: no temp file survives a write.
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(path.parent_path()))
+    names.push_back(entry.path().filename().string());
+  EXPECT_EQ(names, std::vector<std::string>{"file.jsonl"});
+}
+
 // ---- analyzer + engine integration ----------------------------------------
 
 CampaignSpec identity_spec() {
