@@ -1,6 +1,7 @@
 #include "analysis/pipeline.hpp"
 
 #include <cmath>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -12,27 +13,6 @@
 #include "wcet/tree_engine.hpp"
 
 namespace pwcet {
-
-/// Pfail-independent penalty scaffolding of one per-domain mechanism
-/// assignment — everything analyze() needs below the pwf weighting. Every
-/// pfail point of a sweep resolves to the same bundle and pays only the
-/// re-weighting and the final convolution fold.
-struct PenaltyBundle {
-  struct Domain {
-    /// Distinct FMM rows, numbered in first-set order; `row_of_set` maps
-    /// each cache set to its row. Sets sharing a row (untouched sets,
-    /// symmetric layouts) share one penalty distribution per pfail and
-    /// one subtree per convolution round.
-    std::vector<std::uint32_t> row_of_set;
-    /// Raw per-row miss counts — kept verbatim because they are the
-    /// "domain-penalty-v1" key material.
-    std::vector<std::vector<double>> rows;
-    /// Precomputed atom values per row: ceil(misses) * miss_penalty
-    /// (paper Fig. 1.b), one per possible fault count.
-    std::vector<std::vector<Cycles>> penalties;
-  };
-  std::vector<Domain> domains;  ///< one per pipeline domain, in order
-};
 
 /// Payload bytes of a memoized penalty and of a memoized age profile (see
 /// memo_cache.hpp); outside the unnamed namespace so that MemoCache finds
@@ -64,27 +44,29 @@ std::shared_ptr<const T> shared(MemoCache* memo, const char* layer,
                                  layer);
 }
 
-PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
-                                            const CacheConfig& config) {
-  PenaltyBundle::Domain domain;
-  domain.row_of_set.resize(fmm.misses.size());
+/// One domain's scaffold under one mechanism: its FMM's distinct rows
+/// and their atom values at the domain's miss penalty.
+PenaltyScaffold build_scaffold(const FaultMissMap& fmm,
+                               const CacheConfig& config) {
+  PenaltyScaffold scaffold;
+  scaffold.row_of_set.resize(fmm.misses.size());
   std::map<std::vector<double>, std::uint32_t> seen;
   for (std::size_t s = 0; s < fmm.misses.size(); ++s) {
     const auto [it, inserted] = seen.emplace(
-        fmm.misses[s], static_cast<std::uint32_t>(domain.rows.size()));
+        fmm.misses[s], static_cast<std::uint32_t>(scaffold.rows.size()));
     if (inserted) {
-      domain.rows.push_back(fmm.misses[s]);
+      scaffold.rows.push_back(fmm.misses[s]);
       std::vector<Cycles> penalties;
       penalties.reserve(fmm.misses[s].size());
       for (const double misses : fmm.misses[s])
         penalties.push_back(static_cast<Cycles>(
             std::ceil(misses - 1e-6) *
             static_cast<double>(config.miss_penalty)));
-      domain.penalties.push_back(std::move(penalties));
+      scaffold.penalties.push_back(std::move(penalties));
     }
-    domain.row_of_set[s] = it->second;
+    scaffold.row_of_set[s] = it->second;
   }
-  return domain;
+  return scaffold;
 }
 
 /// One domain's penalty distribution under the given pwf (paper Fig. 1.b):
@@ -96,7 +78,7 @@ PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
 /// at any thread count and to a from-scratch per-set build (pinned by
 /// tests/analysis_pipeline_test.cpp).
 DiscreteDistribution build_reweighted_penalty(
-    const PenaltyBundle::Domain& domain, const std::vector<Probability>& pwf,
+    const PenaltyScaffold& domain, const std::vector<Probability>& pwf,
     std::size_t max_points, ThreadPool* pool) {
   obs::ScopedPhase penalty_phase(obs::phase_name::kPenalty);
   auto build_row = [&](std::size_t r) {
@@ -119,7 +101,7 @@ DiscreteDistribution build_reweighted_penalty(
 /// rows (which fix the atom values), pwf, the coalescing budget and the
 /// set-to-row map (which fixes the convolution tree). Equal keys are
 /// equal penalties across compositions, engines and tasks.
-StoreKey domain_penalty_key(const PenaltyBundle::Domain& domain,
+StoreKey domain_penalty_key(const PenaltyScaffold& domain,
                             Cycles miss_penalty,
                             const std::vector<Probability>& pwf,
                             std::size_t max_points) {
@@ -312,7 +294,8 @@ PwcetPipeline::PwcetPipeline(
   MemoCache* const fmm_memo =
       options_.engine == WcetEngine::kTree ? memo_ : nullptr;
   fmms_.reserve(domains_.size());
-  for (std::size_t i = 0; i < domains_.size(); ++i)
+  scaffolds_.resize(domains_.size());
+  for (std::size_t i = 0; i < domains_.size(); ++i) {
     fmms_.push_back(shared<FmmBundle>(
         fmm_memo, "fmm", [&] { return tree_fmm_key(profile_key(i)); },
         [&] {
@@ -320,27 +303,18 @@ PwcetPipeline::PwcetPipeline(
                                     *profiles[i], options_.engine, ipet.get(),
                                     options_.pool);
         }));
+    for (const Mechanism mechanism :
+         {Mechanism::kNone, Mechanism::kReliableWay,
+          Mechanism::kSharedReliableBuffer})
+      scaffolds_[i][static_cast<std::size_t>(mechanism)] = build_scaffold(
+          fmms_[i]->of(mechanism), domains_[i]->config());
+  }
 }
 
 PwcetResult PwcetPipeline::analyze(const FaultModel& faults,
                                    Mechanism mechanism) const {
   return analyze(faults,
                  std::vector<Mechanism>(domains_.size(), mechanism));
-}
-
-std::shared_ptr<const PenaltyBundle> PwcetPipeline::acquire_bundle(
-    const std::vector<Mechanism>& mechanisms) const {
-  std::lock_guard<std::mutex> lock(bundle_mutex_);
-  std::shared_ptr<const PenaltyBundle>& slot = bundle_cache_[mechanisms];
-  if (slot == nullptr) {
-    auto bundle = std::make_shared<PenaltyBundle>();
-    bundle->domains.reserve(domains_.size());
-    for (std::size_t i = 0; i < domains_.size(); ++i)
-      bundle->domains.push_back(build_domain_scaffold(
-          fmms_[i]->of(mechanisms[i]), domains_[i]->config()));
-    slot = std::move(bundle);
-  }
-  return slot;
 }
 
 PwcetResult PwcetPipeline::analyze(
@@ -389,33 +363,29 @@ PwcetResult PwcetPipeline::analyze(
           faults.way_failure_pmf(domains_[i]->config(), mechanisms[i]));
   }
 
-  // Each domain's penalty re-weights the shared pfail-independent bundle:
-  // the scaffold is built once per mechanism assignment, and only the
-  // per-row weighting + the convolution fold run per pfail.
-  // Domains are physically disjoint SRAM arrays — their fault counts are
-  // independent — so the cross-domain penalty is the convolution, folded
-  // in domain order with the same coalescing budget.
-  std::shared_ptr<const PenaltyBundle> bundle;
-  {
-    obs::ScopedPhase bundle_phase(obs::phase_name::kBundle);
-    bundle = acquire_bundle(mechanisms);
-  }
-  // A memoizing pipeline shares each domain penalty and each fold step
-  // under the content of their inputs, so a composition met before (or
-  // the other engine's twin of this cell) convolves nothing, and one that
-  // extends a known prefix folds only its new domains.
+  // Each domain's penalty re-weights its pfail-independent scaffold under
+  // the domain's mechanism; only the per-row weighting + the convolution
+  // fold run per pfail. Domains are physically disjoint SRAM arrays —
+  // their fault counts are independent — so the cross-domain penalty is
+  // the convolution, folded in domain order with the same coalescing
+  // budget. A memoizing pipeline shares each domain penalty and each fold
+  // step under the content of their inputs, so a composition met before
+  // (or the other engine's twin of this cell) convolves nothing, and one
+  // that extends a known prefix folds only its new domains.
   const std::size_t budget = options_.max_distribution_points;
   auto domain_penalty = [&](std::size_t i) {
+    const PenaltyScaffold& scaffold =
+        scaffolds_[i][static_cast<std::size_t>(mechanisms[i])];
     return shared<DiscreteDistribution>(
         memo_, "penalty",
         [&] {
-          return domain_penalty_key(bundle->domains[i],
+          return domain_penalty_key(scaffold,
                                     domains_[i]->config().miss_penalty,
                                     pwfs[i], budget);
         },
         [&] {
-          return build_reweighted_penalty(bundle->domains[i], pwfs[i],
-                                          budget, options_.pool);
+          return build_reweighted_penalty(scaffold, pwfs[i], budget,
+                                          options_.pool);
         });
   };
   std::shared_ptr<const DiscreteDistribution> penalty = domain_penalty(0);

@@ -38,10 +38,9 @@
 /// are pinned by tests/analysis_pipeline_test.cpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "analysis/cache_domain.hpp"
@@ -54,7 +53,6 @@ namespace pwcet {
 class AnalysisStore;
 class MemoCache;
 class ThreadPool;
-struct PenaltyBundle;
 
 /// Store key of a single-cache analyzer core, the historical
 /// "pwcet-core-v1" recipe: program content x cache config x engine. It is
@@ -116,11 +114,30 @@ struct PwcetResult {
   }
 };
 
+/// Pfail-independent penalty scaffolding of one domain under one
+/// mechanism: everything analyze() needs below the pwf weighting. Every
+/// pfail point of a sweep re-weights the same scaffold and pays only the
+/// weighting and the convolutions.
+struct PenaltyScaffold {
+  /// Distinct FMM rows, numbered in first-set order; `row_of_set` maps
+  /// each cache set to its row. Sets sharing a row (untouched sets,
+  /// symmetric layouts) share one penalty distribution per pfail and one
+  /// subtree per convolution round.
+  std::vector<std::uint32_t> row_of_set;
+  /// Raw per-row miss counts, kept verbatim because they are the
+  /// "domain-penalty-v1" key material.
+  std::vector<std::vector<double>> rows;
+  /// Precomputed atom values per row: ceil(misses) * miss_penalty (paper
+  /// Fig. 1.b), one per possible fault count.
+  std::vector<std::vector<Cycles>> penalties;
+};
+
 /// Pipeline bound to one (program, domain list) pair. The expensive
 /// shared work (reference extraction, one age profile per domain, the
 /// fault-free classification, the single IPET/tree phase-1 maximization,
-/// all FMM bundles) is done once in the constructor and reused across
-/// mechanisms and pfail values.
+/// all FMM bundles and each domain's penalty scaffold per mechanism) is
+/// done once in the constructor and reused across mechanisms and pfail
+/// values; analyze() only reads it, so concurrent calls take no lock.
 class PwcetPipeline {
  public:
   /// `domains` must be non-empty and its first entry standalone()
@@ -156,12 +173,6 @@ class PwcetPipeline {
   const StoreKey& core_key() const { return core_key_; }
 
  private:
-  /// The pfail-independent re-weighting bundle of one mechanism
-  /// assignment: per-domain penalty scaffolding shared by every pfail
-  /// point that analyze() sees, built once per instance.
-  std::shared_ptr<const PenaltyBundle> acquire_bundle(
-      const std::vector<Mechanism>& mechanisms) const;
-
   const Program& program_;
   std::vector<std::shared_ptr<const CacheDomain>> domains_;
   PwcetOptions options_;
@@ -170,11 +181,10 @@ class PwcetPipeline {
   MemoCache* memo_ = nullptr;
   Cycles fault_free_wcet_ = 0;
   std::vector<std::shared_ptr<const FmmBundle>> fmms_;
+  /// Per domain, its penalty scaffold under each mechanism, indexed by
+  /// the Mechanism value.
+  std::vector<std::array<PenaltyScaffold, 3>> scaffolds_;
   StoreKey core_key_;
-  mutable std::mutex bundle_mutex_;
-  mutable std::map<std::vector<Mechanism>,
-                   std::shared_ptr<const PenaltyBundle>>
-      bundle_cache_;
 };
 
 }  // namespace pwcet

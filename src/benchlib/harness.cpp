@@ -1,26 +1,9 @@
 #include "benchlib/harness.hpp"
 
-#include <cmath>
-
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace pwcet::benchlib {
-
-namespace {
-
-/// Applies the inject_slowdown factors to one metric value. Exact-name
-/// match only; the factor scales the measured nanoseconds.
-std::uint64_t maybe_inject(const BenchOptions& options,
-                           const std::string& metric, std::uint64_t ns) {
-  for (const auto& [name, factor] : options.inject_slowdown)
-    if (name == metric)
-      return static_cast<std::uint64_t>(
-          std::llround(static_cast<double>(ns) * factor));
-  return ns;
-}
-
-}  // namespace
 
 ScenarioSamples run_scenario(const std::string& name,
                              const BenchOptions& options,
@@ -51,13 +34,12 @@ ScenarioSamples run_scenario(const std::string& name,
     if (!measured) continue;
 
     RepetitionSample sample;
-    sample.wall_ns = maybe_inject(options, "wall_ns", wall_ns);
+    sample.wall_ns = wall_ns;
     // The registry enumerates names in sorted order, as samples keep them.
     for (const obs::MetricsRegistry::NamedHistogram& h :
          registry.histograms()) {
       if (h.snapshot.count == 0) continue;
-      sample.metrics.emplace_back(
-          h.name, maybe_inject(options, h.name, h.snapshot.sum_ns));
+      sample.metrics.emplace_back(h.name, h.snapshot.sum_ns);
     }
     for (const auto& [counter, value] : registry.counters())
       if (value != 0) sample.counters.emplace_back(counter, value);

@@ -32,13 +32,6 @@ struct BenchOptions {
   std::size_t warmup = 1;
   /// Recorded repetitions; every derived statistic is over these.
   std::size_t repetitions = 5;
-  /// Fault-injection self-test knob: scale every recorded sample of the
-  /// named metric ("wall_ns" or a phase histogram name) by the factor.
-  /// This deliberately corrupts the *measurements*, never the computation
-  /// — it exists so CI can prove the `bench diff` regression gate actually
-  /// fires (a ~2x injected slowdown must be flagged and named). Documented
-  /// in docs/benchmarking.md; never set it for real measurements.
-  std::vector<std::pair<std::string, double>> inject_slowdown;
 };
 
 /// One recorded repetition: the body's wall time, the per-metric

@@ -79,8 +79,8 @@ struct BenchReport {
 
   std::string schema = kSchema;
   /// Measurement-environment capture, insertion-ordered string pairs:
-  /// threads, hardware_threads, store mode, build type, obs on/off,
-  /// warmup, repetitions. Diffs warn when the two sides differ.
+  /// threads, hardware_threads, build type, warmup, repetitions. Diffs
+  /// warn when the two sides differ.
   std::vector<std::pair<std::string, std::string>> environment;
   std::vector<ScenarioReport> scenarios;
 

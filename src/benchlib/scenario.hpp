@@ -2,31 +2,35 @@
 /// Named benchmark scenarios for `pwcet bench run`.
 ///
 /// Two families:
-///   - `campaign.*` macro scenarios run the geometry-sweep and
-///     pfail-sweep campaigns end to end (cold store, warm store, 3-way
-///     shard runs + merge); their samples carry the full per-phase
-///     breakdown from the obs span taxonomy (obs/phase.hpp) plus store and
-///     engine counters, because the harness arms the MetricsRegistry
-///     around every repetition. They are the campaign-scaling record:
-///     `BENCH_perf_analysis_time.json` is their `bench run` report.
+///   - `campaign.<stem>.*` scenarios run a spec file end to end on the
+///     paths `pwcet run` and `pwcet merge` take, three per spec:
+///     `.cold` on a fresh in-memory store per repetition, `.warm` on a
+///     fresh store over a cache directory the scenario filled once, and
+///     `.shard_merge` as 3 shard runs, each on its own fresh cache
+///     directory, then a merge into a union directory. Their samples carry
+///     the full per-phase breakdown from the obs span taxonomy
+///     (obs/phase.hpp) plus store and engine counters, because the
+///     harness arms the MetricsRegistry around every repetition. They are
+///     the campaign-scaling record: `BENCH_perf_analysis_time.json` is
+///     their `bench run` report over `specs/*.json`.
 ///   - `pipeline.*` / `micro.*` scenarios time one pipeline stage in a
 ///     fixed-iteration loop (reference extraction, classification,
 ///     maximization, FMM, the convolution tree, the full per-mechanism
 ///     analysis) so a diff can localize a regression below campaign
 ///     granularity.
 ///
-/// Every scenario self-checks determinism where it applies (campaign
-/// reports must not drift between repetitions — the body throws on
-/// drift, failing the bench run loudly). Scenario state lives in the
-/// returned closures: call `builtin_scenarios()` once per measurement
-/// run so warm-store state never leaks between runs.
+/// A spec's three campaign scenarios byte-check every report against one
+/// baseline (the body throws on drift, failing the bench run loudly). None
+/// reads PWCET_CACHE_DIR: their directories live under the system temp
+/// directory and are removed with the scenarios. Scenario state lives in
+/// the returned closures: call `builtin_scenarios()` once per measurement
+/// run.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "engine/campaign.hpp"
 
 namespace pwcet::benchlib {
 
@@ -40,25 +44,19 @@ struct ScenarioOptions {
 struct Scenario {
   std::string name;
   std::string description;
-  /// Untimed one-shot preparation (build programs, warm the store).
-  /// Runs before the first repetition; may be empty.
+  /// Untimed one-shot preparation (fill a warm cache directory). Runs
+  /// before the first repetition; may be empty.
   std::function<void(const ScenarioOptions&)> setup;
   /// The timed body, run warmup + repetitions times.
   std::function<void(const ScenarioOptions&)> body;
 };
 
-/// A fresh set of the built-in scenarios (state captured per call).
-std::vector<Scenario> builtin_scenarios();
-
-/// The geometry-sweep campaign the `campaign.geometry_sweep.*` scenarios
-/// measure: 4 tasks x 5 geometries x 1 pfail x 3 mechanisms = 60 jobs.
-CampaignSpec geometry_sweep_spec();
-
-/// The pfail-sweep campaign (specs/pfail_sweep.json's grid): 6 tasks x
-/// 1 geometry x 7 pfails x 3 mechanisms = 126 jobs. The stress case for
-/// the shared re-weighting bundle — every group holds 7 pfail-siblings
-/// per mechanism — measured by `campaign.pfail_sweep.*` and
-/// `campaign.shard_merge` and gated in CI via campaign.pfail_sweep.cold.
-CampaignSpec pfail_sweep_spec();
+/// A fresh set of the built-in scenarios (state captured per call): the
+/// three campaign scenarios of each spec file, named by its stem, then
+/// the pipeline and micro scenarios.
+/// \throws SpecError when a spec does not load, std::invalid_argument when
+/// two spec files share a stem.
+std::vector<Scenario> builtin_scenarios(
+    const std::vector<std::string>& spec_paths = {});
 
 }  // namespace pwcet::benchlib

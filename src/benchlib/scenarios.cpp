@@ -5,8 +5,9 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <stdexcept>
-#include <tuple>
+#include <system_error>
 
 #include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
@@ -15,6 +16,7 @@
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "engine/shard.hpp"
+#include "engine/spec_io.hpp"
 #include "store/analysis_store.hpp"
 #include "wcet/cost_model.hpp"
 #include "wcet/ipet.hpp"
@@ -23,57 +25,132 @@
 
 namespace pwcet::benchlib {
 
-CampaignSpec geometry_sweep_spec() {
-  CampaignSpec spec;
-  spec.tasks = {"adpcm", "matmult", "crc", "fft"};
-  for (const auto& [sets, ways, line] :
-       {std::tuple{32u, 2u, 16u}, std::tuple{16u, 4u, 16u},
-        std::tuple{8u, 8u, 16u}, std::tuple{32u, 4u, 8u},
-        std::tuple{8u, 4u, 32u}}) {
-    CacheConfig config;
-    config.sets = sets;
-    config.ways = ways;
-    config.line_bytes = line;
-    spec.geometries.push_back(config);
-  }
-  spec.pfails = {1e-4};
-  spec.mechanisms = {Mechanism::kNone, Mechanism::kSharedReliableBuffer,
-                     Mechanism::kReliableWay};
-  return spec;
-}
-
-CampaignSpec pfail_sweep_spec() {
-  // Mirrors specs/pfail_sweep.json (E3): the paper's geometry, the full
-  // pfail ladder from the 45 nm literature value to the low-voltage
-  // regime. Kept in lockstep with the JSON spec by tests/benchlib_test.
-  CampaignSpec spec;
-  spec.tasks = {"adpcm", "fibcall", "matmult", "crc", "fft", "ud"};
-  spec.geometries = {CacheConfig::paper_default()};
-  spec.pfails = {6.1e-13, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3};
-  spec.mechanisms = {Mechanism::kNone, Mechanism::kSharedReliableBuffer,
-                     Mechanism::kReliableWay};
-  spec.target_exceedance = 1e-15;
-  return spec;
-}
-
 namespace {
 
-/// Checks campaign-report identity across repetitions: the first
-/// rendering is the baseline, later ones must match byte for byte (the
-/// engine's determinism contract — a drift here means measurement and
-/// correctness can no longer be trusted together).
-struct IdentityCheck {
+namespace fs = std::filesystem;
+
+/// The way a campaign scenario runs its spec, each one a path of
+/// `pwcet run` or `pwcet merge`.
+enum class CampaignPath {
+  kCold,        ///< fresh in-memory store: `pwcet run` without a cache dir
+  kWarm,        ///< fresh store on a filled cache dir: a second run
+  kShardMerge,  ///< `run --shard i/3 --cache-dir Di`, then `merge --into`
+};
+
+/// One spec's campaign scenarios: the spec, the directory their caches
+/// live in, and the report bytes every repetition must reproduce.
+struct SpecCampaign {
+  std::string stem;
+  CampaignSpec spec;
+  /// Under the system temp directory, never PWCET_CACHE_DIR; removed with
+  /// everything in it when the last scenario of the spec goes.
+  fs::path dir;
+  /// The first report rendered; later ones must match it byte for byte
+  /// (the engine's determinism contract — a drift here means measurement
+  /// and correctness can no longer be trusted together).
   std::string baseline;
-  void check(const std::string& csv, const char* scenario) {
+
+  SpecCampaign(std::string stem_, CampaignSpec spec_)
+      : stem(std::move(stem_)),
+        spec(std::move(spec_)),
+        dir(fs::temp_directory_path() /
+            ("pwcet_bench_" + std::to_string(::getpid()) + "_" + stem)) {}
+  ~SpecCampaign() {
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+  SpecCampaign(const SpecCampaign&) = delete;
+  SpecCampaign& operator=(const SpecCampaign&) = delete;
+
+  std::string warm_dir() const { return (dir / "warm").string(); }
+
+  void check(const CampaignResult& result, const std::string& scenario) {
+    const std::string report =
+        report_jsonl(result) + report_dist_jsonl(result);
     if (baseline.empty()) {
-      baseline = csv;
-    } else if (baseline != csv) {
-      throw std::runtime_error(std::string(scenario) +
-                               ": campaign report drifted between "
-                               "repetitions (determinism violation)");
+      baseline = report;
+    } else if (baseline != report) {
+      throw std::runtime_error(scenario +
+                               ": campaign report drifted from the "
+                               "spec's baseline (determinism violation)");
     }
   }
+
+  /// The one body of the spec's three scenarios: runs the campaign on
+  /// `path` and byte-checks its report.
+  void run(CampaignPath path, std::size_t threads,
+           const std::string& scenario) {
+    RunnerOptions runner;
+    runner.threads = threads;
+    CampaignResult result;
+    switch (path) {
+      case CampaignPath::kCold: {
+        AnalysisStore store;
+        runner.shared_store = &store;
+        result = run_campaign(spec, runner);
+        break;
+      }
+      case CampaignPath::kWarm:
+        runner.store.artifact_dir = warm_dir();
+        result = run_campaign(spec, runner);
+        break;
+      case CampaignPath::kShardMerge: {
+        const fs::path root = dir / "shards";
+        std::error_code ec;
+        fs::remove_all(root, ec);  // every shard starts on an empty dir
+        ShardMergeOptions merge;
+        merge.shard_count = 3;
+        for (std::size_t i = 0; i < merge.shard_count; ++i) {
+          const std::string shard_dir =
+              (root / ("shard" + std::to_string(i))).string();
+          runner.store.artifact_dir = shard_dir;
+          run_campaign_shard(spec, ShardSelector{i, merge.shard_count},
+                             runner, shard_dir);
+          merge.from_dirs.push_back(shard_dir);
+        }
+        merge.into_dir = (root / "union").string();
+        result = merge_campaign_shards(spec, merge).campaign;
+        break;
+      }
+    }
+    check(result, scenario);
+  }
 };
+
+/// The three campaign scenarios of one spec.
+void add_campaign_scenarios(std::vector<Scenario>& scenarios,
+                            const std::shared_ptr<SpecCampaign>& campaign) {
+  const std::string prefix = "campaign." + campaign->stem;
+  const std::string jobs =
+      " (" + std::to_string(campaign->spec.job_count()) + " jobs)";
+  const auto body = [campaign](CampaignPath path, std::string name) {
+    return [campaign, path, name](const ScenarioOptions& options) {
+      campaign->run(path, options.threads, name);
+    };
+  };
+  scenarios.push_back(
+      {prefix + ".cold",
+       campaign->stem + jobs + ", fresh in-memory store per repetition",
+       {},
+       body(CampaignPath::kCold, prefix + ".cold")});
+  scenarios.push_back(
+      {prefix + ".warm",
+       campaign->stem + jobs +
+           " from a cache dir filled once, fresh store per repetition",
+       // The first warm run, on an empty directory, computes and fills it.
+       [campaign, name = prefix + ".warm"](const ScenarioOptions& options) {
+         std::error_code ec;
+         fs::remove_all(campaign->warm_dir(), ec);
+         campaign->run(CampaignPath::kWarm, options.threads, name);
+       },
+       body(CampaignPath::kWarm, prefix + ".warm")});
+  scenarios.push_back(
+      {prefix + ".shard_merge",
+       campaign->stem + jobs +
+           " as 3 shard runs on fresh cache dirs, then merge --into",
+       {},
+       body(CampaignPath::kShardMerge, prefix + ".shard_merge")});
+}
 
 /// Shared fixture for the micro scenarios: the adpcm task against the
 /// paper-default geometry, with the derived stages precomputed so each
@@ -129,152 +206,21 @@ void keep(T&& value) {
 
 }  // namespace
 
-std::vector<Scenario> builtin_scenarios() {
+std::vector<Scenario> builtin_scenarios(
+    const std::vector<std::string>& spec_paths) {
   std::vector<Scenario> scenarios;
 
-  // ---- macro: the geometry-sweep campaign --------------------------------
-  {
-    auto identity = std::make_shared<IdentityCheck>();
-    scenarios.push_back(
-        {"campaign.geometry_sweep.cold",
-         "geometry-sweep campaign (60 jobs), fresh in-memory store per "
-         "repetition",
-         {},
-         [identity](const ScenarioOptions& options) {
-           AnalysisStore store;
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = &store;
-           const CampaignResult result =
-               run_campaign(geometry_sweep_spec(), runner);
-           identity->check(report_csv(result),
-                           "campaign.geometry_sweep.cold");
-         }});
-  }
-  {
-    auto store = std::make_shared<AnalysisStore>();
-    auto identity = std::make_shared<IdentityCheck>();
-    scenarios.push_back(
-        {"campaign.geometry_sweep.warm",
-         "same campaign answered from an already-hot shared store (memo "
-         "hit path)",
-         [store, identity](const ScenarioOptions& options) {
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = store.get();
-           identity->check(
-               report_csv(run_campaign(geometry_sweep_spec(), runner)),
-               "campaign.geometry_sweep.warm");
-         },
-         [store, identity](const ScenarioOptions& options) {
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = store.get();
-           const CampaignResult result =
-               run_campaign(geometry_sweep_spec(), runner);
-           identity->check(report_csv(result),
-                           "campaign.geometry_sweep.warm");
-         }});
-  }
-
-  // ---- macro: the pfail-sweep campaign -----------------------------------
-  // The re-weighting stress case: 7 pfail points per (task, mechanism)
-  // group share one bundle, so this scenario is dominated by phase.pwf +
-  // the convolution fold — exactly the phases the CI gate injects into.
-  {
-    auto identity = std::make_shared<IdentityCheck>();
-    scenarios.push_back(
-        {"campaign.pfail_sweep.cold",
-         "pfail-sweep campaign (126 jobs, 7 pfails/group), fresh in-memory "
-         "store per repetition",
-         {},
-         [identity](const ScenarioOptions& options) {
-           AnalysisStore store;
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = &store;
-           const CampaignResult result =
-               run_campaign(pfail_sweep_spec(), runner);
-           identity->check(report_csv(result), "campaign.pfail_sweep.cold");
-         }});
-  }
-  {
-    auto store = std::make_shared<AnalysisStore>();
-    auto identity = std::make_shared<IdentityCheck>();
-    scenarios.push_back(
-        {"campaign.pfail_sweep.warm",
-         "same pfail sweep answered from an already-hot shared store (memo "
-         "hit path)",
-         [store, identity](const ScenarioOptions& options) {
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = store.get();
-           identity->check(
-               report_csv(run_campaign(pfail_sweep_spec(), runner)),
-               "campaign.pfail_sweep.warm");
-         },
-         [store, identity](const ScenarioOptions& options) {
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = store.get();
-           const CampaignResult result =
-               run_campaign(pfail_sweep_spec(), runner);
-           identity->check(report_csv(result),
-                           "campaign.pfail_sweep.warm");
-         }});
-  }
-
-  // ---- macro: distributed shard runs + merge ------------------------------
-  // The pfail sweep split into 3 shard runs (each writing its fragment
-  // into its own cache directory) plus the merge that reassembles and
-  // unions them — the end-to-end cost of distributing this campaign.
-  // Setup computes the single-process baseline once; every repetition's
-  // merged report must reproduce those bytes exactly (the sharding
-  // determinism contract, checked in the loop, not just in tests).
-  {
-    auto identity = std::make_shared<IdentityCheck>();
-    scenarios.push_back(
-        {"campaign.shard_merge",
-         "pfail-sweep campaign as 3 shard runs into per-shard cache dirs "
-         "+ merge with store union; merged report byte-checked against "
-         "the single-process baseline",
-         [identity](const ScenarioOptions& options) {
-           AnalysisStore store;
-           RunnerOptions runner;
-           runner.threads = options.threads;
-           runner.shared_store = &store;
-           identity->check(
-               report_csv(run_campaign(pfail_sweep_spec(), runner)),
-               "campaign.shard_merge");
-         },
-         [identity](const ScenarioOptions& options) {
-           namespace fs = std::filesystem;
-           const fs::path root =
-               fs::temp_directory_path() /
-               ("pwcet_bench_shard_" + std::to_string(::getpid()));
-           std::error_code ec;
-           fs::remove_all(root, ec);  // cold cache dirs every repetition
-           const CampaignSpec spec = pfail_sweep_spec();
-           ShardMergeOptions merge;
-           merge.shard_count = 3;
-           for (std::size_t i = 0; i < merge.shard_count; ++i) {
-             const std::string dir =
-                 (root / ("shard" + std::to_string(i))).string();
-             ShardSelector shard;
-             shard.index = i;
-             shard.count = merge.shard_count;
-             RunnerOptions runner;
-             runner.threads = options.threads;
-             run_campaign_shard(spec, shard, runner, dir);
-             merge.from_dirs.push_back(dir);
-           }
-           merge.into_dir = (root / "union").string();
-           const ShardMergeOutcome merged =
-               merge_campaign_shards(spec, merge);
-           identity->check(report_csv(merged.campaign),
-                           "campaign.shard_merge");
-           fs::remove_all(root, ec);
-         }});
+  // ---- campaign: three scenarios per spec file ---------------------------
+  std::set<std::string> stems;
+  for (const std::string& path : spec_paths) {
+    const std::string stem = fs::path(path).stem().string();
+    if (!stems.insert(stem).second)
+      throw std::invalid_argument(
+          "two spec files have the stem '" + stem + "' (" + path +
+          " is the second); their campaign scenarios would share names");
+    add_campaign_scenarios(
+        scenarios,
+        std::make_shared<SpecCampaign>(stem, load_spec(path).spec));
   }
 
   // ---- pipeline: full analysis below campaign granularity ----------------

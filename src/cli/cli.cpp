@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
@@ -71,8 +70,7 @@ constexpr const char* kUsage =
     "      --profile         print a per-phase wall-time and counter\n"
     "                        profile on stderr after the run\n"
     "      --progress        live completed/total counter with ETA on\n"
-    "                        stderr (only when stderr is a terminal;\n"
-    "                        --progress=force overrides)\n"
+    "                        stderr (only when stderr is a terminal)\n"
     "  merge <spec.json>     combine the per-shard outputs of a sharded\n"
     "                        campaign into the byte-identical\n"
     "                        single-process report\n"
@@ -96,17 +94,18 @@ constexpr const char* kUsage =
     "      --metrics FILE    (stats) also render the per-layer store\n"
     "                        counters and histogram percentiles of a\n"
     "                        --metrics-out snapshot\n"
-    "  bench run             execute benchmark scenarios, emit a versioned\n"
-    "                        BenchReport JSON (docs/benchmarking.md)\n"
+    "  bench run [spec.json...]\n"
+    "                        execute benchmark scenarios, emit a versioned\n"
+    "                        BenchReport JSON (docs/benchmarking.md); each\n"
+    "                        spec adds campaign.<stem>.cold, .warm and\n"
+    "                        .shard_merge\n"
     "      --output FILE     write the report to FILE (default: stdout)\n"
     "      --repetitions N   measured repetitions per scenario (default 5)\n"
     "      --warmup N        discarded settling repetitions (default 1)\n"
     "      --threads N       campaign-scenario worker threads (default 1)\n"
     "      --scenarios SUB   only scenarios whose name contains SUB\n"
-    "      --inject-slowdown METRIC=FACTOR\n"
-    "                        scale recorded METRIC samples (regression-\n"
-    "                        gate self-test; recorded in the artifact)\n"
-    "  bench list            list benchmark scenarios\n"
+    "  bench list [spec.json...]\n"
+    "                        list benchmark scenarios\n"
     "  bench diff <A> <B>    compare two BenchReports (A = baseline);\n"
     "                        exits 3 when a metric regressed beyond the\n"
     "                        noise band\n"
@@ -123,7 +122,7 @@ struct Flag {
 };
 
 /// Flags that stand alone (`--profile`), though `--flag=value` still
-/// attaches a value (`--progress=force`).
+/// attaches a value, which they reject.
 bool boolean_flag(const std::string& name) {
   return name == "--profile" || name == "--progress";
 }
@@ -183,13 +182,13 @@ bool parse_count(const Flag& flag, std::size_t lo, std::size_t hi,
   return true;
 }
 
-/// Parses a flag value as a finite double in (0, hi].
-bool parse_positive(const std::string& text, double hi, double& value) {
+/// Parses a flag value as a finite double above 0.
+bool parse_positive(const std::string& text, double& value) {
   errno = 0;
   char* end = nullptr;
   value = std::strtod(text.c_str(), &end);
   return !text.empty() && errno == 0 && *end == '\0' &&
-         std::isfinite(value) && value > 0.0 && value <= hi;
+         std::isfinite(value) && value > 0.0;
 }
 
 /// Where run and merge send the report: one --format on stdout, or the
@@ -339,7 +338,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   std::string metrics_out;
   bool profile = false;
   bool progress = false;
-  bool progress_force = false;
   ShardSelector shard;       // {0, 1} = the whole campaign
   bool shard_given = false;  // --shard 1/1 still writes its fragment
   for (const Flag& flag : flags) {
@@ -375,10 +373,8 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       }
       profile = true;
     } else if (flag.name == "--progress") {
-      if (flag.value == "force") {
-        progress_force = true;
-      } else if (!flag.value.empty()) {
-        err << "pwcet: --progress takes no value (or '=force')\n";
+      if (!flag.value.empty()) {
+        err << "pwcet: --progress takes no value\n";
         return 2;
       }
       progress = true;
@@ -428,10 +424,9 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
         shard_job_slots(campaign_group_schedule(jobs), shard).size();
 
   // --progress animates on stderr, so it must stay off when stderr is not
-  // a terminal (redirected runs, every test) unless forced.
-  obs::ProgressMeter meter(
-      expected_jobs, err,
-      progress && (progress_force || ::isatty(STDERR_FILENO) != 0));
+  // a terminal (redirected runs, every test).
+  obs::ProgressMeter meter(expected_jobs, err,
+                           progress && ::isatty(STDERR_FILENO) != 0);
   if (progress)
     options.on_job_finished = [&meter] { meter.job_finished(); };
 
@@ -888,37 +883,9 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
 
 // ---- pwcet bench ----------------------------------------------------------
 
-/// Largest `--inject-slowdown` factor: a self-test needs about 2x, and the
-/// cap keeps every scaled nanosecond count inside 64 bits.
-constexpr double kMaxInjectedFactor = 1000.0;
-
-/// Parses `--inject-slowdown METRIC=FACTOR` into the harness's injection
-/// list. The knob exists so CI can prove the regression gate fires (see
-/// docs/benchmarking.md); it is recorded in the artifact's environment so
-/// a doctored report can never masquerade as a clean baseline.
-bool parse_injection(const Flag& flag, benchlib::BenchOptions& options,
-                     std::ostream& err) {
-  const std::size_t equals = flag.value.find('=');
-  double factor = 0.0;
-  if (equals == std::string::npos || equals == 0 ||
-      !parse_positive(flag.value.substr(equals + 1), kMaxInjectedFactor,
-                      factor)) {
-    err << "pwcet: --inject-slowdown wants METRIC=FACTOR with FACTOR in "
-           "(0, "
-        << kMaxInjectedFactor << "], got '" << flag.value << "'\n";
-    return false;
-  }
-  options.inject_slowdown.emplace_back(flag.value.substr(0, equals), factor);
-  return true;
-}
-
 int cmd_bench_run(const std::vector<std::string>& positionals,
                   const std::vector<Flag>& flags, std::ostream& out,
                   std::ostream& err) {
-  if (positionals.size() != 1) {
-    err << "pwcet: bench run takes no positional arguments\n";
-    return 2;
-  }
   benchlib::BenchOptions bench;
   benchlib::ScenarioOptions scenario_options;
   std::string output;
@@ -939,8 +906,6 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
             std::max(1u, std::thread::hardware_concurrency());
     } else if (flag.name == "--scenarios") {
       filter = flag.value;
-    } else if (flag.name == "--inject-slowdown") {
-      if (!parse_injection(flag, bench, err)) return 2;
     } else {
       err << "pwcet: unknown option '" << flag.name << "' for bench run\n"
           << kUsage;
@@ -948,7 +913,8 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
     }
   }
 
-  std::vector<benchlib::Scenario> scenarios = benchlib::builtin_scenarios();
+  std::vector<benchlib::Scenario> scenarios = benchlib::builtin_scenarios(
+      {positionals.begin() + 1, positionals.end()});
   if (!filter.empty()) {
     std::erase_if(scenarios, [&filter](const benchlib::Scenario& s) {
       return s.name.find(filter) == std::string::npos;
@@ -967,7 +933,6 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
       {"threads", std::to_string(scenario_options.threads)},
       {"hardware_threads",
        std::to_string(std::thread::hardware_concurrency())},
-      {"store", "memory"},
 #ifdef NDEBUG
       {"build_type", "release"},
 #else
@@ -976,15 +941,6 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
       {"warmup", std::to_string(bench.warmup)},
       {"repetitions", std::to_string(bench.repetitions)},
   };
-  if (!bench.inject_slowdown.empty()) {
-    std::string injected;
-    for (const auto& [metric, factor] : bench.inject_slowdown) {
-      if (!injected.empty()) injected += ",";
-      injected += metric + "=" + fmt_double(factor, 3);
-    }
-    report.environment.emplace_back("inject_slowdown", injected);
-  }
-
   for (benchlib::Scenario& scenario : scenarios) {
     err << "bench: " << scenario.name << " (" << bench.warmup << "+"
         << bench.repetitions << " reps)..." << std::flush;
@@ -1018,12 +974,13 @@ int cmd_bench_run(const std::vector<std::string>& positionals,
 int cmd_bench_list(const std::vector<std::string>& positionals,
                    const std::vector<Flag>& flags, std::ostream& out,
                    std::ostream& err) {
-  if (positionals.size() != 1 || !flags.empty()) {
-    err << "pwcet: bench list takes no arguments\n";
+  if (!flags.empty()) {
+    err << "pwcet: bench list takes no options\n";
     return 2;
   }
   TextTable table({"scenario", "description"});
-  for (const benchlib::Scenario& scenario : benchlib::builtin_scenarios())
+  for (const benchlib::Scenario& scenario : benchlib::builtin_scenarios(
+           {positionals.begin() + 1, positionals.end()}))
     table.add_row({scenario.name, scenario.description});
   out << table.to_string();
   return 0;
@@ -1040,8 +997,7 @@ int cmd_bench_diff(const std::vector<std::string>& positionals,
   benchlib::DiffOptions options;
   for (const Flag& flag : flags) {
     if (flag.name == "--threshold") {
-      if (!parse_positive(flag.value, std::numeric_limits<double>::max(),
-                          options.threshold)) {
+      if (!parse_positive(flag.value, options.threshold)) {
         err << "pwcet: --threshold wants a finite positive fraction, got '"
             << flag.value << "'\n";
         return 2;

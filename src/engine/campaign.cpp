@@ -467,7 +467,9 @@ StoreKey campaign_spec_key(const CampaignSpec& spec) {
   h.mix_u64(spec.max_distribution_points);
   h.mix_u64(spec.mbpta.chips);
   h.mix_u64(spec.mbpta.block_size);
-  h.mix_u64(spec.mbpta.seed);
+  // The retired spec-level mbpta.seed (jobs draw from key-derived
+  // seeds), at its old default, so that every key stays where it was.
+  h.mix_u64(0x5eed);
   h.mix_u64(spec.simulation_chips);
   h.mix_u64(spec.base_seed);
   return h.finish();

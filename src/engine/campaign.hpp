@@ -259,10 +259,9 @@ std::size_t campaign_job_index(const CampaignSpec& spec, std::size_t task_i,
 /// bounded LRU. Results are unaffected — collection is slot-indexed.
 StoreKey campaign_group_key(const CampaignJob& job);
 
-/// Content key of a whole spec: the key of the store's whole-campaign
-/// entry (engine/runner.hpp's load_campaign / save_campaign) — the
-/// memo's "campaign" results and the disk tier's campaign-report and
-/// campaign-dist artifacts.
+/// Content key of a whole spec: the key of the disk tier's
+/// campaign-report and campaign-dist artifacts (engine/runner.hpp's
+/// load_campaign / save_campaign) and of shard fragments.
 StoreKey campaign_spec_key(const CampaignSpec& spec);
 
 }  // namespace pwcet

@@ -90,11 +90,10 @@ JobResult run_mbpta_job(const CampaignJob& job, const Program& program,
   JobResult r;
   r.job = job;
   MbptaOptions options = spec.mbpta;
-  options.seed = job.seed;  // per-job stream, not the spec-wide default
   if (job.samples != 0) options.chips = job.samples;  // sample-count axis
   const MbptaResult res = run_mbpta(program, job.geometry,
                                     FaultModel(job.pfail), job.mechanism,
-                                    options);
+                                    options, job.seed);
   r.pwcet = res.pwcet(spec.target_exceedance);
   r.observed_max = res.observed_max;
   r.curve.reserve(spec.ccdf_exceedances.size());
@@ -211,54 +210,30 @@ JobResult run_slack_job(const CampaignJob& job, const Program& program,
 
 }  // namespace
 
-/// Payload bytes of a campaign's memo entry (see memo_cache.hpp): the
-/// results and their distribution-sink curves. Outside the unnamed
-/// namespace so that MemoCache finds it by argument-dependent lookup.
-static std::uint64_t payload_bytes(const std::vector<JobResult>& results) {
-  std::uint64_t bytes = results.size() * sizeof(JobResult);
-  for (const JobResult& result : results)
-    bytes += result.curve.size() * sizeof(double);
-  return bytes;
-}
-
-bool load_campaign(AnalysisStore& store, const StoreKey& spec_key,
+bool load_campaign(const ArtifactStore& artifacts, const StoreKey& spec_key,
                    const std::vector<CampaignJob>& jobs,
                    CampaignResult& campaign) {
-  if (const std::shared_ptr<const void> hit =
-          store.memo().get(spec_key, "campaign")) {
-    campaign.results =
-        *std::static_pointer_cast<const std::vector<JobResult>>(hit);
-    return true;
-  }
-  const ArtifactStore* artifacts = store.artifacts();
-  if (artifacts == nullptr) return false;
   std::vector<std::size_t> all_slots(jobs.size());
   std::iota(all_slots.begin(), all_slots.end(), 0);
   const std::optional<std::string> report =
-      artifacts->load_text("campaign-report", spec_key);
+      artifacts.load_text("campaign-report", spec_key);
   if (!report ||
       !parse_campaign_report_rows(*report, jobs, all_slots, campaign.results))
     return false;
   const std::size_t curve_points = campaign.spec.ccdf_exceedances.size();
   if (curve_points == 0) return true;
   const std::optional<std::string> dist =
-      artifacts->load_text("campaign-dist", spec_key);
+      artifacts.load_text("campaign-dist", spec_key);
   return dist && parse_campaign_dist_rows(*dist, curve_points, all_slots,
                                           campaign.results);
 }
 
-void save_campaign(AnalysisStore& store, const StoreKey& spec_key,
+void save_campaign(const ArtifactStore& artifacts, const StoreKey& spec_key,
                    const CampaignResult& campaign) {
-  store.memo().put(
-      spec_key,
-      std::make_shared<const std::vector<JobResult>>(campaign.results),
-      "campaign");
-  const ArtifactStore* artifacts = store.artifacts();
-  if (artifacts == nullptr) return;
-  artifacts->store_text("campaign-report", spec_key, report_jsonl(campaign));
+  artifacts.store_text("campaign-report", spec_key, report_jsonl(campaign));
   if (!campaign.spec.ccdf_exceedances.empty())
-    artifacts->store_text("campaign-dist", spec_key,
-                          report_dist_jsonl(campaign));
+    artifacts.store_text("campaign-dist", spec_key,
+                         report_dist_jsonl(campaign));
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec,
@@ -309,15 +284,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   campaign.threads_used = ThreadPool::resolve_thread_count(options.threads);
 
   // Whole-campaign load-or-compute, checked before the pool is spawned so
-  // the warm path starts no threads: an identical spec already answered in
-  // this store's memo, or by any process sharing its cache dir, is served
-  // whole — consumers cannot tell (except by the wall clock). Hashing the
-  // spec builds every workload once, so it is done only with a store.
+  // the warm path starts no threads: an identical spec already answered by
+  // any process sharing the cache directory is served whole — consumers
+  // cannot tell (except by the wall clock). Hashing the spec builds every
+  // workload once, so it is done only with a cache directory.
+  const ArtifactStore* artifacts =
+      store != nullptr ? store->artifacts() : nullptr;
   StoreKey spec_key;
-  if (store != nullptr) {
+  if (artifacts != nullptr) {
     obs::ScopedPhase warm_phase(obs::engine_name::kWarmLoad, "engine");
     spec_key = campaign_spec_key(spec);
-    if (load_campaign(*store, spec_key, jobs, campaign)) {
+    if (load_campaign(*artifacts, spec_key, jobs, campaign)) {
       campaign.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -469,12 +446,12 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
           .count();
-  if (store != nullptr) {
+  if (store != nullptr)
     campaign.store_stats = store->stats().since(stats_before);
-    // A shard's results are incomplete by design, so it must not publish
-    // them as a whole campaign; `pwcet merge` saves the merged one instead.
-    if (!sharded) save_campaign(*store, spec_key, campaign);
-  }
+  // A shard's results are incomplete by design, so it must not publish
+  // them as a whole campaign; `pwcet merge` saves the merged one instead.
+  if (artifacts != nullptr && !sharded)
+    save_campaign(*artifacts, spec_key, campaign);
   return campaign;
 }
 

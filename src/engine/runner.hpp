@@ -57,10 +57,11 @@ struct RunnerOptions {
   /// results, byte-identically. An empty artifact_dir falls back to
   /// cache_dir_from_env() before the store is constructed.
   StoreOptions store;
-  /// Reuse a caller-owned store instead of constructing one from `store`:
-  /// a re-run of an identical spec is then answered whole from its memo
-  /// (load_campaign). This is how warm re-runs are measured (the
-  /// `campaign.*.warm` bench scenarios, benchlib/scenarios.cpp).
+  /// Use a caller-owned store instead of constructing one from `store`,
+  /// so that the caller picks its tiers (a fresh in-memory store reads no
+  /// PWCET_CACHE_DIR) and reads its counters afterwards. The
+  /// `campaign.<stem>.cold` bench scenarios and campaignbench run each
+  /// campaign on a fresh one.
   AnalysisStore* shared_store = nullptr;
   /// Which shard of the campaign to execute. {0, 1} (the default) runs
   /// everything. A proper shard runs only the analyzer groups its
@@ -131,24 +132,24 @@ struct CampaignResult {
   }
 };
 
-/// The whole campaign is the store's unit of reuse across runs, under
-/// `spec_key` = campaign_spec_key(spec): the memo's "campaign" layer holds
-/// the results vector (in-process re-runs), and the disk tier holds the
-/// campaign-report artifact plus, for a spec with a distribution sink,
-/// campaign-dist — JSONL reports whose parse renders byte-identically
-/// (re-runs in any process sharing the cache directory).
+/// The whole campaign is the artifact tier's unit of reuse across runs,
+/// under `spec_key` = campaign_spec_key(spec): the campaign-report
+/// artifact plus, for a spec with a distribution sink, campaign-dist —
+/// JSONL reports whose parse renders byte-identically (re-runs in any
+/// process sharing the cache directory). The memo holds no whole
+/// campaign: nothing in a process reads one back.
 ///
-/// load_campaign looks in the memo first, then on disk, and fills
-/// `campaign.results` (pre-sized to `jobs`, expansion order) for
-/// `campaign.spec`; false when neither tier holds a complete entry.
-/// Stale-cache safety: artifacts carry ArtifactStore::kFormatVersion, and
-/// workload content is hashed into the spec key.
-bool load_campaign(AnalysisStore& store, const StoreKey& spec_key,
+/// load_campaign fills `campaign.results` (pre-sized to `jobs`, expansion
+/// order) for `campaign.spec`; false when the directory holds no complete
+/// entry. Stale-cache safety: artifacts carry
+/// ArtifactStore::kFormatVersion, and workload content is hashed into the
+/// spec key.
+bool load_campaign(const ArtifactStore& artifacts, const StoreKey& spec_key,
                    const std::vector<CampaignJob>& jobs,
                    CampaignResult& campaign);
 
-/// Saves a complete campaign to every tier the store has.
-void save_campaign(AnalysisStore& store, const StoreKey& spec_key,
+/// Saves a complete campaign's report artifacts.
+void save_campaign(const ArtifactStore& artifacts, const StoreKey& spec_key,
                    const CampaignResult& campaign);
 
 /// Expands and executes the campaign. Exceptions thrown by jobs are

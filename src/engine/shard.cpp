@@ -149,9 +149,8 @@ std::vector<std::vector<std::size_t>> campaign_group_schedule(
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
   // Members are listed in expansion order and the runner runs them in
-  // any order: every mechanism assignment's re-weighting bundle lives in
-  // the group's one pipeline for the whole group (analysis/pipeline.cpp),
-  // so member order changes no reuse.
+  // any order: every penalty scaffold is built with the group's one
+  // pipeline (analysis/pipeline.cpp), so member order changes no reuse.
   std::vector<std::vector<std::size_t>> schedule;
   schedule.reserve(ordered.size());
   for (auto& [key, members] : ordered) schedule.push_back(std::move(members));
@@ -509,8 +508,8 @@ ShardMergeOutcome merge_campaign_shards(const CampaignSpec& spec,
     } catch (const StoreMergeError& e) {
       throw ShardMergeError(e.what());
     }
-    AnalysisStore into({.artifact_dir = options.into_dir});
-    save_campaign(into, spec_key, outcome.campaign);
+    save_campaign(ArtifactStore(options.into_dir), spec_key,
+                  outcome.campaign);
   }
   return outcome;
 }

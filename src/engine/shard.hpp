@@ -10,7 +10,7 @@
 /// expansion order; see campaign_group_schedule). Shard i of N owns the
 /// contiguous group range [floor(i*G/N), floor((i+1)*G/N)). Distributing
 /// whole groups in schedule order preserves everything the single-process
-/// runner optimizes: analyzer, FMM-bundle and re-weighting-bundle reuse
+/// runner optimizes: analyzer, FMM-bundle and penalty-scaffold reuse
 /// inside a group, memo locality between adjacent groups — and per-job
 /// seeds are key-derived, so results are unaffected by where a job runs. The schedule is a pure function of the expanded
 /// spec: shard assignment is spec-key-stable (the same spec content

@@ -200,9 +200,6 @@ class SpecReader {
                 }},
                {"block_size", false, [](auto& r, auto& v, auto& p, auto& o) {
                   o.block_size = r.as_u64(v, p);
-                }},
-               {"seed", false, [](auto& r, auto& v, auto& p, auto& o) {
-                  o.seed = r.as_u64(v, p);
                 }}};
            r.expect_type(v, Json::Type::kObject, "an object", p);
            r.read_fields(v, p, "mbpta options", "missing", kMbpta,
@@ -801,8 +798,7 @@ std::string spec_to_json(const CampaignSpec& spec, const std::string& name,
         std::to_string(spec.max_distribution_points));
   field("mbpta", "{\"chips\": " + std::to_string(spec.mbpta.chips) +
                      ", \"block_size\": " +
-                     std::to_string(spec.mbpta.block_size) +
-                     ", \"seed\": " + fmt_u64_json(spec.mbpta.seed) + "}");
+                     std::to_string(spec.mbpta.block_size) + "}");
   field("simulation_chips", std::to_string(spec.simulation_chips));
   field("base_seed", fmt_u64_json(spec.base_seed), /*last=*/!view);
   if (view) {

@@ -9,7 +9,7 @@ namespace pwcet {
 
 MbptaResult run_mbpta(const Program& program, const CacheConfig& config,
                       const FaultModel& faults, Mechanism mechanism,
-                      const MbptaOptions& options) {
+                      const MbptaOptions& options, std::uint64_t seed) {
   // Division form: 2 * block_size would wrap for huge block sizes.
   PWCET_EXPECTS(options.block_size <= options.chips / 2);
 
@@ -17,7 +17,7 @@ MbptaResult run_mbpta(const Program& program, const CacheConfig& config,
   // variation across the chip population, not across inputs.
   MbptaResult result;
   result.times = simulate_chip_population(program, config, faults, mechanism,
-                                          options.chips, options.seed);
+                                          options.chips, seed);
   result.observed_max =
       *std::max_element(result.times.begin(), result.times.end());
 

@@ -24,7 +24,6 @@ namespace pwcet {
 struct MbptaOptions {
   std::size_t chips = 400;          ///< fault maps sampled
   std::size_t block_size = 20;      ///< block-maxima window
-  std::uint64_t seed = 0x5eed;
 };
 
 struct MbptaResult {
@@ -36,9 +35,10 @@ struct MbptaResult {
   double pwcet(Probability p) const { return gumbel.quantile_exceedance(p); }
 };
 
-/// Runs the measurement protocol for one mechanism.
+/// Runs the measurement protocol for one mechanism; `seed` roots the
+/// chip population's fault-map stream.
 MbptaResult run_mbpta(const Program& program, const CacheConfig& config,
                       const FaultModel& faults, Mechanism mechanism,
-                      const MbptaOptions& options = {});
+                      const MbptaOptions& options, std::uint64_t seed);
 
 }  // namespace pwcet

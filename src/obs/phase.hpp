@@ -25,15 +25,13 @@ inline constexpr const char* kExtract = "phase.extract";
 inline constexpr const char* kClassify = "phase.classify";
 /// Phase-1 maximization of the summed model (IPET or loop tree).
 inline constexpr const char* kMaximize = "phase.maximize";
-/// Per-set FMM bundles (delta maximizations), all domains.
+/// Per-set FMM bundles (delta maximizations) and the penalty scaffolds
+/// built from them, all domains.
 inline constexpr const char* kFmm = "phase.fmm";
 /// One mechanisms x pfail analysis (analyze()).
 inline constexpr const char* kAnalyze = "pipeline.analyze";
 /// pwf weighting vectors (Eq. 2/3) for every domain.
 inline constexpr const char* kPwf = "phase.pwf";
-/// Pfail-independent penalty scaffold (bundle) build, once per
-/// mechanism assignment of a pipeline.
-inline constexpr const char* kBundle = "phase.bundle";
 /// Per-set penalty distributions + their cross-set convolution.
 inline constexpr const char* kPenalty = "phase.penalty";
 /// The fixed-shape pairwise convolution tree inside kPenalty.

@@ -2,19 +2,16 @@
 /// Facade over the two store tiers, shared by the analyzer and the
 /// campaign engine.
 ///
-/// The memo holds what a campaign reads back: whole campaigns
-/// ("campaign", engine/runner.hpp's load_campaign) and, below them, what
-/// the compositions of one task share, which only PwcetPipeline
-/// (analysis/pipeline.cpp) reads and writes: each domain's age profile
-/// ("profile", the per-set Must/May ages every classification and FMM
-/// column of a (task, domain) derives from), each domain's tree-engine
-/// FMM bundle ("fmm"), and each domain penalty and fold ("penalty"). The
-/// disk tier holds per-result penalty distributions
-/// and whole-campaign reports. One AnalysisStore instance serves a whole
-/// campaign (and, if the caller keeps it alive, any number of campaigns —
-/// that is how the `campaign.*.warm` bench scenarios measure warm
-/// re-runs). All methods are thread-safe; pool workers use the store
-/// concurrently.
+/// The memo holds what a campaign reads back: what the compositions of
+/// one task share, which only PwcetPipeline (analysis/pipeline.cpp) reads
+/// and writes: each domain's age profile ("profile", the per-set Must/May
+/// ages every classification and FMM column of a (task, domain) derives
+/// from), each domain's tree-engine FMM bundle ("fmm"), and each domain
+/// penalty and fold ("penalty"). The disk tier holds per-result penalty
+/// distributions and whole-campaign reports (engine/runner.hpp's
+/// load_campaign), which a later run in any process reads back. One
+/// AnalysisStore instance serves a whole campaign. All methods are
+/// thread-safe; pool workers use the store concurrently.
 ///
 /// Determinism: the store only ever returns bits some earlier invocation
 /// of the *same deterministic computation on the same inputs* produced, so

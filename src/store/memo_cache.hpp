@@ -17,8 +17,7 @@
 /// Memory: the bound is an entry count, not bytes, but every entry records
 /// its payload size, so StoreStats::bytes and the per-layer
 /// `store.memo.<layer>.bytes` counters show what each layer holds. The
-/// layers are "campaign", "profile", "fmm" and "penalty"
-/// (store/analysis_store.hpp).
+/// layers are "profile", "fmm" and "penalty" (store/analysis_store.hpp).
 #pragma once
 
 #include <cstddef>
@@ -92,9 +91,8 @@ class MemoCache {
   MemoCache& operator=(const MemoCache&) = delete;
 
   /// Looks up a key; a hit refreshes its LRU position. `layer` is an
-  /// observability-only attribution tag ("campaign", "profile", "fmm" or
-  /// "penalty") for the per-layer metrics counters — it never affects
-  /// lookup.
+  /// observability-only attribution tag ("profile", "fmm" or "penalty")
+  /// for the per-layer metrics counters — it never affects lookup.
   std::shared_ptr<const void> get(const StoreKey& key,
                                   const char* layer = "other");
 

@@ -2,21 +2,26 @@
 // `pwcet bench`:
 //
 //  - robust statistics (median/min/p90/MAD) on known samples;
-//  - harness discipline: warmup repetitions are discarded, samples carry
-//    the armed MetricsRegistry's data, and the --inject-slowdown self-test
-//    knob scales exactly the named metric;
+//  - harness discipline: warmup repetitions are discarded and samples
+//    carry the armed MetricsRegistry's data;
 //  - BenchReport JSON round-trip through a file;
 //  - diff verdict golden pairs: regression, improvement, within-noise,
-//    scenario added/removed, schema-version mismatch;
+//    scenario added/removed, schema-version mismatch, and the CI gate's
+//    doctored copy (one metric doubled) flagged on that metric alone;
+//  - the campaign scenarios of spec files: three per stem, each on its
+//    `pwcet run` path, none touching PWCET_CACHE_DIR;
 //  - the observation-only contract: running a benchlib campaign scenario
 //    changes no campaign report bytes and leaves the registry disabled.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,9 +31,7 @@
 #include "benchlib/scenario.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
-#include "engine/spec_io.hpp"
 #include "obs/metrics.hpp"
-#include "store/analysis_store.hpp"
 #include "support/stats.hpp"
 
 namespace pwcet::benchlib {
@@ -92,21 +95,6 @@ TEST(BenchHarness, ArmedRegistryMetricsAndCountersAreCaptured) {
   EXPECT_FALSE(obs::MetricsRegistry::instance().enabled());
   for (const auto& [name, value] : obs::MetricsRegistry::instance().counters())
     EXPECT_EQ(value, 0u) << name;
-}
-
-TEST(BenchHarness, InjectedSlowdownScalesExactlyTheNamedMetric) {
-  BenchOptions options;
-  options.warmup = 0;
-  options.repetitions = 1;
-  options.inject_slowdown = {{"probe.cold", 2.0}};
-  const ScenarioSamples samples = run_scenario("probe", options, [] {
-    obs::MetricsRegistry::instance().observe_ns("probe.cold", 1000);
-    obs::MetricsRegistry::instance().observe_ns("probe.warm", 1000);
-  });
-  const auto& metrics = samples.samples.at(0).metrics;
-  ASSERT_EQ(metrics.size(), 2u);  // sorted: probe.cold, probe.warm
-  EXPECT_EQ(metrics[0].second, 2000u);  // probe.cold doubled
-  EXPECT_EQ(metrics[1].second, 1000u);  // probe.warm untouched
 }
 
 TEST(BenchHarness, BodyExceptionsPropagateAndDisarmTheRegistry) {
@@ -275,10 +263,136 @@ TEST(BenchDiffing, EnvironmentChangesAreReported) {
   EXPECT_EQ(diff.environment_changes[0], "threads: 1 -> 4");
 }
 
+TEST(BenchDiffing, ADoctoredCopyIsFlaggedOnItsDoubledMetricAlone) {
+  // The CI gate's self-test: a copy of a measured report with one
+  // metric's samples and stats doubled, as a 2x slowdown in that phase
+  // would record them, must regress on exactly that scenario/metric.
+  BenchOptions options;
+  options.warmup = 0;
+  options.repetitions = 3;
+  const BenchReport measured = [&] {
+    BenchReport report;
+    report.scenarios.push_back(
+        summarize_scenario(run_scenario("probe", options, [] {
+          obs::MetricsRegistry::instance().observe_ns("phase.cold", 1000000);
+          obs::MetricsRegistry::instance().observe_ns("phase.warm", 1000000);
+        })));
+    return report;
+  }();
+  BenchReport doctored = measured;
+  ScenarioReport& scenario = doctored.scenarios[0];
+  for (RepetitionSample& sample : scenario.samples)
+    for (auto& [metric, ns] : sample.metrics)
+      if (metric == "phase.cold") ns *= 2;
+  MetricStats& stats = scenario.stats.at("phase.cold");
+  for (double* value : {&stats.median, &stats.min, &stats.p90, &stats.mad})
+    *value *= 2;
+
+  const BenchDiff diff = diff_reports(measured, doctored, {});
+  EXPECT_EQ(diff.count(Verdict::kRegressed), 1u);
+  std::ostringstream rendered;
+  render_diff(diff, {}, rendered);
+  EXPECT_NE(rendered.str().find("regressed: probe/phase.cold"),
+            std::string::npos)
+      << rendered.str();
+  EXPECT_EQ(rendered.str().find("regressed: probe/phase.warm"),
+            std::string::npos);
+}
+
 // ---- scenarios + observation-only contract --------------------------------
 
-TEST(BenchScenarios, BuiltinsAreNamedAndDescribed) {
-  const std::vector<Scenario> scenarios = builtin_scenarios();
+/// A spec file of 3 cheap SPTA jobs under a temp directory, named
+/// `<stem>.json`, removed with the fixture.
+class SpecFiles : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("pwcet_benchlib_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_ / "other");
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string write_spec(const std::string& relative) {
+    const std::string path = (dir_ / relative).string();
+    std::ofstream(path) << R"({
+      "tasks": ["fibcall"],
+      "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+      "pfails": [1e-4],
+      "mechanisms": ["none", "SRB", "RW"]
+    })";
+    return path;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(SpecFiles, EachSpecGetsItsThreeCampaignScenarios) {
+  std::vector<std::string> campaign;
+  for (const Scenario& scenario :
+       builtin_scenarios({write_spec("tiny.json"), write_spec("small.json")}))
+    if (scenario.name.rfind("campaign.", 0) == 0)
+      campaign.push_back(scenario.name);
+  EXPECT_EQ(campaign, (std::vector<std::string>{
+                          "campaign.tiny.cold", "campaign.tiny.warm",
+                          "campaign.tiny.shard_merge", "campaign.small.cold",
+                          "campaign.small.warm",
+                          "campaign.small.shard_merge"}));
+
+  // Scenario names come from the stem, so a second tiny.json collides.
+  EXPECT_THROW(builtin_scenarios({write_spec("tiny.json"),
+                                  write_spec("other/tiny.json")}),
+               std::invalid_argument);
+}
+
+TEST_F(SpecFiles, CampaignScenariosTakeTheRunPathsAndLeaveTheUserCacheAlone) {
+  // PWCET_CACHE_DIR names an empty directory: no scenario may read or
+  // write it.
+  const std::filesystem::path user_cache = dir_ / "user-cache";
+  std::filesystem::create_directories(user_cache);
+  const char* saved = std::getenv("PWCET_CACHE_DIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("PWCET_CACHE_DIR", user_cache.c_str(), 1);
+
+  BenchOptions bench;
+  bench.warmup = 0;
+  bench.repetitions = 1;
+  std::map<std::string, RepetitionSample> sampled;
+  for (const Scenario& scenario : builtin_scenarios({write_spec("tiny.json")})) {
+    if (scenario.name.rfind("campaign.", 0) != 0) continue;
+    if (scenario.setup) scenario.setup(ScenarioOptions{});
+    sampled[scenario.name] =
+        run_scenario(scenario.name, bench, [&] {
+          scenario.body(ScenarioOptions{});
+        }).samples.at(0);
+  }
+  if (saved != nullptr)
+    ::setenv("PWCET_CACHE_DIR", saved_value.c_str(), 1);
+  else
+    ::unsetenv("PWCET_CACHE_DIR");
+  EXPECT_TRUE(std::filesystem::is_empty(user_cache));
+
+  const auto counter = [&](const std::string& scenario,
+                           const std::string& name) {
+    for (const auto& [key, value] : sampled.at(scenario).counters)
+      if (key == name) return value;
+    return std::uint64_t{0};
+  };
+  ASSERT_EQ(sampled.size(), 3u);
+  // Cold and shard_merge compute all 3 jobs; warm loads them whole from
+  // the directory its setup filled and computes none.
+  EXPECT_EQ(counter("campaign.tiny.cold", "engine.jobs.spta"), 3u);
+  EXPECT_EQ(counter("campaign.tiny.shard_merge", "engine.jobs.spta"), 3u);
+  EXPECT_EQ(counter("campaign.tiny.warm", "engine.warm_loads"), 1u);
+  EXPECT_EQ(counter("campaign.tiny.warm", "store.disk.campaign-report.hits"),
+            1u);
+  EXPECT_EQ(counter("campaign.tiny.warm", "engine.jobs.spta"), 0u);
+  EXPECT_EQ(counter("campaign.tiny.cold", "engine.warm_loads"), 0u);
+}
+
+TEST_F(SpecFiles, BuiltinsAreNamedAndDescribed) {
+  const std::vector<Scenario> scenarios =
+      builtin_scenarios({write_spec("tiny.json")});
   ASSERT_FALSE(scenarios.empty());
   bool has_campaign = false, has_micro = false;
   for (const Scenario& scenario : scenarios) {
@@ -290,6 +404,9 @@ TEST(BenchScenarios, BuiltinsAreNamedAndDescribed) {
   }
   EXPECT_TRUE(has_campaign);
   EXPECT_TRUE(has_micro);
+  // Without spec files only the pipeline and micro scenarios remain.
+  for (const Scenario& scenario : builtin_scenarios())
+    EXPECT_NE(scenario.name.rfind("campaign.", 0), 0u) << scenario.name;
 }
 
 TEST(BenchScenarios, MeasuringACampaignIsObservationOnly) {
@@ -321,32 +438,6 @@ TEST(BenchScenarios, MeasuringACampaignIsObservationOnly) {
   // no collector armed.
   EXPECT_FALSE(obs::MetricsRegistry::instance().enabled());
   EXPECT_EQ(report_csv(run_campaign(spec, options)), reference);
-}
-
-// ---- scenario specs stay in lockstep with the shipped JSON -----------------
-
-// The campaign scenarios rebuild their specs in C++ (so `pwcet bench`
-// needs no file paths); these pins keep them byte-equivalent to the
-// shipped JSON specs the CLI and tables use — a drift would silently make
-// the bench measure a different campaign than the one CI diffs.
-TEST(BenchScenarios, GeometrySweepSpecMatchesShippedJson) {
-  const SpecDocument doc =
-      load_spec(std::string(PWCET_SPECS_DIR) + "/geometry_sweep.json");
-  CampaignSpec programmatic = geometry_sweep_spec();
-  // The shipped spec carries two extra tasks and the table's exceedance
-  // target; the scenario trims tasks for bench wall-clock. Geometry /
-  // pfail / mechanism axes must match exactly.
-  EXPECT_EQ(programmatic.geometries.size(), doc.spec.geometries.size());
-  programmatic.tasks = doc.spec.tasks;
-  programmatic.target_exceedance = doc.spec.target_exceedance;
-  EXPECT_EQ(campaign_spec_key(programmatic), campaign_spec_key(doc.spec));
-}
-
-TEST(BenchScenarios, PfailSweepSpecMatchesShippedJson) {
-  const SpecDocument doc =
-      load_spec(std::string(PWCET_SPECS_DIR) + "/pfail_sweep.json");
-  EXPECT_EQ(campaign_spec_key(pfail_sweep_spec()),
-            campaign_spec_key(doc.spec));
 }
 
 }  // namespace

@@ -78,6 +78,18 @@ class CliTest : public ::testing::Test {
     })");
   }
 
+  /// The tiny campaign with a data cache: 24 SPTA jobs whose two-domain
+  /// pipelines share their profiles, FMMs and penalties through the memo.
+  std::string tiny_dcache_spec_path() {
+    return write_file("tiny_dcache.json", R"({
+      "tasks": ["fibcall", "bs"],
+      "geometries": [{"sets": 16, "ways": 4, "line_bytes": 16}],
+      "pfails": [1e-6, 1e-4],
+      "mechanisms": ["none", "SRB", "RW"],
+      "dcaches": [{"sets": 8, "ways": 2, "line_bytes": 16}]
+    })");
+  }
+
   /// The tiny campaign with a view: per task and pfail, the unprotected
   /// pWCET and the SRB / unprotected ratio.
   std::string tiny_view_spec_path() {
@@ -233,12 +245,21 @@ TEST_F(CliTest, OversizedGeometryFailsAtLoadNamingTheField) {
 }
 
 TEST_F(CliTest, LastStoreFlagWins) {
-  const std::string spec_path = tiny_spec_path();
-  const CliResult result =
+  // With a data cache every pipeline memoizes, so a run with the store
+  // makes memo lookups and one without makes none.
+  const std::string spec_path = tiny_dcache_spec_path();
+  const CliResult off =
       run_cli({"run", spec_path, "--store", "on", "--store", "off"});
-  ASSERT_EQ(result.code, 0) << result.err;
-  EXPECT_NE(result.err.find("store: 0 hits / 0 misses"), std::string::npos)
-      << result.err;
+  ASSERT_EQ(off.code, 0) << off.err;
+  EXPECT_NE(off.err.find("store: 0 hits / 0 misses"), std::string::npos)
+      << off.err;
+  const CliResult on =
+      run_cli({"run", spec_path, "--store", "off", "--store", "on"});
+  ASSERT_EQ(on.code, 0) << on.err;
+  EXPECT_NE(on.err.find("store: "), std::string::npos) << on.err;
+  EXPECT_EQ(on.err.find("store: 0 hits / 0 misses"), std::string::npos)
+      << on.err;
+  EXPECT_EQ(on.out, off.out);
 }
 
 // ---- error handling --------------------------------------------------------
@@ -621,7 +642,7 @@ TEST_F(CliTest, ProgressStaysSilentWhenStderrIsNotATerminal) {
 }
 
 TEST_F(CliTest, CacheStatsRendersPerLayerStoreCounters) {
-  const std::string spec_path = tiny_spec_path();
+  const std::string spec_path = tiny_dcache_spec_path();
   const std::string metrics = (fs::path(dir_) / "metrics.json").string();
   ASSERT_EQ(run_cli({"run", spec_path, "--threads", "1", "--metrics-out",
                      metrics})
@@ -636,19 +657,21 @@ TEST_F(CliTest, CacheStatsRendersPerLayerStoreCounters) {
   if (saved != nullptr) ::setenv("PWCET_CACHE_DIR", saved_value.c_str(), 1);
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("store counters"), std::string::npos);
-  // The tiny spec is single-domain, so its memo row is the campaign
-  // layer, with the payload bytes that layer inserted.
+  // The spec has a data cache, so its pipelines memoize: the penalty
+  // layer has a memo row with the payload bytes it inserted. The memo
+  // holds no whole campaign.
   std::istringstream lines(result.out);
-  std::string header, campaign_row;
+  std::string header, penalty_row, campaign_row;
   for (std::string line; std::getline(lines, line);) {
     if (line.find("evictions") != std::string::npos) header = line;
-    if (line.find("memo") != std::string::npos &&
-        line.find("campaign") != std::string::npos)
-      campaign_row = line;
+    if (line.find("memo") == std::string::npos) continue;
+    if (line.find("penalty") != std::string::npos) penalty_row = line;
+    if (line.find("campaign") != std::string::npos) campaign_row = line;
   }
   EXPECT_NE(header.find("bytes"), std::string::npos) << result.out;
-  ASSERT_FALSE(campaign_row.empty()) << result.out;
-  EXPECT_NE(campaign_row.back(), '-') << campaign_row;
+  ASSERT_FALSE(penalty_row.empty()) << result.out;
+  EXPECT_NE(penalty_row.back(), '-') << penalty_row;
+  EXPECT_TRUE(campaign_row.empty()) << campaign_row;
   EXPECT_NE(result.out.find("core"), std::string::npos);
 
   // Alongside a cache directory both tables render.
@@ -673,12 +696,18 @@ TEST_F(CliTest, CacheStatsRendersPerLayerStoreCounters) {
 // ---- bench -----------------------------------------------------------------
 
 TEST_F(CliTest, BenchListNamesTheBuiltinScenarios) {
-  const CliResult result = run_cli({"bench", "list"});
+  const CliResult result = run_cli(
+      {"bench", "list", std::string(PWCET_SPECS_DIR) + "/geometry_sweep.json",
+       std::string(PWCET_SPECS_DIR) + "/pfail_sweep.json"});
   EXPECT_EQ(result.code, 0) << result.err;
   for (const char* needle :
        {"campaign.geometry_sweep.cold", "campaign.geometry_sweep.warm",
+        "campaign.geometry_sweep.shard_merge", "campaign.pfail_sweep.cold",
         "pipeline.full", "micro.extract", "micro.maximize.ilp"})
     EXPECT_NE(result.out.find(needle), std::string::npos) << needle;
+  // Campaign scenarios come from spec files only.
+  EXPECT_EQ(run_cli({"bench", "list"}).out.find("campaign."),
+            std::string::npos);
 }
 
 TEST_F(CliTest, BenchRunWritesALoadableReportAndSelfDiffsClean) {
@@ -706,18 +735,6 @@ TEST_F(CliTest, BenchRunWritesALoadableReportAndSelfDiffsClean) {
   EXPECT_EQ(result.code, 0) << result.out;
   EXPECT_NE(result.out.find("0 regressed"), std::string::npos)
       << result.out;
-}
-
-TEST_F(CliTest, BenchRunRecordsAnInjectedSlowdownInTheEnvironment) {
-  const std::string slow = (fs::path(dir_) / "slow.json").string();
-  const CliResult result = run_cli(
-      {"bench", "run", "--scenarios", "micro.extract", "--repetitions", "2",
-       "--warmup", "0", "--inject-slowdown", "wall_ns=10.0", "--output",
-       slow});
-  ASSERT_EQ(result.code, 0) << result.err;
-  // A doctored artifact can never masquerade as a clean baseline.
-  EXPECT_NE(read_file(slow).find("inject_slowdown"), std::string::npos);
-  EXPECT_NE(read_file(slow).find("wall_ns=10.000"), std::string::npos);
 }
 
 TEST_F(CliTest, BenchDiffExitsThreeOnARegressedArtifactPair) {
@@ -753,17 +770,23 @@ TEST_F(CliTest, BenchUsageErrors) {
   EXPECT_EQ(run_cli({"bench", "frobnicate"}).code, 2);
   EXPECT_EQ(run_cli({"bench", "run", "--repetitions", "0"}).code, 2);
   EXPECT_EQ(run_cli({"bench", "run", "--repetitions", "soon"}).code, 2);
-  EXPECT_EQ(run_cli({"bench", "run", "--inject-slowdown", "nofactor"}).code,
-            2);
-  EXPECT_EQ(run_cli({"bench", "run", "--inject-slowdown", "x=-1"}).code, 2);
   EXPECT_EQ(run_cli({"bench", "diff", "only_one.json"}).code, 2);
   EXPECT_EQ(run_cli({"bench", "diff", "a.json", "b.json", "--threshold",
                      "nope"})
                 .code,
             2);
-  // An unknown scenario filter and an unreadable artifact are runtime
-  // failures (1), distinct from both usage (2) and regression (3).
+  // An unknown scenario filter, a spec that does not load, two specs with
+  // one stem and an unreadable artifact are runtime failures (1),
+  // distinct from both usage (2) and regression (3).
   EXPECT_EQ(run_cli({"bench", "run", "--scenarios", "no.such"}).code, 1);
+  EXPECT_EQ(run_cli({"bench", "list", dir_ + "/absent.json"}).code, 1);
+  const std::string tiny = tiny_spec_path();
+  fs::create_directories(fs::path(dir_) / "again");
+  const std::string again = (fs::path(dir_) / "again" / "tiny.json").string();
+  fs::copy_file(tiny, again);
+  const CliResult twice = run_cli({"bench", "list", tiny, again});
+  EXPECT_EQ(twice.code, 1);
+  EXPECT_NE(twice.err.find("stem 'tiny'"), std::string::npos) << twice.err;
   EXPECT_EQ(
       run_cli({"bench", "diff", dir_ + "/a.json", dir_ + "/b.json"}).code,
       1);
@@ -786,16 +809,6 @@ TEST_F(CliTest, BenchRunRejectsASignedOrHugeWarmup) {
     const CliResult result = run_cli({"bench", "run", "--warmup", value});
     EXPECT_EQ(result.code, 2) << value;
     EXPECT_NE(result.err.find("--warmup wants"), std::string::npos)
-        << result.err;
-  }
-}
-
-TEST_F(CliTest, BenchRunRejectsANonFiniteInjectedFactor) {
-  for (const char* value : {"wall_ns=nan", "wall_ns=inf", "wall_ns=1e300"}) {
-    const CliResult result =
-        run_cli({"bench", "run", "--inject-slowdown", value});
-    EXPECT_EQ(result.code, 2) << value;
-    EXPECT_NE(result.err.find("--inject-slowdown wants"), std::string::npos)
         << result.err;
   }
 }

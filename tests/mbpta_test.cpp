@@ -103,7 +103,8 @@ TEST(Mbpta, RunsAndBracketsObservedTimes) {
   MbptaOptions options;
   options.chips = 200;
   options.block_size = 10;
-  const auto r = run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options);
+  const auto r =
+      run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options, 0x5eed);
   ASSERT_EQ(r.times.size(), 200u);
   EXPECT_GT(r.observed_max, 0.0);
   // The fitted 1e-9 quantile lies above the empirical sample body.
@@ -126,7 +127,7 @@ TEST(Mbpta, StaticBoundDominatesAllObservations) {
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
                             Mechanism::kSharedReliableBuffer}) {
     const auto spta = analyzer.analyze(faults, m);
-    const auto mbpta = run_mbpta(p, c, faults, m, options);
+    const auto mbpta = run_mbpta(p, c, faults, m, options, 0x5eed);
     EXPECT_GE(static_cast<double>(spta.pwcet(1e-15)), mbpta.observed_max)
         << mechanism_name(m);
   }
@@ -138,9 +139,10 @@ TEST(Mbpta, DeterministicUnderSeed) {
   MbptaOptions options;
   options.chips = 60;
   options.block_size = 10;
-  options.seed = 12345;
-  const auto a = run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options);
-  const auto b = run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options);
+  const auto a =
+      run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options, 12345);
+  const auto b =
+      run_mbpta(p, c, FaultModel(1e-3), Mechanism::kNone, options, 12345);
   EXPECT_EQ(a.times, b.times);
   // The observations are the shared chip-population loop's output.
   EXPECT_EQ(a.times, simulate_chip_population(p, c, FaultModel(1e-3),
